@@ -19,11 +19,10 @@ os.environ.setdefault("CELLMAT_THREADS", "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cellmat.gridio import read_grid, write_grid, write_pgm  # noqa: E402
+from cellmat.gridio import read_grid  # noqa: E402
 from cellmat.materials import get_material  # noqa: E402
 from cellmat.optimize import (KSParams, OptimizationProblem,  # noqa: E402
-                              blueprint_field, optimize)
-from cellmat.pipeline import evaluate_design  # noqa: E402
+                              finish_run, optimize)
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = ROOT / "runs"
@@ -36,7 +35,8 @@ def run_one(name, problem, material=None, seed_from=None,
     meta.json marks a finished optimization: it is written only after
     optimize returns, whereas an aborted optimize still leaves design.grid
     behind.  Deleting report.json (but not meta.json) regenerates the
-    blueprint and property report without re-optimizing.
+    blueprint and property report without re-optimizing; the iteration
+    count in meta.json fixes the blueprint's projection sharpness.
     """
     out = RUNS / name
     if (out / "report.json").exists():
@@ -65,14 +65,9 @@ def run_one(name, problem, material=None, seed_from=None,
 
     rho_raw, n0 = read_grid(out / "design.grid")
     assert n0 == problem.n, (name, n0, problem.n)
-    with open(out / "iterations.csv") as fh:
-        beta_final = float(fh.readlines()[-1].split(",")[6])
-    rho_blue = blueprint_field(problem, rho_raw, beta_final)
-    write_grid(out / "design_int.grid", rho_blue, problem.n)
-    write_pgm(out / "design_int.pgm", rho_blue, problem.n)
-    report = evaluate_design(rho_blue, problem.n, problem.sigma1_rel,
-                             material=material, with_bands=True,
-                             n_seg=report_n_seg, m_bands=report_m)
+    iterations = json.loads((out / "meta.json").read_text())["iterations"]
+    report = finish_run(problem, rho_raw, iterations, str(out), material,
+                        True, report_n_seg, report_m)
     (out / "report.json").write_text(
         json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     print(f"[{name}] report: ebar={report.ebar:.5g} "

@@ -16,9 +16,9 @@ import numpy as np
 from . import __version__
 from .config import load_config
 from .errors import CellmatError, ConfigError, SolverError
-from .gridio import read_grid, write_grid
+from .gridio import read_grid
 from .materials import fit_scaling, get_material
-from .optimize import blueprint_field, optimize
+from .optimize import finish_run, optimize
 from .pipeline import evaluate_design, gradient_check
 
 
@@ -51,16 +51,10 @@ def cmd_optimize(args):
             raise ConfigError(
                 f"seed grid is {n0}x{n0}, the problem wants {problem.n}")
     res = optimize(problem, rho0=rho0, out_dir=args.out)
-
-    beta_final = res.history[-1][6]
-    rho_int = blueprint_field(problem, res.rho, beta_final)
-    write_grid(os.path.join(args.out, "design_int.grid"), rho_int, problem.n)
     with_bands = args.report_bands or \
         (problem.gamma1 > 0.0 and problem.ks.kappa2 == 1)
-    report = evaluate_design(rho_int, problem.n, problem.sigma1_rel,
-                             material=material, with_bands=with_bands,
-                             n_seg=problem.ks.n_seg,
-                             m_bands=problem.ks.m_bands)
+    report = finish_run(problem, res.rho, res.iterations, args.out, material,
+                        with_bands, problem.ks.n_seg, problem.ks.m_bands)
     out = {"status": res.status, "iterations": res.iterations,
            "design": report.to_dict()}
     _dump(out, os.path.join(args.out, "report.json"))
@@ -80,25 +74,17 @@ def cmd_evaluate(args):
 
 def _band_setup(args):
     from .bloch import buckling_strength
-    from .design import interpolate
     from .element import element_matrices
-    from .homogenize import homogenize
     from .mesh import build_mesh
-    from .pipeline import NU
-    from .stress import element_stresses, macro_strain
+    from .pipeline import NU, analyze_cell
 
     rho, n = read_grid(args.grid)
     mesh = build_mesh(n)
     elem = element_matrices(NU, mesh.h)
-    e_k, _ = interpolate(rho, "stiffness")
-    homog = homogenize(mesh, elem, e_k)
-    eps0 = macro_strain(homog.cbar)
-    st = element_stresses(mesh, elem, homog.chi, rho, eps0)
-    e_g, _ = interpolate(rho, "geometric")
+    cell = analyze_cell(mesh, elem, rho)
 
     def run(**kw):
-        return buckling_strength(mesh, elem, e_k,
-                                 e_g[:, None] * st.s_unit,
+        return buckling_strength(mesh, elem, cell.e_k, cell.stress_weights,
                                  m=args.m_bands, **kw)
     return run
 

@@ -83,14 +83,3 @@ class PinnedSolver:
                 f"periodic solve residual {np.linalg.norm(r) / scale:.3e} "
                 f"exceeds {RESIDUAL_TOL:.1e}")
         return u
-
-
-def solve_periodic(k_reduced, f):
-    """One-shot periodic solve of k u = f with translation pinning.
-
-    f may be (ndof,) or (ndof, m).  Residual contract: |r| <= 1e-9 |f|.
-    """
-    solver = PinnedSolver(k_reduced)
-    if f.ndim == 1:
-        return solver.solve(f)
-    return np.column_stack([solver.solve(f[:, j]) for j in range(f.shape[1])])

@@ -20,11 +20,6 @@ import numpy as np
 from .fem import PinnedSolver, assemble_k0, assemble_loads, gather
 
 
-def unit_strain_loads(mesh, elem, moduli):
-    """Consistent loads of the unit macro strains, (ndof, 3)."""
-    return assemble_loads(mesh, elem, moduli)
-
-
 @dataclass
 class HomogResult:
     chi: np.ndarray        # (ndof, 3) periodic correctors

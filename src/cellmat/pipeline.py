@@ -1,9 +1,12 @@
-"""Full property evaluation of a given periodic density field.
+"""The shared analysis chain and full property evaluation of a design.
 
-The input field is taken as the physical (filtered and projected)
-density; no design chain is applied here.  Everything downstream of the
-density is shared with the optimizer: interpolation, homogenization,
-stress recovery and the band sweep.
+analyze_cell is the one spelling of the chain from a physical (filtered
+and projected) density to everything the strength measures need:
+interpolated moduli, homogenization, the macro strain of the unit load,
+element stresses and the stress weights of the geometric stiffness.  The
+optimizer, the evaluator, the gradient check and the CLI band commands
+all start from it.  evaluate_design applies no design chain: its input
+field is taken as the physical density.
 """
 
 from dataclasses import asdict, dataclass
@@ -14,13 +17,38 @@ from .bloch import buckling_strength
 from .design import interpolate
 from .element import element_matrices
 from .errors import ConfigError
-from .homogenize import homogenize
+from .homogenize import HomogResult, homogenize
 from .materials import classify_failure
 from .mesh import build_mesh
 from .sensitivity import grad_ebar, stability_grad, stress_grad
-from .stress import element_stresses, macro_strain
+from .stress import StressState, element_stresses, macro_strain, \
+    yield_strength
 
 NU = 1.0 / 3.0
+
+
+@dataclass
+class CellAnalysis:
+    e_k: np.ndarray            # (ne,) elastic moduli
+    de_k: np.ndarray           # their density derivatives
+    e_g: np.ndarray            # (ne,) geometric-stiffness moduli
+    de_g: np.ndarray
+    homog: HomogResult
+    eps0: np.ndarray           # macro strain of the unit compressive load
+    stresses: StressState
+    stress_weights: np.ndarray  # (ne, 3) e_g * s_unit, feeds the band sweep
+
+
+def analyze_cell(mesh, elem, rho_bar):
+    """Moduli, homogenization, stresses and band weights of a physical field."""
+    e_k, de_k = interpolate(rho_bar, "stiffness")
+    e_g, de_g = interpolate(rho_bar, "geometric")
+    homog = homogenize(mesh, elem, e_k)
+    eps0 = macro_strain(homog.cbar)
+    st = element_stresses(mesh, elem, homog.chi, rho_bar, eps0)
+    return CellAnalysis(e_k=e_k, de_k=de_k, e_g=e_g, de_g=de_g, homog=homog,
+                        eps0=eps0, stresses=st,
+                        stress_weights=e_g[:, None] * st.s_unit)
 
 
 @dataclass
@@ -53,7 +81,7 @@ def area_bulk_modulus(cbar):
 
 
 def evaluate_design(rho_phys, n, sigma1_rel, material=None, with_bands=True,
-                    n_seg=10, m_bands=6, store_modes=False):
+                    n_seg=10, m_bands=6):
     """Analyze a physical density field under the uniaxial unit load.
 
     material is an optional BaseMaterial used only for unit conversion
@@ -67,21 +95,16 @@ def evaluate_design(rho_phys, n, sigma1_rel, material=None, with_bands=True,
 
     mesh = build_mesh(n)
     elem = element_matrices(NU, mesh.h)
-    e_k, _ = interpolate(rho_phys, "stiffness")
-    homog = homogenize(mesh, elem, e_k)
-    eps0 = macro_strain(homog.cbar)
-    st = element_stresses(mesh, elem, homog.chi, rho_phys, eps0)
-    sigma_y = sigma1_rel / st.max_vm
+    cell = analyze_cell(mesh, elem, rho_phys)
+    sigma_y = yield_strength(cell.stresses.max_vm, sigma1_rel)
 
     report = DesignReport(
         n=n, volume_fraction=float(rho_phys.mean()),
-        ebar=homog.ebar, kappa_bar=area_bulk_modulus(homog.cbar),
+        ebar=cell.homog.ebar, kappa_bar=area_bulk_modulus(cell.homog.cbar),
         sigma_y=sigma_y)
     if with_bands:
-        e_g, _ = interpolate(rho_phys, "geometric")
-        band = buckling_strength(mesh, elem, e_k, e_g[:, None] * st.s_unit,
-                                 n_seg=n_seg, m=m_bands,
-                                 store_modes=store_modes)
+        band = buckling_strength(mesh, elem, cell.e_k, cell.stress_weights,
+                                 n_seg=n_seg, m=m_bands)
         report.sigma_c = band.sigma_c
         report.tau_max = band.tau_max
         kc = band.critical_k
@@ -126,35 +149,27 @@ def gradient_check(n=4, elements=8, seed=0, k=(1.1, 0.7)):
     idx = rng.choice(mesh.ne, size=min(elements, mesh.ne), replace=False)
     kpt = (np.asarray(k, dtype=float).reshape(1, 2), np.zeros(1))
 
-    def analysis(r):
-        e_k, de_k = interpolate(r, "stiffness")
-        homog = homogenize(mesh, elem, e_k)
-        eps0 = macro_strain(homog.cbar)
-        st = element_stresses(mesh, elem, homog.chi, r, eps0)
-        return e_k, de_k, homog, eps0, st
+    def sweep(cell):
+        return buckling_strength(mesh, elem, cell.e_k, cell.stress_weights,
+                                 m=w_tau.size, k_points=kpt, store_modes=True)
 
     def f_ebar(r):
-        return analysis(r)[2].ebar
+        return analyze_cell(mesh, elem, r).homog.ebar
 
     def f_vm(r):
-        return float(w_vm @ analysis(r)[4].vm)
+        return float(w_vm @ analyze_cell(mesh, elem, r).stresses.vm)
 
     def f_tau(r):
-        e_k, _, homog, eps0, st = analysis(r)
-        e_g, _ = interpolate(r, "geometric")
-        band = buckling_strength(mesh, elem, e_k, e_g[:, None] * st.s_unit,
-                                 m=w_tau.size, k_points=kpt)
-        return float(w_tau @ band.samples[0].tau)
+        return float(w_tau @ sweep(analyze_cell(mesh, elem, r)).samples[0].tau)
 
-    e_k, de_k, homog, eps0, st = analysis(rho)
-    e_g, de_g = interpolate(rho, "geometric")
-    band = buckling_strength(mesh, elem, e_k, e_g[:, None] * st.s_unit,
-                             m=w_tau.size, k_points=kpt, store_modes=True)
+    c = analyze_cell(mesh, elem, rho)
+    band = sweep(c)
     grads = {
-        "ebar": (grad_ebar(homog, de_k), f_ebar),
-        "stress": (stress_grad(mesh, elem, homog, st, w_vm, de_k), f_vm),
-        "tau": (stability_grad(mesh, elem, homog, st, band, [w_tau],
-                               e_g, de_g, de_k), f_tau),
+        "ebar": (grad_ebar(c.homog, c.de_k), f_ebar),
+        "stress": (stress_grad(mesh, elem, c.homog, c.stresses, w_vm, c.de_k),
+                   f_vm),
+        "tau": (stability_grad(mesh, elem, c.homog, c.stresses, band, [w_tau],
+                               c.e_g, c.de_g, c.de_k), f_tau),
     }
     out = {"n": n, "elements": int(idx.size), "seed": seed}
     for name, (g, func) in grads.items():

@@ -126,16 +126,3 @@ def chain_to_design(grad_phys, filt, rho_tilde, beta, eta, n):
     g = grad_phys * project_deriv(rho_tilde, beta, eta)
     g = filt.adjoint(g)
     return enforce_symmetry(g, n)
-
-
-def fd_gradient(func, x, h=1e-6):
-    """Dense central-difference gradient of a scalar function, for checks."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros(x.size)
-    for i in range(x.size):
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        g[i] = (func(xp) - func(xm)) / (2.0 * h)
-    return g

@@ -20,6 +20,19 @@ def rng():
     return np.random.default_rng(20260818)
 
 
+def fd_gradient(func, x, h=1e-6):
+    """Dense central-difference gradient of a scalar function."""
+    x = np.asarray(x, dtype=float)
+    g = np.zeros(x.size)
+    for i in range(x.size):
+        xp = x.copy()
+        xp[i] += h
+        xm = x.copy()
+        xm[i] -= h
+        g[i] = (func(xp) - func(xm)) / (2.0 * h)
+    return g
+
+
 def cross_density(n, f):
     """Orthogonal-bar cross with solid fraction f, element-centered (ne,)."""
     w = 1.0 - np.sqrt(1.0 - f)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from conftest import fd_gradient
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from cellmat.aggregate import KSAggregator, ks
 from cellmat.errors import ConfigError
-from cellmat.sensitivity import fd_gradient
 
 
 def test_two_value_reference():

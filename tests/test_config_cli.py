@@ -155,6 +155,7 @@ class TestCli:
         rho, n = read_grid(out_dir / "design_int.grid")
         assert n == 8
         assert np.all((rho >= 0.0) & (rho <= 1.0))
+        assert (out_dir / "design_int.pgm").exists()
 
     def test_optimize_seed_grid_mismatch(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

