@@ -10,6 +10,15 @@ import numpy as np
 from .errors import ConfigError
 
 
+def check_density(rho, source):
+    """Raise ConfigError unless every value is a finite density in [0, 1]."""
+    bad = ~((rho >= 0.0) & (rho <= 1.0))    # nan fails both comparisons
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigError(f"{source}: value {rho[i]!r} at element {i} is "
+                          "not a density in [0, 1]")
+
+
 def write_grid(path, rho, n):
     rho = np.asarray(rho, dtype=float)
     if rho.size != n * n:
@@ -22,7 +31,7 @@ def write_grid(path, rho, n):
 
 
 def read_grid(path):
-    """Returns (rho, n); accepts any n_x == n_y header."""
+    """Returns (rho, n); accepts any n_x == n_y header and values in [0, 1]."""
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -34,7 +43,9 @@ def read_grid(path):
     if data.shape != (ny, nx):
         raise ConfigError(
             f"grid body {data.shape} does not match header {ny}x{nx}")
-    return data.ravel(), nx
+    rho = data.ravel()
+    check_density(rho, path)
+    return rho, nx
 
 
 def write_pgm(path, rho, n):

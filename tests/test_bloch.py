@@ -7,7 +7,8 @@ classical sinusoidal-column value P = E I k^2 with I = w^3 / 12.
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
+from scipy.sparse.linalg import eigsh
 
 from cellmat.bloch import (
     bloch_transform,
@@ -63,6 +64,25 @@ def rng_module():
     return np.random.default_rng(7)
 
 
+def cross8_pencil(cross8, k):
+    mesh, elem, rho = cross8
+    e_k, weights, _, _ = loaded_state(mesh, elem, rho)
+    t = bloch_transform(mesh, np.asarray(k, dtype=float))
+    k0k = fold(assemble_k0(mesh, elem, e_k, reduced=False), t)
+    ksk = fold(stress_stiffness(mesh, elem, weights), t)
+    return k0k, ksk
+
+
+def plain_eigsh(k0k, ksk, m, tol):
+    """The shifted pencil solved by eigsh with its own internal factor."""
+    ndof = k0k.shape[0]
+    v0 = np.full(ndof, 1.0 / np.sqrt(ndof), dtype=k0k.dtype)
+    w, v = eigsh((k0k - ksk).tocsc(), k=m, M=k0k.tocsc(), which="LA",
+                 v0=v0, tol=tol, maxiter=150)
+    order = np.argsort(w)[::-1]
+    return w[order] - 1.0, v[:, order]
+
+
 # ==========================================================================
 # transform structure
 # ==========================================================================
@@ -94,6 +114,23 @@ class TestBlochTransform:
         assert np.all(counts == 1)
         mags = np.abs(t.toarray()[t.toarray() != 0.0])
         assert_allclose(mags, 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("k", [(0.0, 0.0), (np.pi, 0.0),
+                                   (np.pi, np.pi), (0.0, -np.pi)])
+    def test_real_phase_wavevectors_give_a_real_transform(self, mesh8, elem8,
+                                                          rng, k):
+        t = bloch_transform(mesh8, np.array(k))
+        assert t.dtype == np.float64
+        assert set(np.unique(t.data)) <= {-1.0, 1.0}
+        # the same transform with the phases exp(i angle) carry
+        t_c = t.astype(complex)
+        t_c.data = np.exp(1j * np.angle(t.data))
+        k_full = assemble_k0(mesh8, elem8, rng.uniform(0.1, 1.0, mesh8.ne),
+                             reduced=False)
+        a, a_c = fold(k_full, t), fold(k_full, t_c)
+        assert a.dtype == np.float64
+        assert_allclose(a.toarray(), a_c.toarray(), rtol=0,
+                        atol=1e-14 * abs(k_full).max())
 
     def test_rejects_out_of_zone(self, mesh8):
         with pytest.raises(ConfigError):
@@ -177,6 +214,28 @@ class TestSolveBand:
         tau_d, _ = solve_band(k0k, ksk, 3, dense_cutoff=10 ** 9)
         tau_s, _ = solve_band(k0k, ksk, 3, dense_cutoff=10)
         assert_allclose(tau_s, tau_d, rtol=1e-8)
+
+    def test_real_pencil_matches_complex_cast(self, cross8):
+        k0k, ksk = cross8_pencil(cross8, (np.pi, 0.0))
+        assert k0k.dtype == ksk.dtype == np.float64
+        tau, phi = solve_band(k0k, ksk, 4, dense_cutoff=10)
+        tau_c, _ = solve_band(k0k.astype(complex), ksk.astype(complex), 4,
+                              dense_cutoff=10)
+        assert phi.dtype == np.float64
+        assert_allclose(tau, tau_c, rtol=1e-10)
+
+    def test_owned_factor_matches_eigsh_reference(self, cross8):
+        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
+        tau, _ = solve_band(k0k, ksk, 4, dense_cutoff=10)
+        tau_ref, _ = plain_eigsh(k0k, ksk, 4, tol=1e-9)
+        assert_allclose(tau, tau_ref, rtol=1e-10)
+
+    def test_near_zero_reproduces_eigsh_bit_for_bit(self, cross8):
+        k0k, ksk = cross8_pencil(cross8, (1e-4, 0.0))
+        tau, phi = solve_band(k0k, ksk, 4, dense_cutoff=10, near_zero=True)
+        tau_ref, phi_ref = plain_eigsh(k0k, ksk, 4, tol=1e-5)
+        assert_array_equal(tau, tau_ref)
+        assert_array_equal(phi, phi_ref)
 
     def test_eigenvalues_are_real(self, cross8):
         mesh, elem, rho = cross8

@@ -9,6 +9,7 @@ from cellmat.config import load_config, parse_config
 from cellmat.errors import ConfigError
 from cellmat.gridio import read_grid, write_grid
 from cellmat.optimize import seed_lattice
+from cellmat.pipeline import evaluate_design
 
 
 def base_cfg(**kw):
@@ -101,6 +102,13 @@ class TestCli:
         assert main(["evaluate", "--grid", str(grid), "--material", "PC",
                      "--sigma1-rel", "0.01"]) == 2
 
+    def test_evaluate_rejects_bad_density(self, tmp_path, capsys):
+        grid = tmp_path / "d.grid"
+        grid.write_text("2 2\n0.5 0.5\n0.5 nan\n")
+        assert main(["evaluate", "--grid", str(grid), "--material", "PC"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+
     def test_band_and_sweep(self, tmp_path, capsys):
         grid = tmp_path / "d.grid"
         write_grid(grid, seed_lattice(8, 0.3), 8)
@@ -165,3 +173,11 @@ class TestCli:
         rc = main(["optimize", "--config", str(cfg), "--out",
                    str(tmp_path / "r"), "--seed-grid", str(bad)])
         assert rc == 2
+
+
+@pytest.mark.parametrize("value", [np.nan, 7.0, -1.0])
+def test_evaluate_design_rejects_bad_density(value):
+    rho = np.full(16, 0.5)
+    rho[5] = value
+    with pytest.raises(ConfigError, match="element 5"):
+        evaluate_design(rho, 4, 0.01)

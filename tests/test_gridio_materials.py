@@ -36,6 +36,14 @@ def test_grid_validation(tmp_path):
         read_grid(p)
 
 
+@pytest.mark.parametrize("value", ["nan", "7", "-1"])
+def test_grid_rejects_values_outside_unit_interval(tmp_path, value):
+    p = tmp_path / "bad.grid"
+    p.write_text(f"2 2\n0.5 1\n0 {value}\n")
+    with pytest.raises(ConfigError, match="element 3"):
+        read_grid(p)
+
+
 def test_pgm_orientation(tmp_path):
     # single solid element at ex=0, ey=0 must land in the bottom-left
     rho = np.zeros(16)
