@@ -37,8 +37,11 @@ from .fem import assemble, assemble_k0
 
 K_ZERO_OFFSET = 1e-4
 DENSE_CUTOFF = 800
-# inverse load factors below this are numerically zero: no instability
-TAU_TINY = 1e-9
+# inverse load factors at or below this are numerically zero: no
+# instability.  It sits above the roundoff of the zero cluster (1e-9 to
+# 1e-8 at the pinned k = 0 of a bar or cross in biaxial tension, n = 12 to
+# 24) and far below physical values, which are in the hundreds.
+TAU_TINY = 1e-6
 
 
 def stress_stiffness(mesh, elem, stress_weights, reduced=False):
@@ -98,62 +101,53 @@ def _pin(a, value):
     return a.tocsc()
 
 
-def _ritz_top(a, b, lu, m, steps=40):
-    """Rayleigh-Ritz estimate of the largest pencil eigenvalues.
+def _symmetric_lu(a):
+    """splu of a Hermitian matrix with pivots kept on the diagonal."""
+    return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
 
-    Builds a B-orthonormal Krylov basis of B^-1 A and projects; lu is the
-    factor of B.  Ritz values never overshoot, so the top one is a
-    certified lower bound on tau_max: large means the sample really is
-    destabilized, tiny means the spectrum top sits at the stable zero
-    cluster.
+
+def _certified_stable(a, b):
+    """True when no eigenvalue of a phi = tau b phi exceeds TAU_TINY.
+
+    That holds exactly when TAU_TINY * b - a is positive definite, which a
+    factor with diagonal pivots proves: perm_r == perm_c and every
+    Re diag(U) positive.  Diagonal pivoting is stable in exactly the case
+    it certifies.
     """
-    ndof = a.shape[0]
-    rng = np.random.default_rng(1283)
-    q = rng.standard_normal(ndof)
-    if np.iscomplexobj(b):
-        q = q + 1j * rng.standard_normal(ndof)
-    basis = []
-    for _ in range(min(steps, ndof)):
-        for col in basis:
-            q = q - col * (col.conj() @ (b @ q))
-        nrm = np.sqrt(abs(q.conj() @ (b @ q)))
-        if not np.isfinite(nrm) or nrm < 1e-10:
-            break
-        q = q / nrm
-        basis.append(q)
-        q = lu.solve(a @ q)
-    qmat = np.column_stack(basis)
-    h = qmat.conj().T @ (a @ qmat)
-    h = 0.5 * (h + h.conj().T)
-    w, s = sla.eigh(h)
-    take = min(m, w.size)
-    order = np.argsort(w)[::-1][:take]
-    return w[order], qmat @ s[:, order]
+    shifted = (TAU_TINY * b - a).tocsc()
+    try:
+        lu = _symmetric_lu(shifted)
+    except RuntimeError:        # an exactly zero pivot: not definite
+        return False
+    return (np.array_equal(lu.perm_r, lu.perm_c)
+            and bool(np.all(lu.U.diagonal().real > 0.0)))
 
 
-def solve_band(k0k, ksk, m, dense_cutoff=DENSE_CUTOFF, near_zero=False):
+def solve_band(k0k, ksk, m, near_zero=False):
     """Largest m eigenvalues of -K_sigma(k) phi = tau K0(k) phi.
 
     Returns (tau, phi) with tau sorted descending and the columns of phi
     normalized to phi^H K0 phi = 1.  phi is real when the pencil is (the
     real-phase wavevectors and k = 0); eigsh then runs the symmetric real
     Lanczos solver, while a complex pencil goes through its non-Hermitian
-    Arnoldi path.  The iterative path solves the pencil shifted by
-    +1 * K0, which moves the (often hugely degenerate) zero eigenvalues of
-    the geometric operator away from the origin where the relative
-    convergence test cannot terminate; the shift is subtracted again and
-    changes nothing else.
+    Arnoldi path.  Pencils of at most DENSE_CUTOFF dofs are solved dense.
+    The iterative path solves the pencil shifted by +1 * K0, which moves
+    the (often hugely degenerate) zero eigenvalues of the geometric
+    operator away from the origin where the relative convergence test
+    cannot terminate; the shift is subtracted again and changes nothing
+    else.
 
     K0(k) is factored here, once, and the factor is passed to eigsh as
-    Minv and reused by the Ritz fallback.  The factor uses the symmetric
-    minimum-degree ordering MMD_AT_PLUS_A in SuperLU's symmetric mode, with
-    the small diagonal pivot threshold that mode asks for; keeping the
-    pivots on the diagonal is stable because K0(k) (pinned at k = 0) is
-    Hermitian positive definite.  On a 64x64 blueprint this cuts nnz(L+U)
-    from about 2.4M with COLAMD, splu's default, to 1.3-1.6M.  Without
-    the symmetric mode, a design whose stiffness matrix has no exactly
-    cancelling entries (any gray density) factors 2.5-3x slower and
-    solves slower than with COLAMD.
+    Minv.  The factor uses the symmetric minimum-degree ordering
+    MMD_AT_PLUS_A in SuperLU's symmetric mode, with the small diagonal
+    pivot threshold that mode asks for; keeping the pivots on the diagonal
+    is stable because K0(k) (pinned at k = 0) is Hermitian positive
+    definite.  On a 64x64 blueprint this cuts nnz(L+U) from about 2.4M
+    with COLAMD, splu's default, to 1.3-1.6M.  Without the symmetric mode,
+    a design whose stiffness matrix has no exactly cancelling entries (any
+    gray density) factors 2.5-3x slower and solves slower than with
+    COLAMD.
 
     near_zero marks a sample just off the zone center.  There K0(k) is
     almost singular and roundoff in its condition number sets a floor on
@@ -165,17 +159,18 @@ def solve_band(k0k, ksk, m, dense_cutoff=DENSE_CUTOFF, near_zero=False):
 
     A sample with nothing destabilized has no gap at the top (modes pile
     up under the zero cluster) and no Lanczos tolerance can converge
-    there.  When ARPACK separates nothing, a bounded Rayleigh-Ritz sweep
-    settles the question: its top value is a lower bound on tau_max, so a
-    tiny bound certifies the sample as stable and the Ritz pairs stand in
-    for the (weightless) modes; a large bound is a genuine solver failure.
+    there.  When ARPACK does not converge, one more factor settles the
+    question: if K_sigma(k) + TAU_TINY K0(k) is positive definite, no band
+    exceeds TAU_TINY and the sample is certified stable, returning tau = 0
+    with zero (weightless) modes.  Otherwise the bands that did converge
+    stand, with a warning, and a sample with none is a solver failure.
     """
     ndof = k0k.shape[0]
     m_eff = int(min(m, ndof - 2))
     if m_eff < 1:
         raise ConfigError(f"cannot extract {m} bands from {ndof} dofs")
     a = -ksk
-    if ndof <= dense_cutoff:
+    if ndof <= DENSE_CUTOFF:
         w, v = sla.eigh(a.toarray(), k0k.toarray())
         tau = w[::-1][:m_eff]
         phi = v[:, ::-1][:, :m_eff]
@@ -186,28 +181,24 @@ def solve_band(k0k, ksk, m, dense_cutoff=DENSE_CUTOFF, near_zero=False):
     if near_zero:
         lu = splu(b, permc_spec="COLAMD")
     else:
-        lu = splu(b, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+        lu = _symmetric_lu(b)
     minv = LinearOperator(b.shape, matvec=lu.solve, dtype=b.dtype)
     v0 = np.full(ndof, 1.0 / np.sqrt(ndof), dtype=b.dtype)
     try:
         w, v = eigsh(a_sh, k=m_eff, M=b, Minv=minv, which="LA", v0=v0,
                      tol=1e-5 if near_zero else 1e-9, maxiter=150)
     except ArpackNoConvergence as err:
+        if _certified_stable(a, b):
+            warnings.warn("no band above TAU_TINY: sample certified stable",
+                          RuntimeWarning, stacklevel=2)
+            return np.zeros(m_eff), np.zeros((ndof, m_eff), dtype=b.dtype)
         # a complex pencil's partial results keep the solver's complex
         # dtype; the pencil is Hermitian definite, so drop the roundoff
         # imaginary part
         w, v = err.eigenvalues.real, err.eigenvectors
         if w.size == 0:
-            tau_r, phi_r = _ritz_top(a.tocsc(), b, lu, m_eff)
-            if tau_r[0] > 1e-6:
-                raise AnalysisError(
-                    "eigensolver failed to converge on a destabilized "
-                    f"sample (tau_max >= {tau_r[0]:.3e})") from err
-            warnings.warn(
-                "no band separated from the stable cluster; sample treated "
-                "as non-destabilizing", RuntimeWarning, stacklevel=2)
-            return tau_r, phi_r
+            raise AnalysisError("eigensolver converged no band on a sample "
+                                "not certified stable") from err
         warnings.warn(f"eigensolver converged only {w.size} of {m_eff} bands",
                       RuntimeWarning, stacklevel=2)
     order = np.argsort(w)[::-1]
@@ -261,18 +252,8 @@ class BucklingResult:
         return self.samples[self.critical_sample].k
 
 
-def _zone_center_variants(k, arc):
-    eps = K_ZERO_OFFSET
-    return [
-        (np.array([eps, 0.0]), arc, False),
-        (np.array([0.0, eps]), arc, False),
-        (np.array([0.0, 0.0]), arc, True),
-    ]
-
-
 def buckling_strength(mesh, elem, moduli_k, stress_weights, n_seg=10, m=6,
-                      dense_cutoff=DENSE_CUTOFF, store_modes=False,
-                      k_points=None):
+                      store_modes=False, k_points=None):
     """Band sweep along the quarter-zone boundary and the critical load.
 
     moduli_k scales the elastic operator, stress_weights the geometric one.
@@ -291,7 +272,9 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, n_seg=10, m=6,
     jobs = []
     for kvec, a in zip(pts, arc):
         if np.allclose(kvec, 0.0, atol=1e-14):
-            jobs.extend(_zone_center_variants(kvec, a))
+            jobs.extend([(np.array([K_ZERO_OFFSET, 0.0]), a, False),
+                         (np.array([0.0, K_ZERO_OFFSET]), a, False),
+                         (np.zeros(2), a, True)])
         else:
             jobs.append((np.asarray(kvec, dtype=float), a, False))
 
@@ -305,7 +288,7 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, n_seg=10, m=6,
             ksk = _pin(ksk, 0.0)
         near_zero = (not pinned
                      and np.linalg.norm(kvec) < 10.0 * K_ZERO_OFFSET)
-        tau, phi = solve_band(k0k, ksk, m, dense_cutoff, near_zero=near_zero)
+        tau, phi = solve_band(k0k, ksk, m, near_zero=near_zero)
         samples.append(BandSample(
             k=kvec, arclength=a, pinned=pinned, tau=tau,
             modes=phi if store_modes else None,

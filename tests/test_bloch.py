@@ -7,10 +7,16 @@ classical sinusoidal-column value P = E I k^2 with I = w^3 / 12.
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
+from conftest import cross_density
+from cellmat import bloch
 from cellmat.bloch import (
+    TAU_TINY,
+    _certified_stable,
+    _pin,
     bloch_transform,
     buckling_strength,
     fold,
@@ -20,7 +26,7 @@ from cellmat.bloch import (
 )
 from cellmat.design import interpolate
 from cellmat.element import element_matrices
-from cellmat.errors import ConfigError
+from cellmat.errors import AnalysisError, ConfigError
 from cellmat.fem import assemble_k0
 from cellmat.homogenize import homogenize
 from cellmat.mesh import build_mesh
@@ -64,12 +70,21 @@ def rng_module():
     return np.random.default_rng(7)
 
 
-def cross8_pencil(cross8, k):
+@pytest.fixture
+def sparse_path(monkeypatch):
+    """Send even the small test pencils through the ARPACK path."""
+    monkeypatch.setattr(bloch, "DENSE_CUTOFF", 10)
+
+
+def cross8_pencil(cross8, k, sigma0=(-1.0, 0.0, 0.0)):
+    """Folded (K0, K_sigma) at k; pinned at k = 0 as in the sweep."""
     mesh, elem, rho = cross8
-    e_k, weights, _, _ = loaded_state(mesh, elem, rho)
+    e_k, weights, _, _ = loaded_state(mesh, elem, rho, sigma0)
     t = bloch_transform(mesh, np.asarray(k, dtype=float))
     k0k = fold(assemble_k0(mesh, elem, e_k, reduced=False), t)
     ksk = fold(stress_stiffness(mesh, elem, weights), t)
+    if not np.any(k):
+        k0k, ksk = _pin(k0k, 1.0), _pin(ksk, 0.0)
     return k0k, ksk
 
 
@@ -205,34 +220,35 @@ class TestSolveBand:
             r = -ksk @ phi[:, j] - tau[j] * (k0k @ phi[:, j])
             assert np.linalg.norm(r) < 1e-9 * max(1.0, abs(tau[j]))
 
-    def test_sparse_matches_dense(self, bar32):
+    def test_sparse_matches_dense(self, bar32, monkeypatch):
         mesh, elem, rho = bar32
         e_k, weights, _, _ = loaded_state(mesh, elem, rho)
         t = bloch_transform(mesh, np.array([np.pi / 2.0, 0.0]))
         k0k = fold(assemble_k0(mesh, elem, e_k, reduced=False), t)
         ksk = fold(stress_stiffness(mesh, elem, weights), t)
-        tau_d, _ = solve_band(k0k, ksk, 3, dense_cutoff=10 ** 9)
-        tau_s, _ = solve_band(k0k, ksk, 3, dense_cutoff=10)
+        monkeypatch.setattr(bloch, "DENSE_CUTOFF", 10 ** 9)
+        tau_d, _ = solve_band(k0k, ksk, 3)
+        monkeypatch.setattr(bloch, "DENSE_CUTOFF", 10)
+        tau_s, _ = solve_band(k0k, ksk, 3)
         assert_allclose(tau_s, tau_d, rtol=1e-8)
 
-    def test_real_pencil_matches_complex_cast(self, cross8):
+    def test_real_pencil_matches_complex_cast(self, cross8, sparse_path):
         k0k, ksk = cross8_pencil(cross8, (np.pi, 0.0))
         assert k0k.dtype == ksk.dtype == np.float64
-        tau, phi = solve_band(k0k, ksk, 4, dense_cutoff=10)
-        tau_c, _ = solve_band(k0k.astype(complex), ksk.astype(complex), 4,
-                              dense_cutoff=10)
+        tau, phi = solve_band(k0k, ksk, 4)
+        tau_c, _ = solve_band(k0k.astype(complex), ksk.astype(complex), 4)
         assert phi.dtype == np.float64
         assert_allclose(tau, tau_c, rtol=1e-10)
 
-    def test_owned_factor_matches_eigsh_reference(self, cross8):
+    def test_owned_factor_matches_eigsh_reference(self, cross8, sparse_path):
         k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
-        tau, _ = solve_band(k0k, ksk, 4, dense_cutoff=10)
+        tau, _ = solve_band(k0k, ksk, 4)
         tau_ref, _ = plain_eigsh(k0k, ksk, 4, tol=1e-9)
         assert_allclose(tau, tau_ref, rtol=1e-10)
 
-    def test_near_zero_reproduces_eigsh_bit_for_bit(self, cross8):
+    def test_near_zero_reproduces_eigsh_bit_for_bit(self, cross8, sparse_path):
         k0k, ksk = cross8_pencil(cross8, (1e-4, 0.0))
-        tau, phi = solve_band(k0k, ksk, 4, dense_cutoff=10, near_zero=True)
+        tau, phi = solve_band(k0k, ksk, 4, near_zero=True)
         tau_ref, phi_ref = plain_eigsh(k0k, ksk, 4, tol=1e-5)
         assert_array_equal(tau, tau_ref)
         assert_array_equal(phi, phi_ref)
@@ -245,6 +261,74 @@ class TestSolveBand:
         ksk = fold(stress_stiffness(mesh, elem, weights), t)
         tau, _ = solve_band(k0k, ksk, 4)
         assert tau.dtype.kind == "f"
+
+
+# ==========================================================================
+# stability certificate and ARPACK non-convergence
+# ==========================================================================
+
+
+LOADS = {"tension": (1.0, 1.0, 0.0), "compression": (-1.0, 0.0, 0.0),
+         "shear": (0.0, 0.0, 1.0)}
+
+
+class TestStabilityCertificate:
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    def test_certified_exactly_when_dense_top_is_tiny(self, cross8, load):
+        for k in ((0.0, 0.0), (np.pi, 0.0), (1.1, -2.0)):
+            k0k, ksk = cross8_pencil(cross8, k, LOADS[load])
+            top = sla.eigh(-ksk.toarray(), k0k.toarray(),
+                           eigvals_only=True)[-1]
+            assert _certified_stable(-ksk, k0k) == (top <= TAU_TINY)
+
+    def test_threshold_is_sharp(self, cross8):
+        # the compressed pencil rescaled so its top band sits just above
+        # and just below the threshold
+        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
+        top = sla.eigh(-ksk.toarray(), k0k.toarray(), eigvals_only=True)[-1]
+        for ratio in (10.0, 0.1):
+            a = -ksk * (ratio * TAU_TINY / top)
+            assert _certified_stable(a, k0k) == (ratio < 1.0)
+
+
+class TestNonConvergence:
+    """ARPACK gives up at once, after converging the pairs given."""
+
+    @pytest.fixture
+    def arpack_gives_up(self, monkeypatch, sparse_path):
+        def install(w, v):
+            def give_up(*args, **kwargs):
+                raise ArpackNoConvergence("no convergence", w, v)
+            monkeypatch.setattr(bloch, "eigsh", give_up)
+        return install
+
+    def test_certified_sample_returns_weightless_zero_bands(
+            self, cross8, arpack_gives_up):
+        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0), LOADS["tension"])
+        arpack_gives_up(np.empty(0), np.empty((k0k.shape[0], 0)))
+        with pytest.warns(RuntimeWarning, match="certified stable"):
+            tau, phi = solve_band(k0k, ksk, 3)
+        assert_array_equal(tau, np.zeros(3))
+        assert_array_equal(phi, np.zeros((k0k.shape[0], 3)))
+        assert phi.dtype == k0k.dtype
+
+    def test_no_band_on_a_destabilized_sample_raises(self, cross8,
+                                                     arpack_gives_up):
+        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
+        arpack_gives_up(np.empty(0), np.empty((k0k.shape[0], 0)))
+        with pytest.raises(AnalysisError, match="not certified stable"):
+            solve_band(k0k, ksk, 3)
+
+    def test_partial_convergence_keeps_the_converged_bands(
+            self, cross8, arpack_gives_up):
+        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
+        w, v = sla.eigh(-ksk.toarray(), k0k.toarray())
+        # the solver works on the pencil shifted by +1 * K0
+        arpack_gives_up(w[-1:] + 1.0, v[:, -1:])
+        with pytest.warns(RuntimeWarning, match="converged only 1 of 3"):
+            tau, phi = solve_band(k0k, ksk, 3)
+        assert_allclose(tau, w[-1:], rtol=1e-12)
+        assert_array_equal(phi, v[:, -1:])
 
 
 # ==========================================================================
@@ -308,12 +392,23 @@ class TestBucklingStrength:
         # zone center contributes three samples: 8 path points + 2 extras
         assert len(out.samples) == 10
 
-    @pytest.mark.filterwarnings("ignore:eigensolver converged only")
     def test_tension_reports_no_buckling(self, bar32):
         # a bar in pure tension sheds no stability anywhere in the zone
         mesh, elem, rho = bar32
         e_k, weights, _, _ = loaded_state(mesh, elem, rho,
                                           sigma0=(1.0, 0.0, 0.0))
+        with pytest.warns(RuntimeWarning, match="certified stable"):
+            out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=2)
+        assert not out.buckled
+        assert out.sigma_c == np.inf
+
+    def test_biaxial_tension_roundoff_is_not_buckling(self):
+        # the dense pinned k = 0 pencil tops out at a few 1e-9 here, which
+        # is roundoff of the zero cluster, not a critical load of ~3e8
+        mesh = build_mesh(12)
+        elem = element_matrices(NU, mesh.h)
+        e_k, weights, _, _ = loaded_state(mesh, elem, cross_density(12, 0.5),
+                                          sigma0=(1.0, 1.0, 0.0))
         out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=2)
         assert not out.buckled
         assert out.sigma_c == np.inf
@@ -325,7 +420,6 @@ class TestBucklingStrength:
         pinned = [s for s in out.samples if s.pinned]
         assert len(pinned) == 1
         # direct real assembly on the reduced dofs, same pinning
-        from cellmat.bloch import _pin
         k_red = assemble_k0(mesh, elem, e_k, reduced=True)
         ks_red = stress_stiffness(mesh, elem, weights, reduced=True)
         tau_ref, _ = solve_band(_pin(k_red.astype(complex), 1.0),
