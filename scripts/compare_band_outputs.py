@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Compare the band outputs of two checkouts on the committed blueprints.
+
+    python3 scripts/compare_band_outputs.py OLD_DIR NEW_DIR
+
+Each directory holds, for every blueprint <run> in RUNS, what one
+checkout printed (see README, "Checking a band-solver change"):
+
+    <run>.csv           cellmat sweep --n-seg 2
+    <run>.json          cellmat evaluate --material PC --n-seg 10
+    <run>.sweep.err     their standard error under python -W always
+    <run>.evaluate.err
+
+The sweep rows at the near-zero offsets must be identical to the printed
+12 digits, since their tau is set by roundoff; every other tau must agree
+within RTOL relative.  The evaluate reports must be byte-identical, and
+every .err file must be empty: a warning there names a sample where the
+eigensolver did not converge.  Prints one line per difference and exits 1
+if there is any, 0 otherwise.
+"""
+
+import argparse
+import csv
+import sys
+from pathlib import Path
+
+RUNS = ("b1_buckling_f020_n64", "b2_buckling_f020_n96",
+        "c2_stiff_f020_n64", "c4_codesign_f020_n64")
+SUFFIXES = (".csv", ".json", ".sweep.err", ".evaluate.err")
+RTOL = 1e-8
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def compare_sweeps(old_path, new_path):
+    """One message per difference between two sweep CSVs."""
+    old, new = _rows(old_path), _rows(new_path)
+    name = Path(new_path).name
+    if old[0] != new[0] or len(old) != len(new):
+        return [f"{name}: header or sample count differs"]
+    out = []
+    for a, b in zip(old[1:], new[1:]):
+        where = f"{name} k=({a[1]}, {a[2]})"
+        if a[:4] != b[:4]:
+            out.append(f"{where}: sample differs")
+        elif a[3] == "0" and float(a[1]) ** 2 + float(a[2]) ** 2 < 1e-6:
+            if a != b:
+                out.append(f"{where}: near-zero row differs")
+        elif len(a) != len(b) or any(
+                abs(x - y) > RTOL * max(abs(x), abs(y))
+                for x, y in zip(map(float, a[4:]), map(float, b[4:]))):
+            out.append(f"{where}: tau differs beyond {RTOL:g} relative")
+    return out
+
+
+def compare_dirs(old_dir, new_dir):
+    """Every difference between the outputs in two directories."""
+    out = []
+    for run in RUNS:
+        pairs = {s: (Path(old_dir) / f"{run}{s}", Path(new_dir) / f"{run}{s}")
+                 for s in SUFFIXES}
+        missing = [p for pair in pairs.values() for p in pair
+                   if not p.is_file()]
+        if missing:
+            out.extend(f"missing {p}" for p in missing)
+            continue
+        out.extend(compare_sweeps(*pairs[".csv"]))
+        old_json, new_json = pairs[".json"]
+        if old_json.read_bytes() != new_json.read_bytes():
+            out.append(f"{run}.json differs")
+        for suffix in (".sweep.err", ".evaluate.err"):
+            for p in pairs[suffix]:
+                if p.stat().st_size:
+                    first = p.read_text().splitlines()[0]
+                    out.append(f"{p} is not empty: {first}")
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(
+        description="compare band outputs of two checkouts")
+    ap.add_argument("old_dir")
+    ap.add_argument("new_dir")
+    args = ap.parse_args(argv)
+    problems = compare_dirs(args.old_dir, args.new_dir)
+    for line in problems:
+        print(line)
+    print(f"{len(RUNS)} blueprints: "
+          + (f"{len(problems)} differences" if problems else "ok"))
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

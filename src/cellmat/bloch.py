@@ -21,6 +21,21 @@ real symmetric arithmetic; elsewhere they are complex.  solve_band factors
 K0(k) itself and hands the factor to ARPACK.  It orders the factor by
 minimum degree, except at the near-zero offsets: their tau is set by
 roundoff, so they keep COLAMD, the ordering ARPACK would choose itself.
+
+Only the largest tau matters for sigma_c.  When K0(k) is positive
+definite, the number of bands above tau0 equals the number of negative
+eigenvalues of tau0 K0(k) + K_sigma(k) (Sylvester's law of inertia, the
+Sturm-sequence check of finite-element eigen-analysis), so one factor of
+that matrix with positive diagonal pivots proves that no band at k
+exceeds tau0.  The same certificate settles a sample ARPACK cannot
+converge (tau0 = TAU_TINY) and, in the evaluate_design report sweep
+(buckling_strength with critical_only), skips the eigen-solve of every
+sample that cannot beat the largest tau found so far.  The sweeps that
+print or differentiate every band (cellmat sweep and band, the
+optimizer's KS aggregate and its gradient, the gradient check) solve
+every sample in full.  The zone center is never screened, because the
+near-zero offsets' tau is set by roundoff and the pinned k = 0 pencil
+carries the zero cluster.
 """
 
 import warnings
@@ -42,6 +57,11 @@ DENSE_CUTOFF = 800
 # 1e-8 at the pinned k = 0 of a bar or cross in biaxial tension, n = 12 to
 # 24) and far below physical values, which are in the hundreds.
 TAU_TINY = 1e-6
+# a screened sample must lie below the running tau_max by this relative
+# margin.  It sits far above the error of a solved tau (ARPACK tolerance
+# 1e-9) and of the certificate's factor, so a sample the full sweep would
+# have made critical is never screened.
+SCREEN_MARGIN = 1e-6
 
 
 def stress_stiffness(mesh, elem, stress_weights, reduced=False):
@@ -107,24 +127,26 @@ def _symmetric_lu(a):
                 options={"SymmetricMode": True})
 
 
-def _certified_stable(a, b):
-    """True when no eigenvalue of a phi = tau b phi exceeds TAU_TINY.
+def _certified_below(a, b, tau0):
+    """True when no eigenvalue of a phi = tau b phi exceeds tau0.
 
-    That holds exactly when TAU_TINY * b - a is positive definite, which a
+    b is Hermitian positive definite, so by Sylvester's law of inertia
+    that holds exactly when tau0 * b - a is positive definite, which a
     factor with diagonal pivots proves: perm_r == perm_c and every
     Re diag(U) positive.  Diagonal pivoting is stable in exactly the case
-    it certifies.
+    it certifies.  SuperLU hands out U's diagonal only through full copies
+    of L and U, so this briefly holds about twice the memory of the factor
+    alone.
     """
-    shifted = (TAU_TINY * b - a).tocsc()
     try:
-        lu = _symmetric_lu(shifted)
+        lu = _symmetric_lu((tau0 * b - a).tocsc())
     except RuntimeError:        # an exactly zero pivot: not definite
         return False
     return (np.array_equal(lu.perm_r, lu.perm_c)
             and bool(np.all(lu.U.diagonal().real > 0.0)))
 
 
-def solve_band(k0k, ksk, m, near_zero=False):
+def solve_band(k0k, ksk, m, near_zero=False, floor=None):
     """Largest m eigenvalues of -K_sigma(k) phi = tau K0(k) phi.
 
     Returns (tau, phi) with tau sorted descending and the columns of phi
@@ -164,12 +186,21 @@ def solve_band(k0k, ksk, m, near_zero=False):
     exceeds TAU_TINY and the sample is certified stable, returning tau = 0
     with zero (weightless) modes.  Otherwise the bands that did converge
     stand, with a warning, and a sample with none is a solver failure.
+
+    With a floor, the pencil is screened first by the same kind of factor:
+    if K_sigma(k) + floor K0(k) is positive definite, no band exceeds the
+    floor and the call returns zero bands (empty tau, phi without
+    columns), with no warning and without factoring K0(k) or running the
+    eigensolver.  Only the critical_only sweep of buckling_strength
+    passes a floor.
     """
     ndof = k0k.shape[0]
     m_eff = int(min(m, ndof - 2))
     if m_eff < 1:
         raise ConfigError(f"cannot extract {m} bands from {ndof} dofs")
     a = -ksk
+    if floor is not None and _certified_below(a, k0k, floor):
+        return np.empty(0), np.empty((ndof, 0), dtype=k0k.dtype)
     if ndof <= DENSE_CUTOFF:
         w, v = sla.eigh(a.toarray(), k0k.toarray())
         tau = w[::-1][:m_eff]
@@ -188,7 +219,7 @@ def solve_band(k0k, ksk, m, near_zero=False):
         w, v = eigsh(a_sh, k=m_eff, M=b, Minv=minv, which="LA", v0=v0,
                      tol=1e-5 if near_zero else 1e-9, maxiter=150)
     except ArpackNoConvergence as err:
-        if _certified_stable(a, b):
+        if _certified_below(a, b, TAU_TINY):
             warnings.warn("no band above TAU_TINY: sample certified stable",
                           RuntimeWarning, stacklevel=2)
             return np.zeros(m_eff), np.zeros((ndof, m_eff), dtype=b.dtype)
@@ -233,7 +264,7 @@ class BandSample:
     k: np.ndarray
     arclength: float
     pinned: bool
-    tau: np.ndarray
+    tau: np.ndarray           # empty where critical_only screened it out
     modes: np.ndarray | None = field(default=None, repr=False)
     transform: sp.spmatrix | None = field(default=None, repr=False)
 
@@ -253,7 +284,7 @@ class BucklingResult:
 
 
 def buckling_strength(mesh, elem, moduli_k, stress_weights, n_seg=10, m=6,
-                      store_modes=False, k_points=None):
+                      store_modes=False, k_points=None, critical_only=False):
     """Band sweep along the quarter-zone boundary and the critical load.
 
     moduli_k scales the elastic operator, stress_weights the geometric one.
@@ -261,6 +292,21 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, n_seg=10, m=6,
     pinned periodic problem; the reported critical load is the worst case
     over everything sampled.  k_points overrides the path when given as
     (pts, arclength).
+
+    critical_only is for callers that need only tau_max, sigma_c and the
+    critical sample, not every band.  Samples are solved in path order,
+    and each one after the first destabilized sample is screened against
+    the largest tau so far, less a relative SCREEN_MARGIN (see
+    solve_band's floor): a sample certified below it cannot be critical
+    and keeps an empty tau.  The zone-center samples are never screened:
+    at the near-zero offsets the computed tau can differ from the pencil's
+    exact top eigenvalue by far more than SCREEN_MARGIN (up to ~1e-3
+    relative, see solve_band), and the pinned k = 0 pencil carries the
+    zero cluster, so a certificate there would not prove that the value
+    the full sweep computes loses.  Nothing is screened until some tau
+    exceeds TAU_TINY, so a stable design is swept in full.  The reported
+    tau_max, sigma_c and critical sample and band are those of the full
+    sweep.
     """
     k0_full = assemble_k0(mesh, elem, moduli_k, reduced=False)
     ks_full = stress_stiffness(mesh, elem, stress_weights, reduced=False)
@@ -279,7 +325,9 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, n_seg=10, m=6,
             jobs.append((np.asarray(kvec, dtype=float), a, False))
 
     samples = []
-    for kvec, a, pinned in jobs:
+    tau_max = -np.inf
+    crit = (0, 0)
+    for i, (kvec, a, pinned) in enumerate(jobs):
         t = bloch_transform(mesh, kvec)
         k0k = fold(k0_full, t)
         ksk = fold(ks_full, t)
@@ -288,19 +336,21 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, n_seg=10, m=6,
             ksk = _pin(ksk, 0.0)
         near_zero = (not pinned
                      and np.linalg.norm(kvec) < 10.0 * K_ZERO_OFFSET)
-        tau, phi = solve_band(k0k, ksk, m, near_zero=near_zero)
+        floor = None
+        if (critical_only and not (pinned or near_zero)
+                and tau_max > TAU_TINY):
+            floor = tau_max * (1.0 - SCREEN_MARGIN)
+        tau, phi = solve_band(k0k, ksk, m, near_zero=near_zero, floor=floor)
         samples.append(BandSample(
             k=kvec, arclength=a, pinned=pinned, tau=tau,
             modes=phi if store_modes else None,
             transform=t if store_modes else None))
+        if tau.size:
+            j = int(np.argmax(tau))
+            if tau[j] > tau_max:
+                tau_max = float(tau[j])
+                crit = (i, j)
 
-    tau_max = -np.inf
-    crit = (0, 0)
-    for i, smp in enumerate(samples):
-        j = int(np.argmax(smp.tau))
-        if smp.tau[j] > tau_max:
-            tau_max = float(smp.tau[j])
-            crit = (i, j)
     buckled = tau_max > TAU_TINY
     sigma_c = 1.0 / tau_max if buckled else np.inf
     return BucklingResult(samples=samples, tau_max=tau_max, sigma_c=sigma_c,

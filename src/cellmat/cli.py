@@ -129,12 +129,22 @@ def cmd_sweep(args):
 
 def cmd_fit(args):
     pts = []
-    with open(args.points) as fh:
-        for line in fh:
+    try:
+        fh = open(args.points)
+    except OSError as err:
+        raise ConfigError(
+            f"cannot read {args.points}: {err.strerror}") from err
+    with fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].replace(",", " ").strip()
             if not line:
                 continue
-            d, s = (float(v) for v in line.split())
+            try:
+                d, s = (float(v) for v in line.split())
+            except ValueError as err:
+                raise ConfigError(
+                    f"{args.points} line {lineno}: want 'density strength', "
+                    f"got {line!r}") from err
             pts.append((d, s))
     fit = fit_scaling(pts)
     _dump({"c0": fit.c0, "n0": fit.n0, "points_used": 2,

@@ -74,6 +74,8 @@ def load_config(path):
     try:
         with open(path) as fh:
             cfg = json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"cannot read {path}: {err.strerror}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):

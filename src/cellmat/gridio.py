@@ -32,7 +32,11 @@ def write_grid(path, rho, n):
 
 def read_grid(path):
     """Returns (rho, n); accepts any n_x == n_y header and values in [0, 1]."""
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as err:
+        raise ConfigError(f"cannot read grid {path}: {err.strerror}") from err
+    with fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ConfigError(f"bad grid header in {path}: {header!r}")

@@ -86,7 +86,11 @@ def evaluate_design(rho_phys, n, sigma1_rel, material=None, with_bands=True,
     """Analyze a physical density field under the uniaxial unit load.
 
     material is an optional BaseMaterial used only for unit conversion
-    and naming; sigma1_rel always sets the yield normalization.
+    and naming; sigma1_rel always sets the yield normalization.  The
+    report needs only tau_max, sigma_c and the critical wavevector, so
+    the band sweep runs with critical_only: a sample certified below the
+    largest tau so far skips its eigen-solve, while the zone-center
+    samples are always solved (see cellmat.bloch.buckling_strength).
     """
     rho_phys = np.asarray(rho_phys, dtype=float)
     if rho_phys.size != n * n:
@@ -105,8 +109,13 @@ def evaluate_design(rho_phys, n, sigma1_rel, material=None, with_bands=True,
         ebar=cell.homog.ebar, kappa_bar=area_bulk_modulus(cell.homog.cbar),
         sigma_y=sigma_y)
     if with_bands:
-        band = buckling_strength(mesh, elem, cell.e_k, cell.stress_weights,
-                                 n_seg=n_seg, m=m_bands)
+        e_k, weights = cell.e_k, cell.stress_weights
+        # the sweep needs nothing else; dropping the analysis frees its
+        # periodic stiffness factor (about 25 MB at n = 64), which would
+        # otherwise sit under every band factor of the sweep
+        del cell
+        band = buckling_strength(mesh, elem, e_k, weights, n_seg=n_seg,
+                                 m=m_bands, critical_only=True)
         report.sigma_c = band.sigma_c
         report.tau_max = band.tau_max
         kc = band.critical_k

@@ -15,7 +15,7 @@ from conftest import cross_density
 from cellmat import bloch
 from cellmat.bloch import (
     TAU_TINY,
-    _certified_stable,
+    _certified_below,
     _pin,
     bloch_transform,
     buckling_strength,
@@ -272,6 +272,13 @@ LOADS = {"tension": (1.0, 1.0, 0.0), "compression": (-1.0, 0.0, 0.0),
          "shear": (0.0, 0.0, 1.0)}
 
 
+def rescaled_pencil(cross8, top):
+    """The compressed cross8 pencil at k = (1.1, -2.0), its top tau at top."""
+    k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
+    w = sla.eigh(-ksk.toarray(), k0k.toarray(), eigvals_only=True)[-1]
+    return k0k, ksk * (top / w)
+
+
 class TestStabilityCertificate:
     @pytest.mark.parametrize("load", sorted(LOADS))
     def test_certified_exactly_when_dense_top_is_tiny(self, cross8, load):
@@ -279,16 +286,14 @@ class TestStabilityCertificate:
             k0k, ksk = cross8_pencil(cross8, k, LOADS[load])
             top = sla.eigh(-ksk.toarray(), k0k.toarray(),
                            eigvals_only=True)[-1]
-            assert _certified_stable(-ksk, k0k) == (top <= TAU_TINY)
+            assert _certified_below(-ksk, k0k, TAU_TINY) == (top <= TAU_TINY)
 
     def test_threshold_is_sharp(self, cross8):
         # the compressed pencil rescaled so its top band sits just above
         # and just below the threshold
-        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
-        top = sla.eigh(-ksk.toarray(), k0k.toarray(), eigvals_only=True)[-1]
         for ratio in (10.0, 0.1):
-            a = -ksk * (ratio * TAU_TINY / top)
-            assert _certified_stable(a, k0k) == (ratio < 1.0)
+            k0k, ksk = rescaled_pencil(cross8, ratio * TAU_TINY)
+            assert _certified_below(-ksk, k0k, TAU_TINY) == (ratio < 1.0)
 
 
 class TestNonConvergence:
@@ -329,6 +334,60 @@ class TestNonConvergence:
             tau, phi = solve_band(k0k, ksk, 3)
         assert_allclose(tau, w[-1:], rtol=1e-12)
         assert_array_equal(phi, v[:, -1:])
+
+
+# ==========================================================================
+# the critical-only screen
+# ==========================================================================
+
+
+class TestScreen:
+    """critical_only skips samples certified below the running tau_max."""
+
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    def test_reports_the_full_sweep_result(self, cross8, sparse_path, load):
+        mesh, elem, rho = cross8
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho, LOADS[load])
+        full = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=3)
+        out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=3,
+                                critical_only=True)
+        for key in ("tau_max", "sigma_c", "critical_sample", "critical_band",
+                    "buckled"):
+            assert getattr(out, key) == getattr(full, key), key
+        sizes = [s.tau.size for s in out.samples]
+        if full.buckled:
+            # the screen ran: some samples were skipped, none critical
+            assert 0 in sizes
+            assert sizes[out.critical_sample] == 3
+        else:
+            # nothing exceeds TAU_TINY, so nothing is screened
+            assert sizes == [3] * len(full.samples)
+
+    def test_zone_center_keeps_its_bands(self, cross8, sparse_path):
+        # (pi, 0) tops every zone-center sample of the compressed cross and
+        # comes first, so only the zone-center rule keeps them solved
+        mesh, elem, rho = cross8
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho)
+        pts = np.array([[np.pi, 0.0], [0.0, 0.0]])
+        out = buckling_strength(mesh, elem, e_k, weights, m=3,
+                                k_points=(pts, np.arange(2.0)),
+                                critical_only=True)
+        assert [s.tau.size for s in out.samples] == [3, 3, 3, 3]
+        full = buckling_strength(mesh, elem, e_k, weights, m=3,
+                                 k_points=(pts, np.arange(2.0)))
+        assert out.samples[0].tau[0] > max(s.tau[0] for s in full.samples[1:])
+
+    @pytest.mark.parametrize("ratio", [1.0 + 1e-4, 1.0 - 1e-3])
+    def test_floor_is_sharp(self, cross8, sparse_path, ratio):
+        floor = 10.0
+        k0k, ksk = rescaled_pencil(cross8, ratio * floor)
+        tau, phi = solve_band(k0k, ksk, 3, floor=floor)
+        if ratio > 1.0:
+            assert tau.size == 3
+            assert tau[0] == pytest.approx(ratio * floor, rel=1e-9)
+        else:
+            assert tau.size == 0
+            assert phi.shape == (k0k.shape[0], 0)
 
 
 # ==========================================================================

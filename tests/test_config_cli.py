@@ -63,6 +63,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="object"):
             load_config(p)
 
+    def test_load_rejects_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            load_config(tmp_path / "absent.json")
+
 
 class TestCli:
     def test_version(self, capsys):
@@ -140,6 +144,28 @@ class TestCli:
         assert out["n0"] == pytest.approx(2.0, rel=1e-12)
         assert out["c0"] == pytest.approx(5.0, rel=1e-12)
         assert out["points_given"] == 3
+
+    @pytest.mark.parametrize("body", ["0.1 0.05\n0.2\n",
+                                      "0.1 0.05\n0.2 abc\n",
+                                      "0.1 0.05\n0.2 1 3\n"])
+    def test_fit_rejects_malformed_line(self, tmp_path, capsys, body):
+        pts = tmp_path / "p.txt"
+        pts.write_text(body)
+        assert main(["fit", "--points", str(pts)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "line 2" in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--material", "PC", "--grid"],
+        ["fit", "--points"],
+        ["optimize", "--config"]])
+    def test_missing_input_file(self, tmp_path, capsys, argv):
+        out = ["--out", str(tmp_path / "run")]
+        assert main(argv + [str(tmp_path / "absent")] + out) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "absent" in err["message"]
 
     def test_check_gradients(self, capsys):
         assert main(["check-gradients", "--n", "4", "--elements", "4"]) == 0
