@@ -17,6 +17,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+FLOOR = 1e-8     # smallest prescale, keeps zeta_eff finite on all-zero values
+
 
 def ks(values, zeta_eff):
     """Shifted exponential aggregate and its exact gradient weights."""
@@ -34,14 +36,13 @@ def ks(values, zeta_eff):
 class KSAggregator:
     """One aggregated measure with a frozen running-max prescale."""
 
-    def __init__(self, zeta=100.0, tag="", floor=1e-8):
+    def __init__(self, zeta=100.0, tag=""):
         if zeta <= 0.0:
             raise ConfigError(f"aggregation sharpness must be positive, got {zeta}")
         self.zeta = zeta
         self.tag = tag
-        self.floor = floor
-        self.scale = floor
-        self._seen = floor
+        self.scale = FLOOR
+        self._seen = FLOOR
         self._primed = False
         self._iteration = 0
         self.history = []
@@ -61,7 +62,7 @@ class KSAggregator:
         if not self._primed:
             # bootstrap: the very first batch sets its own scale, there
             # is nothing meaningful to freeze yet
-            self.scale = max(self.floor, abs(float(v.max())))
+            self.scale = max(FLOOR, abs(float(v.max())))
             self._primed = True
         out, w = ks(values, self.zeta_eff)
         self._seen = max(self._seen, abs(float(v.max())))

@@ -10,8 +10,6 @@ symmetry is enforced by averaging the full orbit of the 8 dihedral maps,
 which is an orthogonal projection, so its adjoint is itself.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -106,17 +104,15 @@ def _check_projection(beta, eta):
         raise ConfigError(f"projection sharpness must be positive, got {beta}")
 
 
-@dataclass(frozen=True)
-class InterpParams:
-    """Penalization constants shared by the three modulus branches."""
-
-    p: float = 3.0
-    e0: float = 1e-5
-    eps: float = 0.002
-    e1: float = 1.0
+# penalization constants shared by the three modulus branches: SIMP
+# exponent, stiffness floor, stress relaxation and the solid modulus
+P_SIMP = 3.0
+E_MIN = 1e-5
+EPS_RELAX = 0.002
+E_SOLID = 1.0
 
 
-def interpolate(rho_bar, branch, params=InterpParams()):
+def interpolate(rho_bar, branch):
     """Modulus and its density derivative for one interpolation branch.
 
     'stiffness'  penalized with a floor: used by the elastic operator.
@@ -125,7 +121,7 @@ def interpolate(rho_bar, branch, params=InterpParams()):
     'stress'     eps-relaxed rational form for the recovered stress.
     """
     r = np.asarray(rho_bar, dtype=float)
-    p, e0, eps, e1 = params.p, params.e0, params.eps, params.e1
+    p, e0, eps, e1 = P_SIMP, E_MIN, EPS_RELAX, E_SOLID
     if branch == "stiffness":
         e = e0 + r ** p * (e1 - e0)
         de = p * r ** (p - 1.0) * (e1 - e0)
@@ -139,9 +135,3 @@ def interpolate(rho_bar, branch, params=InterpParams()):
     else:
         raise ConfigError(f"unknown interpolation branch: {branch!r}")
     return e, de
-
-
-def volume_fraction(rho_bar):
-    """Mean density and its gradient on the uniform unit-cell grid."""
-    r = np.asarray(rho_bar, dtype=float)
-    return float(r.mean()), np.full(r.size, 1.0 / r.size)

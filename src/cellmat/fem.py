@@ -7,6 +7,7 @@ from scipy.sparse.linalg import splu
 from .errors import SolverError
 
 RESIDUAL_TOL = 1e-9
+PINS = [0, 1]        # the two dofs of reduced node 0
 
 
 def _scatter_pattern(edofs, ndof):
@@ -61,11 +62,10 @@ class PinnedSolver:
     vanishes identically.
     """
 
-    def __init__(self, k_reduced, pins=(0, 1)):
+    def __init__(self, k_reduced):
         mask = np.ones(k_reduced.shape[0], dtype=bool)
-        mask[list(pins)] = False
+        mask[PINS] = False
         d = sp.diags(mask.astype(float)).tocsc()
-        self.pins = tuple(pins)
         self.k_pinned = (d @ k_reduced @ d + sp.diags((~mask).astype(float))).tocsc()
         try:
             self.lu = splu(self.k_pinned, permc_spec="COLAMD")
@@ -74,7 +74,7 @@ class PinnedSolver:
 
     def solve(self, f):
         b = np.array(f, dtype=float, copy=True)
-        b[list(self.pins)] = 0.0
+        b[PINS] = 0.0
         u = self.lu.solve(b)
         r = self.k_pinned @ u - b
         scale = max(np.linalg.norm(b), 1.0)

@@ -38,12 +38,18 @@ def read_grid(path):
         raise ConfigError(f"cannot read grid {path}: {err.strerror}") from err
     with fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ConfigError(f"bad grid header in {path}: {header!r}")
-        nx, ny = (int(v) for v in header)
+        try:
+            nx, ny = (int(v) for v in header)
+        except ValueError as err:
+            raise ConfigError(
+                f"bad grid header in {path}: {header!r}") from err
         if nx != ny:
             raise ConfigError(f"only square grids are supported, got {nx}x{ny}")
-        data = np.loadtxt(fh, ndmin=2)
+        try:
+            data = np.loadtxt(fh, ndmin=2)
+        except ValueError as err:
+            raise ConfigError(f"bad grid body in {path}: want {ny} rows of "
+                              f"{nx} numbers") from err
     if data.shape != (ny, nx):
         raise ConfigError(
             f"grid body {data.shape} does not match header {ny}x{nx}")

@@ -26,10 +26,8 @@ class HomogResult:
     dbar: np.ndarray       # (3, 3) effective elasticity
     cbar: np.ndarray       # (3, 3) effective compliance
     ebar: float            # effective Young's modulus along x
-    kappa: float           # effective plane-stress bulk modulus
     q_tensors: np.ndarray  # (ne, 3, 3) unit-modulus element energy tensors
     solver: PinnedSolver   # factorized stiffness, reused by adjoint solves
-    moduli: np.ndarray     # the element moduli the result was built from
 
 
 def homogenize(mesh, elem, moduli):
@@ -49,12 +47,5 @@ def homogenize(mesh, elem, moduli):
     dbar = 0.5 * (dbar + dbar.T)
     cbar = np.linalg.inv(dbar)
     ebar = 1.0 / cbar[0, 0]
-    kappa = 0.5 * (dbar[0, 0] + dbar[0, 1])
-    return HomogResult(chi=chi, dbar=dbar, cbar=cbar, ebar=ebar, kappa=kappa,
-                       q_tensors=q, solver=solver, moduli=moduli)
-
-
-def hs_bound(f, e1=1.0):
-    """Upper bound on the Young's modulus of a porous cell at fraction f."""
-    f = np.asarray(f, dtype=float)
-    return f / (2.0 - f) * e1
+    return HomogResult(chi=chi, dbar=dbar, cbar=cbar, ebar=ebar,
+                       q_tensors=q, solver=solver)

@@ -31,10 +31,6 @@ _DB = (
 )
 
 
-def material_db():
-    return list(_DB)
-
-
 def get_material(name):
     for mat in _DB:
         if mat.name.lower() == name.lower():
@@ -47,11 +43,11 @@ def get_material(name):
 TIE_BAND = 0.02
 
 
-def classify_failure(sigma_c, sigma_y, tie=TIE_BAND):
+def classify_failure(sigma_c, sigma_y):
     """Label the governing failure mechanism of one design and material."""
     if sigma_y <= 0.0 or sigma_c <= 0.0:
         raise ConfigError("strengths must be positive to classify failure")
-    if abs(sigma_c - sigma_y) / min(sigma_c, sigma_y) <= tie:
+    if abs(sigma_c - sigma_y) / min(sigma_c, sigma_y) <= TIE_BAND:
         return "simultaneous"
     return "buckling" if sigma_c < sigma_y else "yield"
 

@@ -22,22 +22,25 @@ ASYDECR = 0.7
 ALBEFA = 0.1
 RAA0 = 1e-5
 EPSIMIN = 1e-9
+# the standard choice for plain inequality constraints: z is unused (a = 0)
+# and the elastic variables y carry a linear penalty C_PENALTY, no quadratic
+A0 = 1.0
+C_PENALTY = 1000.0
 
 
 class MMA:
     """Holds the asymptote state between update() calls."""
 
-    def __init__(self, n, m, xmin, xmax, move=0.1,
-                 a0=1.0, a=None, c=None, d=None):
+    def __init__(self, n, m, xmin, xmax, move=0.1):
         self.n = n
         self.m = m
         self.xmin = np.broadcast_to(np.asarray(xmin, float), (n,)).copy()
         self.xmax = np.broadcast_to(np.asarray(xmax, float), (n,)).copy()
         self.move = move
-        self.a0 = a0
-        self.a = np.zeros(m) if a is None else np.asarray(a, float)
-        self.c = np.full(m, 1000.0) if c is None else np.asarray(c, float)
-        self.d = np.zeros(m) if d is None else np.asarray(d, float)
+        self.a0 = A0
+        self.a = np.zeros(m)
+        self.c = np.full(m, C_PENALTY)
+        self.d = np.zeros(m)
         self.iter = 0
         self.low = None
         self.upp = None

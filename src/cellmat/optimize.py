@@ -13,7 +13,7 @@ cap or when the design stops moving at the final sharpness.
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,6 +88,12 @@ class OptimizationProblem:
     def beta_at(self, it):
         return float(min(self.beta_max, 2.0 ** (it // self.beta_every)))
 
+    def constraint_names(self):
+        """The constraints in the order evaluate_problem returns them."""
+        return ((["yield"] if self.sigma_star > 0.0 else [])
+                + (["stiffness"] if self.e_star > 0.0 else [])
+                + ["volume"])
+
 
 def blueprint_field(problem, rho, beta):
     """0/1 fabrication blueprint: the thresholded intermediate projection.
@@ -119,17 +125,12 @@ def seed_lattice(n, f_star):
 class Evaluation:
     objective: float
     grad: np.ndarray
-    cons_names: list
-    cons_vals: np.ndarray
+    cons_vals: np.ndarray      # in the order of constraint_names()
     cons_grads: np.ndarray
     ebar: float
     sigma_y: float
     sigma_c: float | None
     f_int: float
-    f_dil: float
-    max_vm: float
-    band: object = field(default=None, repr=False)
-    rho_bar: np.ndarray = field(default=None, repr=False)
 
 
 def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star):
@@ -143,7 +144,7 @@ def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star):
     rb = project(rho_t, beta, eta_e)
 
     cell = analyze_cell(mesh, elem, rb)
-    homog, st, de_k = cell.homog, cell.stresses, cell.de_k
+    ebar, st = cell.homog.ebar, cell.stresses
     sigma1 = p.sigma1_rel
 
     need_tau = p.gamma1 > 0.0 and p.ks.kappa2 == 1
@@ -172,51 +173,44 @@ def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star):
         obj += p.gamma1 * ks_val
         if need_vm_obj:
             w_vm, w = w[:mesh.ne], w[mesh.ne:]
-            grad_phys += p.gamma1 * stress_grad(mesh, elem, homog, st,
-                                                w_vm / sigma1, de_k)
+            grad_phys += p.gamma1 * stress_grad(mesh, elem, cell,
+                                                w_vm / sigma1)
         if need_tau:
             wlist = []
             at = 0
             for s in band.samples:
                 wlist.append(w[at:at + s.tau.size])
                 at += s.tau.size
-            grad_phys += p.gamma1 * stability_grad(mesh, elem, homog, st,
-                                                   band, wlist, cell.e_g,
-                                                   cell.de_g, de_k)
+            grad_phys += p.gamma1 * stability_grad(mesh, elem, cell, band,
+                                                   wlist)
     if p.gamma1 < 1.0:
-        obj += (1.0 - p.gamma1) / homog.ebar
-        grad_phys -= (1.0 - p.gamma1) / homog.ebar ** 2 * grad_ebar(homog, de_k)
+        obj += (1.0 - p.gamma1) / ebar
+        grad_phys -= (1.0 - p.gamma1) / ebar ** 2 * grad_ebar(cell)
 
-    names = []
     vals = []
     grads = []
-    if p.sigma_star > 0.0:
-        ks_y, w_y = aggs["yield"](st.vm / sigma1)
-        names.append("yield")
-        vals.append(p.sigma_star * ks_y - 1.0)
-        grads.append(chain_e(p.sigma_star
-                             * stress_grad(mesh, elem, homog, st,
-                                           w_y / sigma1, de_k)))
-    if p.e_star > 0.0:
-        names.append("stiffness")
-        vals.append(1.0 - homog.ebar / p.e_star)
-        grads.append(chain_e(-grad_ebar(homog, de_k) / p.e_star))
-
-    rb_d = project(rho_t, beta, eta_d)
-    f_dil = float(rb_d.mean())
-    names.append("volume")
-    vals.append(f_dil / f_dil_star - 1.0)
-    g_vol = np.full(mesh.ne, 1.0 / (mesh.ne * f_dil_star))
-    grads.append(chain_to_design(g_vol, filt, rho_t, beta, eta_d, n))
+    for name in p.constraint_names():
+        if name == "yield":
+            ks_y, w_y = aggs["yield"](st.vm / sigma1)
+            vals.append(p.sigma_star * ks_y - 1.0)
+            grads.append(chain_e(p.sigma_star * stress_grad(
+                mesh, elem, cell, w_y / sigma1)))
+        elif name == "stiffness":
+            vals.append(1.0 - ebar / p.e_star)
+            grads.append(chain_e(-grad_ebar(cell) / p.e_star))
+        else:                              # volume
+            f_dil = float(project(rho_t, beta, eta_d).mean())
+            vals.append(f_dil / f_dil_star - 1.0)
+            g_vol = np.full(mesh.ne, 1.0 / (mesh.ne * f_dil_star))
+            grads.append(chain_to_design(g_vol, filt, rho_t, beta, eta_d, n))
 
     f_int = float(project(rho_t, beta, 0.5).mean())
     sigma_c = band.sigma_c if band is not None else None
     return Evaluation(
         objective=obj, grad=chain_e(grad_phys),
-        cons_names=names, cons_vals=np.array(vals), cons_grads=np.array(grads),
-        ebar=homog.ebar, sigma_y=yield_strength(st.max_vm, sigma1),
-        sigma_c=sigma_c,
-        f_int=f_int, f_dil=f_dil, max_vm=st.max_vm, band=band, rho_bar=rb)
+        cons_vals=np.array(vals), cons_grads=np.array(grads),
+        ebar=ebar, sigma_y=yield_strength(st.max_vm, sigma1),
+        sigma_c=sigma_c, f_int=f_int)
 
 
 @dataclass
@@ -226,7 +220,6 @@ class OptimizationResult:
     iterations: int
     history: list
     final: Evaluation
-    problem: OptimizationProblem
 
 
 def _fmt(v):
@@ -236,9 +229,8 @@ def _fmt(v):
 class _RunLog:
     """Iteration CSV, aggregation CSV and checkpoint files, all optional."""
 
-    def __init__(self, out_dir, cons_names):
+    def __init__(self, out_dir, names):
         self.out_dir = out_dir
-        self.cons_names = cons_names
         self._fh = None
         self._csv = None
         if out_dir is not None:
@@ -248,7 +240,7 @@ class _RunLog:
             self._csv = csv.writer(self._fh)
             self._csv.writerow(["iter", "objective", "ebar", "sigma_y",
                                 "sigma_c", "f_int", "beta"]
-                               + [f"g_{c}" for c in cons_names])
+                               + [f"g_{c}" for c in names])
 
     def row(self, it, ev, beta):
         if self._csv is None:
@@ -286,8 +278,9 @@ class _RunLog:
 def optimize(problem, rho0=None, out_dir=None):
     """Run the design loop; returns the final design and its history.
 
-    The history rows mirror the iteration CSV.  The projected physical
-    field of the last evaluation rides along for reporting.
+    The history rows mirror the iteration CSV.  On an analysis or solver
+    error the log files are closed as at the end of a run, next to a
+    checkpoint_abort.grid of the last design, and the error is re-raised.
     """
     problem.validate()
     p = problem
@@ -301,12 +294,12 @@ def optimize(problem, rho0=None, out_dir=None):
 
     aggs = {"objective": KSAggregator(p.ks.zeta, "objective"),
             "yield": KSAggregator(p.ks.zeta, "yield")}
-    n_cons = 1 + (p.sigma_star > 0.0) + (p.e_star > 0.0)
-    mma = MMA(mesh.ne, n_cons, 0.0, 1.0, move=p.move)
+    names = p.constraint_names()
+    mma = MMA(mesh.ne, len(names), 0.0, 1.0, move=p.move)
     f_dil_star = p.f_star
     obj_scale = None
     history = []
-    log = None
+    log = _RunLog(out_dir, names)
 
     status = "max_iter"
     beta = 1.0
@@ -317,8 +310,6 @@ def optimize(problem, rho0=None, out_dir=None):
                 agg.refresh(it)
             ev = evaluate_problem(mesh, elem, filt, p, rho, beta, aggs,
                                   f_dil_star)
-            if log is None:
-                log = _RunLog(out_dir, ev.cons_names)
             if obj_scale is None:
                 obj_scale = 1.0 / max(abs(ev.objective), 1e-12)
             history.append((it, ev.objective, ev.ebar, ev.sigma_y,
@@ -342,21 +333,14 @@ def optimize(problem, rho0=None, out_dir=None):
         final = evaluate_problem(mesh, elem, filt, p, rho, beta, aggs,
                                  f_dil_star)
     except CellmatError:
-        if log is not None:
-            log.checkpoint("abort", rho, p.n)
-            log.finish(aggs, rho, p.n)
-        elif out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            write_grid(os.path.join(out_dir, "checkpoint_abort.grid"),
-                       rho, p.n)
+        log.checkpoint("abort", rho, p.n)
+        log.finish(aggs, rho, p.n)
         raise
 
-    if log is None:
-        log = _RunLog(out_dir, final.cons_names)
     log.finish(aggs, rho, p.n)
     return OptimizationResult(rho=rho, status=status,
                               iterations=len(history), history=history,
-                              final=final, problem=p)
+                              final=final)
 
 
 def finish_run(problem, rho, iterations, out_dir, material, with_bands,

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import InterpParams, interpolate
+from .design import interpolate
 from .fem import gather
 
 # deviatoric quadratic form for plane stress von Mises
@@ -38,7 +38,7 @@ class StressState:
     moduli_vm_deriv: np.ndarray
 
 
-def element_stresses(mesh, elem, chi, rho_bar, eps0, params=InterpParams()):
+def element_stresses(mesh, elem, chi, rho_bar, eps0):
     """Per-element center stresses under the macro strain eps0.
 
     The unit-modulus stress s_unit = D0 (eps0 - B u_e) is shared by the
@@ -48,14 +48,14 @@ def element_stresses(mesh, elem, chi, rho_bar, eps0, params=InterpParams()):
     u = gather(mesh.edofs, chi) @ eps0          # (ne, 8)
     strain = eps0[None, :] - u @ elem.b_center.T
     s_unit = strain @ elem.d0.T
-    e_s, de_s = interpolate(rho_bar, "stress", params)
+    e_s, de_s = interpolate(rho_bar, "stress")
     sigma = e_s[:, None] * s_unit
     vm = von_mises(sigma)
     return StressState(s_unit=s_unit, sigma=sigma, vm=vm, max_vm=float(vm.max()),
                        moduli_vm=e_s, moduli_vm_deriv=de_s)
 
 
-def yield_strength(max_vm, sigma1=1.0):
+def yield_strength(max_vm, sigma1):
     """Macro stress magnitude at first yield, per unit of applied stress.
 
     sigma1 is the base material yield stress in units of its modulus; the

@@ -112,6 +112,15 @@ class TestCli:
         assert main(["evaluate", "--grid", str(grid), "--material", "PC"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ConfigError"
+        # malformed text: the header, a value, rows of 3 and 1 values
+        for text in ("x y\n0.5\n", "2 2\n0.5 abc\n0.5 0.5\n",
+                     "2 2\n0.5 0.5 0.5\n0.5\n"):
+            grid.write_text(text)
+            assert main(["evaluate", "--grid", str(grid),
+                         "--material", "PC"]) == 2
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ConfigError"
+            assert str(grid) in err["message"]
 
     def test_band_and_sweep(self, tmp_path, capsys):
         grid = tmp_path / "d.grid"

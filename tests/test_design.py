@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from cellmat.design import (
-    InterpParams,
     PDEFilter,
     enforce_symmetry,
     interpolate,
     project,
     project_deriv,
-    volume_fraction,
 )
 from cellmat.errors import ConfigError
 
@@ -171,16 +169,15 @@ class TestProjection:
 
 class TestInterpolation:
     def test_branch_values(self):
-        p = InterpParams()
-        e, _ = interpolate(np.array([0.0, 0.5, 1.0]), "stiffness", p)
+        e, _ = interpolate(np.array([0.0, 0.5, 1.0]), "stiffness")
         assert_allclose(e, [1e-5, 1e-5 + 0.125 * (1 - 1e-5), 1.0], rtol=1e-12)
-        e, _ = interpolate(np.array([0.0, 0.5, 1.0]), "geometric", p)
+        e, _ = interpolate(np.array([0.0, 0.5, 1.0]), "geometric")
         assert_allclose(e, [0.0, 0.125, 1.0], rtol=1e-12)
-        e, _ = interpolate(np.array([0.0, 0.5, 1.0]), "stress", p)
+        e, _ = interpolate(np.array([0.0, 0.5, 1.0]), "stress")
         assert_allclose(e, [0.0, 0.5 / 0.501, 1.0], rtol=1e-12)
 
     def test_stress_branch_stays_near_one_for_solids(self):
-        e, _ = interpolate(np.array([0.9]), "stress", InterpParams())
+        e, _ = interpolate(np.array([0.9]), "stress")
         assert e[0] > 0.999
 
     @pytest.mark.parametrize("branch", ["stiffness", "geometric", "stress"])
@@ -205,10 +202,3 @@ class TestInterpolation:
         es, _ = interpolate(np.array([r]), "stress")
         assert eg[0] <= ek[0] + 1e-12
         assert eg[0] <= es[0] + 1e-12
-
-
-def test_volume_fraction(rng):
-    x = rng.uniform(size=64)
-    v, g = volume_fraction(x)
-    assert v == pytest.approx(x.mean())
-    assert_allclose(g.sum(), 1.0, rtol=1e-14)

@@ -4,7 +4,7 @@ import pytest
 from cellmat.errors import ConfigError
 from cellmat.gridio import read_grid, write_grid, write_pgm
 from cellmat.materials import (TIE_BAND, classify_failure, fit_scaling,
-                               get_material, material_db)
+                               get_material)
 
 
 def test_grid_round_trip_is_exact(tmp_path):
@@ -34,6 +34,14 @@ def test_grid_validation(tmp_path):
     p.write_text("2 2\n1 2\n")
     with pytest.raises(ConfigError):
         read_grid(p)
+    # text that is not numbers, or rows of unequal length
+    for text, part in (("x y\n0.5\n", "header"),
+                       ("2 2\n0.5 abc\n0.5 0.5\n", "body"),
+                       ("2 2\n0.5 0.5 0.5\n0.5\n", "body"),
+                       ("2 2\n0.5 0.5\n0.5\n", "body")):
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=f"bad grid {part} in .*bad1"):
+            read_grid(p)
 
 
 @pytest.mark.parametrize("value", ["nan", "7", "-1"])
@@ -58,15 +66,19 @@ def test_pgm_orientation(tmp_path):
 
 
 def test_material_table():
-    db = {m.name: m for m in material_db()}
-    assert set(db) == {"Steel", "Epoxy", "PC", "PC-Nano", "TPU"}
+    db = {name: get_material(name)
+          for name in ("Steel", "Epoxy", "PC", "PC-Nano", "TPU")}
+    assert {m.name for m in db.values()} == set(db)
     assert db["PC"].e1 == 62.0
     assert db["PC"].sigma1_rel == 0.044
     assert db["Steel"].sigma1_rel == 0.002
     assert db["TPU"].sigma1_rel == 0.333
     assert get_material("pc-nano").e1 == 350.0
-    with pytest.raises(ConfigError, match="unknown material"):
+    with pytest.raises(ConfigError, match="unknown material") as err:
         get_material("Adamantium")
+    # the error lists every known material, and no more
+    known = str(err.value).split("known: ")[1]
+    assert sorted(known.split(", ")) == sorted(db)
 
 
 def test_classify_failure():

@@ -11,10 +11,16 @@ from numpy.testing import assert_allclose
 
 from cellmat.element import elastic_matrix, element_matrices
 from cellmat.fem import assemble_loads
-from cellmat.homogenize import homogenize, hs_bound
+from cellmat.homogenize import homogenize
 from cellmat.mesh import build_mesh
 
 NU = 1.0 / 3.0
+
+
+def hs_bound(f, e1=1.0):
+    """Upper bound on the Young's modulus of a porous cell at fraction f."""
+    f = np.asarray(f, dtype=float)
+    return f / (2.0 - f) * e1
 
 
 def laminate_dbar(moduli_by_layer, nu):
@@ -41,7 +47,6 @@ class TestSolidCell:
         res = homogenize(mesh8, elem8, np.ones(mesh8.ne))
         assert_allclose(res.dbar, elastic_matrix(NU), rtol=0, atol=1e-12)
         assert res.ebar == pytest.approx(1.0, abs=1e-12)
-        assert res.kappa == pytest.approx(1.0 / (2.0 * (1.0 - NU)), abs=1e-12)
         # correctors vanish identically on a homogeneous cell
         assert_allclose(res.chi, 0.0, atol=1e-10)
 

@@ -4,11 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cellmat import optimize as optimize_module
 from cellmat import pipeline
+from cellmat.aggregate import KSAggregator
+from cellmat.design import PDEFilter, enforce_symmetry, project
+from cellmat.element import element_matrices
 from cellmat.errors import AnalysisError, ConfigError
 from cellmat.gridio import read_grid
-from cellmat.optimize import (KSParams, OptimizationProblem, optimize,
-                              seed_lattice)
+from cellmat.mesh import build_mesh
+from cellmat.mma import MMA
+from cellmat.optimize import (KSParams, OptimizationProblem, evaluate_problem,
+                              optimize, seed_lattice)
 
 
 def small_problem(**kw):
@@ -133,6 +139,65 @@ def test_analysis_failure_writes_abort_checkpoint(tmp_path, monkeypatch):
     assert (tmp_path / "iterations.csv").exists()
     lines = Path(tmp_path / "iterations.csv").read_text().splitlines()
     assert len(lines) == 3  # header + two completed iterations
+
+
+def test_first_iteration_failure_writes_the_abort_files(tmp_path,
+                                                         monkeypatch):
+    def failing(mesh, elem, moduli):
+        raise AnalysisError("injected failure")
+
+    monkeypatch.setattr(pipeline, "homogenize", failing)
+    p = small_problem()
+    with pytest.raises(AnalysisError, match="injected"):
+        optimize(p, out_dir=str(tmp_path))
+    rho, _ = read_grid(tmp_path / "checkpoint_abort.grid")
+    np.testing.assert_array_equal(rho, seed_lattice(p.n, p.f_star))
+    lines = (tmp_path / "iterations.csv").read_text().splitlines()
+    assert lines == ["iter,objective,ebar,sigma_y,sigma_c,f_int,beta,g_volume"]
+    # the same files as an abort in a later iteration
+    for name in ("ks_log.csv", "design.grid", "design.pgm"):
+        assert (tmp_path / name).exists(), name
+
+
+@pytest.mark.parametrize("sigma_star,e_star", [
+    (0.0, 0.0), (6e-4, 0.0), (0.0, 0.02), (6e-4, 0.02)])
+def test_constraint_names_order_the_constraints(monkeypatch, sigma_star,
+                                                e_star):
+    p = small_problem(sigma_star=sigma_star, e_star=e_star, max_iter=1)
+    names = p.constraint_names()
+    assert names == ["yield"] * (sigma_star > 0.0) \
+        + ["stiffness"] * (e_star > 0.0) + ["volume"]
+
+    # each value sits at its name's position
+    mesh = build_mesh(p.n)
+    elem = element_matrices(pipeline.NU, mesh.h)
+    filt = PDEFilter(mesh, elem, p.filter_radius())
+    rho = seed_lattice(p.n, p.f_star)
+    beta, f_dil_star = 1.0, 0.3
+    aggs = {"objective": KSAggregator(p.ks.zeta, "objective"),
+            "yield": KSAggregator(p.ks.zeta, "yield")}
+    ev = evaluate_problem(mesh, elem, filt, p, rho, beta, aggs, f_dil_star)
+    assert len(ev.cons_vals) == len(ev.cons_grads) == len(names)
+    vals = dict(zip(names, ev.cons_vals))
+    rb_d = project(filt.apply(enforce_symmetry(rho, p.n)), beta,
+                   0.5 - p.delta_eta)
+    assert vals["volume"] == float(rb_d.mean()) / f_dil_star - 1.0
+    if e_star:
+        assert vals["stiffness"] == 1.0 - ev.ebar / e_star
+    if sigma_star:
+        assert vals["yield"] == sigma_star * aggs["yield"].history[-1][5] - 1.0
+
+    made = []
+
+    class RecordingMMA(MMA):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(optimize_module, "MMA", RecordingMMA)
+    res = optimize(p)
+    assert [m.m for m in made] == [len(names)]
+    assert len(res.final.cons_vals) == len(names)
 
 
 def test_seed_override_and_size_check():

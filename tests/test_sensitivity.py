@@ -11,17 +11,16 @@ from conftest import fd_gradient
 from numpy.testing import assert_allclose
 
 from cellmat.bloch import buckling_strength
-from cellmat.design import PDEFilter, enforce_symmetry, interpolate, project
+from cellmat.design import PDEFilter, enforce_symmetry, project
 from cellmat.element import element_matrices
-from cellmat.homogenize import homogenize
 from cellmat.mesh import build_mesh
+from cellmat.pipeline import analyze_cell
 from cellmat.sensitivity import (
     chain_to_design,
     grad_ebar,
     stability_grad,
     stress_grad,
 )
-from cellmat.stress import element_stresses, macro_strain
 
 NU = 1.0 / 3.0
 
@@ -42,40 +41,26 @@ def rho4():
     return rng.uniform(0.3, 0.8, 16)
 
 
-def analysis(mesh, elem, rho_bar):
-    e_k, _ = interpolate(rho_bar, "stiffness")
-    homog = homogenize(mesh, elem, e_k)
-    eps0 = macro_strain(homog.cbar)
-    state = element_stresses(mesh, elem, homog.chi, rho_bar, eps0)
-    return homog, state
-
-
-def band_sweep(mesh, elem, rho_bar, k_points, m):
-    homog, state = analysis(mesh, elem, rho_bar)
-    e_g, _ = interpolate(rho_bar, "geometric")
-    return buckling_strength(mesh, elem, homog.moduli,
-                             e_g[:, None] * state.s_unit,
+def band_sweep(mesh, elem, cell, k_points, m):
+    return buckling_strength(mesh, elem, cell.e_k, cell.stress_weights,
                              m=m, k_points=k_points, store_modes=True)
 
 
 def test_grad_ebar_fd(mesh4, elem4, rho4):
-    _, de_k = interpolate(rho4, "stiffness")
-    homog, _ = analysis(mesh4, elem4, rho4)
-    grad = grad_ebar(homog, de_k)
+    grad = grad_ebar(analyze_cell(mesh4, elem4, rho4))
 
-    fd = fd_gradient(lambda r: analysis(mesh4, elem4, r)[0].ebar, rho4)
+    fd = fd_gradient(lambda r: analyze_cell(mesh4, elem4, r).homog.ebar,
+                     rho4)
     assert_allclose(grad, fd, rtol=1e-6, atol=1e-10)
 
 
 def test_stress_grad_fd(mesh4, elem4, rho4):
     rng = np.random.default_rng(7)
     w = rng.uniform(0.1, 1.0, mesh4.ne)
-    _, de_k = interpolate(rho4, "stiffness")
-    homog, state = analysis(mesh4, elem4, rho4)
-    grad = stress_grad(mesh4, elem4, homog, state, w, de_k)
+    grad = stress_grad(mesh4, elem4, analyze_cell(mesh4, elem4, rho4), w)
 
     def f(r):
-        return float(w @ analysis(mesh4, elem4, r)[1].vm)
+        return float(w @ analyze_cell(mesh4, elem4, r).stresses.vm)
 
     assert_allclose(grad, fd_gradient(f, rho4), rtol=2e-6, atol=1e-10)
 
@@ -83,17 +68,15 @@ def test_stress_grad_fd(mesh4, elem4, rho4):
 class TestStabilityGrad:
     def check(self, mesh, elem, rho_bar, k_points, m, weights, idx):
         """FD against the weighted tau sum of sample idx."""
-        homog, state = analysis(mesh, elem, rho_bar)
-        e_g, de_g = interpolate(rho_bar, "geometric")
-        _, de_k = interpolate(rho_bar, "stiffness")
-        band = band_sweep(mesh, elem, rho_bar, k_points, m)
+        cell = analyze_cell(mesh, elem, rho_bar)
+        band = band_sweep(mesh, elem, cell, k_points, m)
         wlist = [np.zeros(s.tau.size) for s in band.samples]
         wlist[idx] = weights
-        grad = stability_grad(mesh, elem, homog, state, band, wlist,
-                              e_g, de_g, de_k)
+        grad = stability_grad(mesh, elem, cell, band, wlist)
 
         def f(r):
-            b = band_sweep(mesh, elem, r, k_points, m)
+            b = band_sweep(mesh, elem, analyze_cell(mesh, elem, r),
+                           k_points, m)
             return float(weights @ b.samples[idx].tau)
 
         assert_allclose(grad, fd_gradient(f, rho_bar), rtol=5e-6, atol=1e-9)
@@ -127,16 +110,12 @@ class TestStabilityGrad:
         assert tau[3] - tau[4] > 1e-4
 
     def test_requires_stored_modes(self, mesh4, elem4, rho4):
-        homog, state = analysis(mesh4, elem4, rho4)
-        e_g, de_g = interpolate(rho4, "geometric")
-        _, de_k = interpolate(rho4, "stiffness")
-        band = buckling_strength(mesh4, elem4, homog.moduli,
-                                 e_g[:, None] * state.s_unit,
+        cell = analyze_cell(mesh4, elem4, rho4)
+        band = buckling_strength(mesh4, elem4, cell.e_k, cell.stress_weights,
                                  m=3, k_points=(np.array([[1.0, 0.5]]),
                                                 np.array([0.0])))
         with pytest.raises(ValueError, match="store_modes"):
-            stability_grad(mesh4, elem4, homog, state, band,
-                           [np.ones(3)], e_g, de_g, de_k)
+            stability_grad(mesh4, elem4, cell, band, [np.ones(3)])
 
 
 def test_chain_to_design_fd():
