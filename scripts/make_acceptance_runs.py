@@ -9,68 +9,46 @@ script can resume after an interruption.
 
 import json
 import os
-import shutil
 import sys
-import time
-from dataclasses import asdict
 from pathlib import Path
 
 os.environ.setdefault("CELLMAT_THREADS", "1")
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cellmat.gridio import read_grid  # noqa: E402
 from cellmat.materials import get_material  # noqa: E402
 from cellmat.optimize import (KSParams, OptimizationProblem,  # noqa: E402
-                              finish_run, optimize)
+                              build_run, finish_run)
 
 ROOT = Path(__file__).resolve().parents[1]
 RUNS = ROOT / "runs"
 
 
-def run_one(name, problem, material=None, seed_from=None,
-            report_n_seg=10, report_m=6):
+def run_one(name, problem, material=None, seed_from=None):
     """Optimize once, then report; each phase is cached independently.
 
-    meta.json marks a finished optimization: it is written only after
-    optimize returns, whereas an aborted optimize still leaves design.grid
+    meta.json marks a finished optimization (see cellmat.optimize.
+    build_run), whereas an aborted optimize still leaves design.grid
     behind.  Deleting report.json (but not meta.json) regenerates the
-    blueprint and property report without re-optimizing; the iteration
-    count in meta.json fixes the blueprint's projection sharpness.
+    blueprint and property report without re-optimizing.
     """
     out = RUNS / name
     if (out / "report.json").exists():
         print(f"[{name}] cached", flush=True)
         return out
 
-    if not (out / "meta.json").exists():
+    if (out / "meta.json").exists():
+        print(f"[{name}] report", flush=True)
+        report = finish_run(problem, out, material)
+    else:
         print(f"[{name}] optimize", flush=True)
-        rho0 = None
-        if seed_from is not None:
-            rho0, n0 = read_grid(RUNS / seed_from / "design.grid")
-            assert n0 == problem.n, (name, n0, problem.n)
-        t0 = time.time()
-        res = optimize(problem, rho0=rho0, out_dir=str(out))
-        meta = {"problem": asdict(problem), "status": res.status,
-                "iterations": res.iterations,
-                "elapsed_s": time.time() - t0,
-                "material": material.name if material else None,
-                "seed_from": seed_from}
-        (out / "meta.json").write_text(json.dumps(meta, indent=2,
-                                                  sort_keys=True) + "\n")
-        for ck in out.glob("checkpoint_*.grid"):
-            ck.unlink()
-        print(f"[{name}] {res.status} after {res.iterations} iterations, "
-              f"{meta['elapsed_s']:.0f}s", flush=True)
-
-    rho_raw, n0 = read_grid(out / "design.grid")
-    assert n0 == problem.n, (name, n0, problem.n)
-    iterations = json.loads((out / "meta.json").read_text())["iterations"]
-    report = finish_run(problem, rho_raw, iterations, str(out), material,
-                        True, report_n_seg, report_m)
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
-    print(f"[{name}] report: ebar={report.ebar:.5g} "
+        seed = None if seed_from is None else RUNS / seed_from / "design.grid"
+        report = build_run(problem, out, material, seed, seed_from)
+    for ck in out.glob("checkpoint_*.grid"):
+        ck.unlink()
+    meta = json.loads((out / "meta.json").read_text())
+    print(f"[{name}] {meta['status']} after {meta['iterations']} iterations "
+          f"in {meta['elapsed_s']:.0f}s; ebar={report.ebar:.5g} "
           f"sigma_y={report.sigma_y:.5g} sigma_c={report.sigma_c:.5g}",
           flush=True)
     return out

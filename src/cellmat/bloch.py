@@ -85,7 +85,8 @@ def bloch_transform(mesh, k):
     k = np.asarray(k, dtype=float)
     if k.shape != (2,):
         raise ConfigError(f"wavevector must have two components, got {k!r}")
-    if np.any(np.abs(k) > np.pi + 1e-12):
+    # written so that NaN, which fails every comparison, is rejected too
+    if not np.all(np.abs(k) <= np.pi + 1e-12):
         raise ConfigError(f"wavevector {k} outside the first zone [-pi, pi]^2")
     n = mesh.n
     idx = np.arange(mesh.nn_full)
@@ -236,7 +237,7 @@ def solve_band(k0k, ksk, m, near_zero=False, floor=None):
     return w[order] - shift, v[:, order]
 
 
-def ibz_path(n_seg=10):
+def ibz_path(n_seg):
     """Closed rectangle path around the quarter zone, 4*n_seg samples.
 
     Vertices (0,0) -> (pi,0) -> (pi,pi) -> (0,pi) -> back, each edge split
@@ -283,7 +284,7 @@ class BucklingResult:
         return self.samples[self.critical_sample].k
 
 
-def buckling_strength(mesh, elem, moduli_k, stress_weights, n_seg=10, m=6,
+def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
                       store_modes=False, k_points=None, critical_only=False):
     """Band sweep along the quarter-zone boundary and the critical load.
 

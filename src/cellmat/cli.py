@@ -8,18 +8,21 @@ stderr so callers can parse them.
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
+from .bloch import buckling_strength
 from .config import load_config
+from .element import element_matrices
 from .errors import CellmatError, ConfigError, SolverError
 from .gridio import read_grid
 from .materials import fit_scaling, get_material
-from .optimize import finish_run, optimize
-from .pipeline import evaluate_design, gradient_check
+from .mesh import build_mesh
+from .optimize import build_run
+from .pipeline import NU, REPORT_M_BANDS, REPORT_N_SEG, analyze_cell, \
+    evaluate_design, gradient_check
 
 
 def _dump(obj, path=None):
@@ -44,21 +47,9 @@ def _sigma1_rel(args):
 
 def cmd_optimize(args):
     problem, material = load_config(args.config)
-    rho0 = None
-    if args.seed_grid is not None:
-        rho0, n0 = read_grid(args.seed_grid)
-        if n0 != problem.n:
-            raise ConfigError(
-                f"seed grid is {n0}x{n0}, the problem wants {problem.n}")
-    res = optimize(problem, rho0=rho0, out_dir=args.out)
-    with_bands = args.report_bands or \
-        (problem.gamma1 > 0.0 and problem.ks.kappa2 == 1)
-    report = finish_run(problem, res.rho, res.iterations, args.out, material,
-                        with_bands, problem.ks.n_seg, problem.ks.m_bands)
-    out = {"status": res.status, "iterations": res.iterations,
-           "design": report.to_dict()}
-    _dump(out, os.path.join(args.out, "report.json"))
-    _dump(out)
+    report = build_run(problem, args.out, material, args.seed_grid,
+                       args.seed_grid)
+    _dump(report.to_dict())
     return 0
 
 
@@ -73,11 +64,6 @@ def cmd_evaluate(args):
 
 
 def _band_setup(args):
-    from .bloch import buckling_strength
-    from .element import element_matrices
-    from .mesh import build_mesh
-    from .pipeline import NU, analyze_cell
-
     rho, n = read_grid(args.grid)
     mesh = build_mesh(n)
     elem = element_matrices(NU, mesh.h)
@@ -175,9 +161,6 @@ def build_parser():
     p.add_argument("--config", required=True, help="JSON problem definition")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed-grid", help="starting design (.grid)")
-    p.add_argument("--report-bands", action="store_true",
-                   help="band sweep in the final report even for "
-                        "stiffness-only runs")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("evaluate", help="analyze a density grid")
@@ -185,22 +168,22 @@ def build_parser():
     p.add_argument("--material")
     p.add_argument("--sigma1-rel", type=float, dest="sigma1_rel")
     p.add_argument("--no-bands", action="store_true")
-    p.add_argument("--n-seg", type=int, default=10)
-    p.add_argument("--m-bands", type=int, default=6)
+    p.add_argument("--n-seg", type=int, default=REPORT_N_SEG)
+    p.add_argument("--m-bands", type=int, default=REPORT_M_BANDS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("band", help="eigenvalues at one wavevector")
     p.add_argument("--grid", required=True)
     p.add_argument("--k", required=True, help="KX,KY")
-    p.add_argument("--m-bands", type=int, default=6)
+    p.add_argument("--m-bands", type=int, default=REPORT_M_BANDS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_band)
 
     p = sub.add_parser("sweep", help="band sweep along the zone boundary")
     p.add_argument("--grid", required=True)
-    p.add_argument("--n-seg", type=int, default=10)
-    p.add_argument("--m-bands", type=int, default=6)
+    p.add_argument("--n-seg", type=int, default=REPORT_N_SEG)
+    p.add_argument("--m-bands", type=int, default=REPORT_M_BANDS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 

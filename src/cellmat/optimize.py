@@ -12,8 +12,10 @@ cap or when the design stops moving at the final sharpness.
 """
 
 import csv
+import json
 import os
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,7 +24,7 @@ from .bloch import buckling_strength
 from .design import PDEFilter, enforce_symmetry, project
 from .element import element_matrices
 from .errors import CellmatError, ConfigError
-from .gridio import write_grid, write_pgm
+from .gridio import read_grid, write_grid, write_pgm
 # not called here; bench/test_bench.py checks that the tracer wraps it here
 from .homogenize import homogenize  # noqa: F401
 from .mesh import build_mesh
@@ -343,18 +345,44 @@ def optimize(problem, rho0=None, out_dir=None):
                               final=final)
 
 
-def finish_run(problem, rho, iterations, out_dir, material, with_bands,
-               n_seg, m_bands):
-    """Blueprint and property report of a finished optimization.
+def _write_json(path, obj):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
-    The blueprint is projected at the sharpness of the last iteration,
-    which the schedule fixes from the iteration count alone; it is written
-    as design_int.grid and design_int.pgm next to the run's other files.
+
+def build_run(problem, out_dir, material, seed_grid, seed_from):
+    """Optimize into out_dir from seed_grid (None: the seed lattice), then
+    write meta.json, recording seed_from as the seed, and finish_run.
+
+    meta.json appears only once optimize returns: it marks a run to report.
     """
-    beta = problem.beta_at(iterations - 1)
-    rho_int = blueprint_field(problem, rho, beta)
-    write_grid(os.path.join(out_dir, "design_int.grid"), rho_int, problem.n)
-    write_pgm(os.path.join(out_dir, "design_int.pgm"), rho_int, problem.n)
-    return evaluate_design(rho_int, problem.n, problem.sigma1_rel,
-                           material=material, with_bands=with_bands,
-                           n_seg=n_seg, m_bands=m_bands)
+    # optimize rejects a seed of the wrong size with a ConfigError
+    rho0 = None if seed_grid is None else read_grid(seed_grid)[0]
+    t0 = time.time()
+    res = optimize(problem, rho0=rho0, out_dir=out_dir)
+    _write_json(os.path.join(out_dir, "meta.json"), {
+        "problem": asdict(problem), "status": res.status,
+        "iterations": res.iterations, "elapsed_s": time.time() - t0,
+        "material": material.name if material else None,
+        "seed_from": seed_from})
+    return finish_run(problem, out_dir, material)
+
+
+def finish_run(problem, out_dir, material):
+    """Blueprint and property report of the optimized run in out_dir.
+
+    The blueprint, design_int.grid/.pgm, is projected at the sharpness of
+    the last iteration, fixed by the iteration count in meta.json; its
+    evaluate_design report, with the default band sweep, is report.json.
+    """
+    n = problem.n
+    rho, _ = read_grid(os.path.join(out_dir, "design.grid"))
+    with open(os.path.join(out_dir, "meta.json")) as fh:
+        iterations = json.load(fh)["iterations"]
+    rho_int = blueprint_field(problem, rho, problem.beta_at(iterations - 1))
+    write_grid(os.path.join(out_dir, "design_int.grid"), rho_int, n)
+    write_pgm(os.path.join(out_dir, "design_int.pgm"), rho_int, n)
+    report = evaluate_design(rho_int, n, problem.sigma1_rel,
+                             material=material)
+    _write_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    return report

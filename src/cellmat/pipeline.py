@@ -26,6 +26,9 @@ from .stress import StressState, element_stresses, macro_strain, \
     yield_strength
 
 NU = 1.0 / 3.0
+# band sweep of every property report: segments per zone edge, bands per k
+REPORT_N_SEG = 10
+REPORT_M_BANDS = 6
 
 
 @dataclass
@@ -82,7 +85,7 @@ def area_bulk_modulus(cbar):
 
 
 def evaluate_design(rho_phys, n, sigma1_rel, material=None, with_bands=True,
-                    n_seg=10, m_bands=6):
+                    n_seg=REPORT_N_SEG, m_bands=REPORT_M_BANDS):
     """Analyze a physical density field under the uniaxial unit load.
 
     material is an optional BaseMaterial used only for unit conversion
@@ -154,6 +157,9 @@ def gradient_check(n=4, elements=8, seed=0):
     fixed weighted sum of inverse load factors at one generic wavevector.
     Returns a dict of max relative errors.
     """
+    if elements < 1 or seed < 0:
+        raise ConfigError(f"need elements >= 1 and seed >= 0, got "
+                          f"{elements} and {seed}")
     mesh = build_mesh(n)
     elem = element_matrices(NU, mesh.h)
     rng = np.random.default_rng(seed)

@@ -17,9 +17,9 @@ M_VM = np.array([
 SIGMA0 = np.array([-1.0, 0.0, 0.0])  # unit compressive macro stress
 
 
-def macro_strain(cbar, sigma0=SIGMA0):
+def macro_strain(cbar):
     """Macro strain conjugate to the applied unit macro stress."""
-    return cbar @ np.asarray(sigma0, dtype=float)
+    return cbar @ SIGMA0
 
 
 def von_mises(s):

@@ -79,8 +79,7 @@ def pole_run():
 
 def _evaluate(run):
     """Fresh full property evaluation of a cached design."""
-    return evaluate_design(run["rho"], run["n"], PC.sigma1_rel,
-                           with_bands=True, n_seg=10, m_bands=6)
+    return evaluate_design(run["rho"], run["n"], PC.sigma1_rel)
 
 
 @pytest.fixture(scope="module")

@@ -30,7 +30,7 @@ from cellmat.errors import AnalysisError, ConfigError
 from cellmat.fem import assemble_k0
 from cellmat.homogenize import homogenize
 from cellmat.mesh import build_mesh
-from cellmat.stress import element_stresses, macro_strain
+from cellmat.stress import element_stresses
 
 NU = 1.0 / 3.0
 
@@ -39,7 +39,7 @@ def loaded_state(mesh, elem, rho, sigma0=(-1.0, 0.0, 0.0)):
     """Homogenize, recover stresses, return fields the sweep needs."""
     e_k, _ = interpolate(rho, "stiffness")
     res = homogenize(mesh, elem, e_k)
-    eps0 = macro_strain(res.cbar, np.asarray(sigma0, dtype=float))
+    eps0 = res.cbar @ np.asarray(sigma0, dtype=float)
     state = element_stresses(mesh, elem, res.chi, rho, eps0)
     e_g, _ = interpolate(rho, "geometric")
     weights = e_g[:, None] * state.s_unit
@@ -150,6 +150,11 @@ class TestBlochTransform:
     def test_rejects_out_of_zone(self, mesh8):
         with pytest.raises(ConfigError):
             bloch_transform(mesh8, np.array([3.5, 0.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, mesh8, bad):
+        with pytest.raises(ConfigError, match="outside the first zone"):
+            bloch_transform(mesh8, np.array([bad, 0.0]))
 
 
 # ==========================================================================

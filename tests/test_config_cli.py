@@ -182,6 +182,23 @@ class TestCli:
         assert out["pass"] is True
         assert out["err_tau"] < 1e-3
 
+    @pytest.mark.parametrize("argv", [["--elements", "0"],
+                                      ["--elements", "-1"],
+                                      ["--seed", "-1"]])
+    def test_check_gradients_rejects_bad_counts(self, capsys, argv):
+        assert main(["check-gradients", "--n", "4"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "ConfigError"
+
+    def test_band_rejects_non_finite_k(self, tmp_path, capsys):
+        grid = tmp_path / "d.grid"
+        write_grid(grid, seed_lattice(8, 0.3), 8)
+        assert main(["band", "--grid", str(grid), "--k", "nan,0"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert "outside the first zone" in err["message"]
+
     def test_optimize_end_to_end(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps(base_cfg(max_iter=4, material="PC")))
@@ -191,14 +208,35 @@ class TestCli:
             rc = main(["optimize", "--config", str(cfg),
                        "--out", str(out_dir)])
         assert rc == 0
+        meta = json.loads((out_dir / "meta.json").read_text())
+        assert meta["iterations"] == 4
         rep = json.loads((out_dir / "report.json").read_text())
-        assert rep["iterations"] == 4
-        assert rep["design"]["material"] == "PC"
-        assert rep["design"]["sigma_c"] is None  # stiffness run, no bands
+        assert rep["material"] == "PC"
+        assert rep["sigma_c"] is not None  # every report sweeps the bands
         rho, n = read_grid(out_dir / "design_int.grid")
         assert n == 8
         assert np.all((rho >= 0.0) & (rho <= 1.0))
         assert (out_dir / "design_int.pgm").exists()
+
+    def test_optimize_report_is_the_evaluate_report(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(base_cfg(max_iter=3, material="PC")))
+        out_dir = tmp_path / "run"
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(out_dir)]) == 0
+        printed = capsys.readouterr().out
+        report = (out_dir / "report.json").read_text()
+        assert printed == report
+        assert json.loads(report)["sigma_c"] is not None
+        assert main(["evaluate", "--material", "PC", "--grid",
+                     str(out_dir / "design_int.grid"),
+                     "--out", str(tmp_path / "eval.json")]) == 0
+        assert (tmp_path / "eval.json").read_text() == report
+        meta = json.loads((out_dir / "meta.json").read_text())
+        assert meta["status"] == "max_iter"
+        assert meta["iterations"] == 3
+        assert meta["material"] == "PC"
+        assert meta["seed_from"] is None
 
     def test_optimize_seed_grid_mismatch(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

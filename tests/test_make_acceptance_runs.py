@@ -1,12 +1,23 @@
 """Run selection and resume rules of scripts/make_acceptance_runs.py."""
 
 import importlib.util
+import json
 import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import cellmat.optimize
+from cellmat.errors import ConfigError
+from cellmat.gridio import read_grid, write_grid
+from cellmat.materials import get_material
+from cellmat.optimize import OptimizationProblem, blueprint_field, \
+    seed_lattice
+from cellmat.pipeline import evaluate_design
+
+PC = get_material("PC")
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
     "make_acceptance_runs.py"
 
@@ -77,6 +88,43 @@ def test_aborted_optimization_is_rerun(script, monkeypatch, tmp_path):
     def fake_optimize(*args, **kwargs):
         raise Reoptimized
 
-    monkeypatch.setattr(script, "optimize", fake_optimize)
+    monkeypatch.setattr(script, "build_run", fake_optimize)
     with pytest.raises(Reoptimized):
         script.main(["c2_stiff_f020_n64"])
+
+
+def _no_optimize(*args, **kwargs):
+    raise AssertionError("optimize called")
+
+
+def test_optimized_run_is_reported_again(script, monkeypatch, tmp_path):
+    monkeypatch.setattr(script, "build_run", _no_optimize)
+    monkeypatch.setattr(cellmat.optimize, "optimize", _no_optimize)
+    problem = OptimizationProblem(n=8, f_star=0.3, gamma1=0.0,
+                                  sigma1_rel=PC.sigma1_rel)
+    out = tmp_path / "r"
+    out.mkdir()
+    write_grid(out / "design.grid", seed_lattice(8, 0.3), 8)
+    (out / "meta.json").write_text(json.dumps(
+        {"status": "max_iter", "iterations": 60, "elapsed_s": 1.0}))
+    (out / "checkpoint_0000.grid").write_text("")
+    script.run_one("r", problem, material=PC)
+    rho_int, _ = read_grid(out / "design_int.grid")
+    assert np.array_equal(rho_int,
+                          blueprint_field(problem, seed_lattice(8, 0.3),
+                                          problem.beta_at(59)))
+    report = evaluate_design(rho_int, 8, PC.sigma1_rel, material=PC)
+    assert (out / "report.json").read_text() == \
+        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    assert report.sigma_c is not None
+    assert not (out / "checkpoint_0000.grid").exists()
+
+
+def test_seed_of_the_wrong_size_is_a_config_error(script, tmp_path):
+    (tmp_path / "seed").mkdir()
+    write_grid(tmp_path / "seed" / "design.grid", seed_lattice(4, 0.3), 4)
+    problem = OptimizationProblem(n=8, f_star=0.3, gamma1=0.0,
+                                  sigma1_rel=PC.sigma1_rel)
+    with pytest.raises(ConfigError, match="seed"):
+        script.run_one("r", problem, material=PC, seed_from="seed")
+    assert not (tmp_path / "r" / "meta.json").exists()
