@@ -36,7 +36,7 @@ def ks(values, zeta_eff):
 class KSAggregator:
     """One aggregated measure with a frozen running-max prescale."""
 
-    def __init__(self, zeta=100.0, tag=""):
+    def __init__(self, zeta, tag):
         if zeta <= 0.0:
             raise ConfigError(f"aggregation sharpness must be positive, got {zeta}")
         self.zeta = zeta

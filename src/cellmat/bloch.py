@@ -15,12 +15,15 @@ pencil extends to the full one and vice versa.  The zone center is still
 sampled with two small k offsets as well, which pick up the long-wavelength
 (macroscopic) branches that the strictly periodic problem cannot see.
 
-Where every component of k is 0 or +-pi the phases are exactly +-1, so
-T(k), the folded pencil and its modes are real and the band solve runs in
-real symmetric arithmetic; elsewhere they are complex.  solve_band factors
-K0(k) itself and hands the factor to ARPACK.  It orders the factor by
-minimum degree, except at the near-zero offsets: their tau is set by
-roundoff, so they keep COLAMD, the ordering ARPACK would choose itself.
+band_pencil builds the pencil at one k, pinned exactly when k = 0, and
+solve_band solves it; every sample of every sweep, at every mesh size,
+takes this one path.  Where every component of k is 0 or +-pi the phases
+are exactly +-1, so T(k), the folded pencil and its modes are real and
+the band solve runs in real symmetric arithmetic; elsewhere they are
+complex.  solve_band factors K0(k) itself and hands the factor to ARPACK.
+It orders the factor by minimum degree, except at the near-zero offsets:
+their tau is set by roundoff, so they keep COLAMD, the ordering ARPACK
+would choose itself.
 
 Only the largest tau matters for sigma_c.  When K0(k) is positive
 definite, the number of bands above tau0 equals the number of negative
@@ -33,29 +36,25 @@ converge (tau0 = TAU_TINY) and, in the evaluate_design report sweep
 sample that cannot beat the largest tau found so far.  The sweeps that
 print or differentiate every band (cellmat sweep and band, the
 optimizer's KS aggregate and its gradient, the gradient check) solve
-every sample in full.  The zone center is never screened, because the
-near-zero offsets' tau is set by roundoff and the pinned k = 0 pencil
-carries the zero cluster.
+every sample in full.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
                                   splu)
 
 from .errors import AnalysisError, ConfigError
-from .fem import assemble, assemble_k0
+from .fem import assemble, assemble_k0, pin
 
 K_ZERO_OFFSET = 1e-4
-DENSE_CUTOFF = 800
 # inverse load factors at or below this are numerically zero: no
-# instability.  It sits above the roundoff of the zero cluster (1e-9 to
-# 1e-8 at the pinned k = 0 of a bar or cross in biaxial tension, n = 12 to
-# 24) and far below physical values, which are in the hundreds.
+# instability.  It sits above the roundoff of the pinned k = 0 zero
+# cluster (a few 1e-10) and far below physical values (hundreds), but
+# roundoff at the near-zero offsets can exceed it (ROADMAP item 2).
 TAU_TINY = 1e-6
 # a screened sample must lie below the running tau_max by this relative
 # margin.  It sits far above the error of a solved tau (ARPACK tolerance
@@ -64,16 +63,13 @@ TAU_TINY = 1e-6
 SCREEN_MARGIN = 1e-6
 
 
-def stress_stiffness(mesh, elem, stress_weights, reduced=False):
-    """Geometric stiffness of the weighted element stress field.
-
-    stress_weights (ne, 3) carries the relaxed geometric modulus already
-    multiplied into the unit center stresses.
+def stress_stiffness(mesh, elem, stress_weights):
+    """Geometric stiffness of the weighted element stress field on the full
+    node set.  stress_weights (ne, 3) carries the relaxed geometric modulus
+    already multiplied into the unit center stresses.
     """
     ke = np.einsum("ec,cij->eij", stress_weights, elem.g_stress)
-    edofs = mesh.edofs if reduced else mesh.edofs_full
-    ndof = mesh.ndof if reduced else mesh.ndof_full
-    return assemble(edofs, ndof, ke)
+    return assemble(mesh.edofs_full, mesh.ndof_full, ke)
 
 
 def bloch_transform(mesh, k):
@@ -112,14 +108,15 @@ def fold(k_full, t):
     return 0.5 * (a + a.conj().T)
 
 
-def _pin(a, value):
-    """Zero the first node's rows/columns, placing value on the diagonal."""
-    a = a.tolil(copy=True)
-    a[:2, :] = 0.0
-    a[:, :2] = 0.0
-    a[0, 0] = value
-    a[1, 1] = value
-    return a.tocsc()
+def band_pencil(mesh, k0_full, ks_full, k):
+    """(T(k), K0(k), K_sigma(k)) from the full-node-set operators, both
+    pinned (fem.pin) exactly at k = 0, the only k with a singular K0(k)."""
+    t = bloch_transform(mesh, k)
+    k0k = fold(k0_full, t)
+    ksk = fold(ks_full, t)
+    if not np.any(k):
+        k0k, ksk = pin(k0k, 1.0), pin(ksk, 0.0)
+    return t, k0k, ksk
 
 
 def _symmetric_lu(a):
@@ -150,16 +147,15 @@ def _certified_below(a, b, tau0):
 def solve_band(k0k, ksk, m, near_zero=False, floor=None):
     """Largest m eigenvalues of -K_sigma(k) phi = tau K0(k) phi.
 
-    Returns (tau, phi) with tau sorted descending and the columns of phi
-    normalized to phi^H K0 phi = 1.  phi is real when the pencil is (the
-    real-phase wavevectors and k = 0); eigsh then runs the symmetric real
-    Lanczos solver, while a complex pencil goes through its non-Hermitian
-    Arnoldi path.  Pencils of at most DENSE_CUTOFF dofs are solved dense.
-    The iterative path solves the pencil shifted by +1 * K0, which moves
-    the (often hugely degenerate) zero eigenvalues of the geometric
-    operator away from the origin where the relative convergence test
-    cannot terminate; the shift is subtracted again and changes nothing
-    else.
+    Returns (tau, phi) for the pencil band_pencil builds, with tau sorted
+    descending and the columns of phi normalized to phi^H K0 phi = 1.
+    phi is real when the pencil is (the real-phase wavevectors and k = 0);
+    eigsh then runs the symmetric real Lanczos solver, while a complex
+    pencil goes through its non-Hermitian Arnoldi path.  Every pencil, of
+    any size, goes to ARPACK shifted by +1 * K0, which moves the (often
+    hugely degenerate) zero eigenvalues of the geometric operator away
+    from the origin where the relative convergence test cannot terminate;
+    the shift is subtracted again and changes nothing else.
 
     K0(k) is factored here, once, and the factor is passed to eigsh as
     Minv.  The factor uses the symmetric minimum-degree ordering
@@ -202,18 +198,10 @@ def solve_band(k0k, ksk, m, near_zero=False, floor=None):
     a = -ksk
     if floor is not None and _certified_below(a, k0k, floor):
         return np.empty(0), np.empty((ndof, 0), dtype=k0k.dtype)
-    if ndof <= DENSE_CUTOFF:
-        w, v = sla.eigh(a.toarray(), k0k.toarray())
-        tau = w[::-1][:m_eff]
-        phi = v[:, ::-1][:, :m_eff]
-        return tau, phi
     shift = 1.0
     a_sh = (a + shift * k0k).tocsc()
     b = k0k.tocsc()
-    if near_zero:
-        lu = splu(b, permc_spec="COLAMD")
-    else:
-        lu = _symmetric_lu(b)
+    lu = splu(b, permc_spec="COLAMD") if near_zero else _symmetric_lu(b)
     minv = LinearOperator(b.shape, matvec=lu.solve, dtype=b.dtype)
     v0 = np.full(ndof, 1.0 / np.sqrt(ndof), dtype=b.dtype)
     try:
@@ -310,31 +298,24 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     sweep.
     """
     k0_full = assemble_k0(mesh, elem, moduli_k, reduced=False)
-    ks_full = stress_stiffness(mesh, elem, stress_weights, reduced=False)
+    ks_full = stress_stiffness(mesh, elem, stress_weights)
 
-    if k_points is None:
-        pts, arc = ibz_path(n_seg)
-    else:
-        pts, arc = k_points
+    pts, arc = ibz_path(n_seg) if k_points is None else k_points
     jobs = []
     for kvec, a in zip(pts, arc):
         if np.allclose(kvec, 0.0, atol=1e-14):
-            jobs.extend([(np.array([K_ZERO_OFFSET, 0.0]), a, False),
-                         (np.array([0.0, K_ZERO_OFFSET]), a, False),
-                         (np.zeros(2), a, True)])
+            jobs.extend([(np.array([K_ZERO_OFFSET, 0.0]), a),
+                         (np.array([0.0, K_ZERO_OFFSET]), a),
+                         (np.zeros(2), a)])
         else:
-            jobs.append((np.asarray(kvec, dtype=float), a, False))
+            jobs.append((np.asarray(kvec, dtype=float), a))
 
     samples = []
     tau_max = -np.inf
     crit = (0, 0)
-    for i, (kvec, a, pinned) in enumerate(jobs):
-        t = bloch_transform(mesh, kvec)
-        k0k = fold(k0_full, t)
-        ksk = fold(ks_full, t)
-        if pinned:
-            k0k = _pin(k0k, 1.0)
-            ksk = _pin(ksk, 0.0)
+    for i, (kvec, a) in enumerate(jobs):
+        t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec)
+        pinned = not np.any(kvec)
         near_zero = (not pinned
                      and np.linalg.norm(kvec) < 10.0 * K_ZERO_OFFSET)
         floor = None

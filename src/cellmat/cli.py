@@ -8,6 +8,7 @@ stderr so callers can parse them.
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ from .bloch import buckling_strength
 from .config import load_config
 from .element import element_matrices
 from .errors import CellmatError, ConfigError, SolverError
-from .gridio import read_grid
+from .gridio import read_grid, write_json
 from .materials import fit_scaling, get_material
 from .mesh import build_mesh
 from .optimize import build_run
@@ -25,13 +26,12 @@ from .pipeline import NU, REPORT_M_BANDS, REPORT_N_SEG, analyze_cell, \
     evaluate_design, gradient_check
 
 
-def _dump(obj, path=None):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _check_out(path):
+    """Reject an --out file that cannot be created, before any work."""
+    parent = os.path.dirname(path) or "."
+    if path != "-" and (os.path.isdir(path) or not os.path.isdir(parent)):
+        raise ConfigError(f"cannot write --out {path}: not a file in an "
+                          "existing directory")
 
 
 def _sigma1_rel(args):
@@ -47,9 +47,9 @@ def _sigma1_rel(args):
 
 def cmd_optimize(args):
     problem, material = load_config(args.config)
-    report = build_run(problem, args.out, material, args.seed_grid,
+    report = build_run(problem, args.out_dir, material, args.seed_grid,
                        args.seed_grid)
-    _dump(report.to_dict())
+    write_json("-", report.to_dict())
     return 0
 
 
@@ -59,7 +59,7 @@ def cmd_evaluate(args):
     report = evaluate_design(rho, n, sigma1_rel, material=material,
                              with_bands=not args.no_bands,
                              n_seg=args.n_seg, m_bands=args.m_bands)
-    _dump(report.to_dict(), args.out)
+    write_json(args.out, report.to_dict())
     return 0
 
 
@@ -89,15 +89,14 @@ def cmd_band(args):
                        for s in band.samples],
            "tau_max": band.tau_max,
            "sigma_c": band.sigma_c if np.isfinite(band.sigma_c) else None}
-    _dump(out, args.out)
+    write_json(args.out, out)
     return 0
 
 
 def cmd_sweep(args):
     run = _band_setup(args)
     band = run(n_seg=args.n_seg)
-    fh = sys.stdout if args.out in (None, "-") else open(args.out, "w",
-                                                         newline="")
+    fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     try:
         w = csv.writer(fh)
         nb = max(s.tau.size for s in band.samples)
@@ -133,8 +132,8 @@ def cmd_fit(args):
                     f"got {line!r}") from err
             pts.append((d, s))
     fit = fit_scaling(pts)
-    _dump({"c0": fit.c0, "n0": fit.n0, "points_used": 2,
-           "points_given": len(pts)}, args.out)
+    write_json(args.out, {"c0": fit.c0, "n0": fit.n0, "points_used": 2,
+                          "points_given": len(pts)})
     return 0
 
 
@@ -142,7 +141,7 @@ def cmd_check_gradients(args):
     out = gradient_check(n=args.n, elements=args.elements, seed=args.seed)
     out = {k: (float(v) if isinstance(v, np.floating) else v)
            for k, v in out.items()}
-    _dump(out, args.out)
+    write_json(args.out, out)
     if not out["pass"]:
         raise SolverError(
             "gradient check failed: ebar %(err_ebar).3g, "
@@ -159,7 +158,8 @@ def build_parser():
 
     p = sub.add_parser("optimize", help="run a design optimization")
     p.add_argument("--config", required=True, help="JSON problem definition")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", dest="out_dir", required=True,
+                   help="output directory")
     p.add_argument("--seed-grid", help="starting design (.grid)")
     p.set_defaults(func=cmd_optimize)
 
@@ -170,27 +170,27 @@ def build_parser():
     p.add_argument("--no-bands", action="store_true")
     p.add_argument("--n-seg", type=int, default=REPORT_N_SEG)
     p.add_argument("--m-bands", type=int, default=REPORT_M_BANDS)
-    p.add_argument("--out")
+    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("band", help="eigenvalues at one wavevector")
     p.add_argument("--grid", required=True)
     p.add_argument("--k", required=True, help="KX,KY")
     p.add_argument("--m-bands", type=int, default=REPORT_M_BANDS)
-    p.add_argument("--out")
+    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_band)
 
     p = sub.add_parser("sweep", help="band sweep along the zone boundary")
     p.add_argument("--grid", required=True)
     p.add_argument("--n-seg", type=int, default=REPORT_N_SEG)
     p.add_argument("--m-bands", type=int, default=REPORT_M_BANDS)
-    p.add_argument("--out")
+    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("fit", help="strength scaling law from data points")
     p.add_argument("--points", required=True,
                    help="file of 'density strength' lines")
-    p.add_argument("--out")
+    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("check-gradients",
@@ -198,7 +198,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--elements", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
+    p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_check_gradients)
     return ap
 
@@ -206,6 +206,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if "out" in vars(args):       # every command but optimize
+            _check_out(args.out)
         return args.func(args)
     except CellmatError as err:
         json.dump({"error": type(err).__name__, "message": str(err)},

@@ -39,17 +39,21 @@ def assemble_loads(mesh, elem, moduli):
     return f
 
 
-def gather(edofs, u):
-    """Per-element dof values, (ne, 8) or (ne, 8, k)."""
-    return u[edofs]
-
-
 def scatter_vec(mesh, fe):
     """Accumulate per-element 8-vectors into a global reduced vector."""
     out = np.zeros(mesh.ndof, dtype=fe.dtype)
     for j in range(8):
         np.add.at(out, mesh.edofs[:, j], fe[:, j])
     return out
+
+
+def pin(a, value):
+    """a with the PINS rows and columns zeroed and value on their diagonal:
+    1 pins a stiffness K0, 0 a geometric stiffness K_sigma."""
+    mask = np.ones(a.shape[0], dtype=bool)
+    mask[PINS] = False
+    d = sp.diags(mask.astype(float)).tocsc()
+    return (d @ a @ d + value * sp.diags((~mask).astype(float))).tocsc()
 
 
 class PinnedSolver:
@@ -63,10 +67,7 @@ class PinnedSolver:
     """
 
     def __init__(self, k_reduced):
-        mask = np.ones(k_reduced.shape[0], dtype=bool)
-        mask[PINS] = False
-        d = sp.diags(mask.astype(float)).tocsc()
-        self.k_pinned = (d @ k_reduced @ d + sp.diags((~mask).astype(float))).tocsc()
+        self.k_pinned = pin(k_reduced, 1.0)
         try:
             self.lu = splu(self.k_pinned, permc_spec="COLAMD")
         except RuntimeError as err:

@@ -1,9 +1,13 @@
-"""Density grid files: diffable ASCII plus a PGM mirror for the eye.
+"""Density grid files: diffable ASCII plus a PGM mirror for the eye, and
+the JSON writer of every report.
 
 Grid layout matches the mesh: element e = ey * n + ex, rows written in
 ascending ey.  Values are serialized with 17 significant digits so a
 write/read round trip is exact in double precision.
 """
+
+import json
+import sys
 
 import numpy as np
 
@@ -56,6 +60,16 @@ def read_grid(path):
     rho = data.ravel()
     check_density(rho, path)
     return rho, nx
+
+
+def write_json(path, obj):
+    """obj as sorted, indented JSON with a trailing newline; "-" is stdout."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def write_pgm(path, rho, n):

@@ -31,7 +31,7 @@ C_PENALTY = 1000.0
 class MMA:
     """Holds the asymptote state between update() calls."""
 
-    def __init__(self, n, m, xmin, xmax, move=0.1):
+    def __init__(self, n, m, xmin, xmax, move):
         self.n = n
         self.m = m
         self.xmin = np.broadcast_to(np.asarray(xmin, float), (n,)).copy()

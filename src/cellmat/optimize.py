@@ -24,7 +24,7 @@ from .bloch import buckling_strength
 from .design import PDEFilter, enforce_symmetry, project
 from .element import element_matrices
 from .errors import CellmatError, ConfigError
-from .gridio import read_grid, write_grid, write_pgm
+from .gridio import read_grid, write_grid, write_json, write_pgm
 # not called here; bench/test_bench.py checks that the tracer wraps it here
 from .homogenize import homogenize  # noqa: F401
 from .mesh import build_mesh
@@ -236,9 +236,13 @@ class _RunLog:
         self._fh = None
         self._csv = None
         if out_dir is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            self._fh = open(os.path.join(out_dir, "iterations.csv"),
-                            "w", newline="")
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+                self._fh = open(os.path.join(out_dir, "iterations.csv"),
+                                "w", newline="")
+            except OSError as err:
+                raise ConfigError(f"cannot write the run to {out_dir}: "
+                                  f"{err.strerror}") from err
             self._csv = csv.writer(self._fh)
             self._csv.writerow(["iter", "objective", "ebar", "sigma_y",
                                 "sigma_c", "f_int", "beta"]
@@ -345,11 +349,6 @@ def optimize(problem, rho0=None, out_dir=None):
                               final=final)
 
 
-def _write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
 def build_run(problem, out_dir, material, seed_grid, seed_from):
     """Optimize into out_dir from seed_grid (None: the seed lattice), then
     write meta.json, recording seed_from as the seed, and finish_run.
@@ -360,7 +359,7 @@ def build_run(problem, out_dir, material, seed_grid, seed_from):
     rho0 = None if seed_grid is None else read_grid(seed_grid)[0]
     t0 = time.time()
     res = optimize(problem, rho0=rho0, out_dir=out_dir)
-    _write_json(os.path.join(out_dir, "meta.json"), {
+    write_json(os.path.join(out_dir, "meta.json"), {
         "problem": asdict(problem), "status": res.status,
         "iterations": res.iterations, "elapsed_s": time.time() - t0,
         "material": material.name if material else None,
@@ -384,5 +383,5 @@ def finish_run(problem, out_dir, material):
     write_pgm(os.path.join(out_dir, "design_int.pgm"), rho_int, n)
     report = evaluate_design(rho_int, n, problem.sigma1_rel,
                              material=material)
-    _write_json(os.path.join(out_dir, "report.json"), report.to_dict())
+    write_json(os.path.join(out_dir, "report.json"), report.to_dict())
     return report

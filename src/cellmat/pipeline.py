@@ -149,7 +149,7 @@ def _fd_partial(func, x, idx):
     return (fp - fm) / (2.0 * FD_STEP)
 
 
-def gradient_check(n=4, elements=8, seed=0):
+def gradient_check(n, elements, seed):
     """Adjoint gradients against central differences at random elements.
 
     Checks the three analysis gradients on a random smooth density:

@@ -15,7 +15,7 @@ already factorized stiffness per response.
 
 import numpy as np
 
-from .fem import gather, scatter_vec
+from .fem import scatter_vec
 from .design import enforce_symmetry, project_deriv
 from .stress import M_VM
 
@@ -34,7 +34,7 @@ def _unit_stress_routes(mesh, elem, cell, c, ys, grad):
     adjoint solve.
     """
     homog, eps0, a_deriv = cell.homog, cell.eps0, cell.de_k
-    u = gather(mesh.edofs, homog.chi)
+    u = homog.chi[mesh.edofs]
     r_eps = np.zeros(3)
     load = np.zeros(mesh.ndof)
     for y in ys:
@@ -49,8 +49,8 @@ def _unit_stress_routes(mesh, elem, cell, c, ys, grad):
 
     # corrector route: a'_e adj_e' (f_unit eps0 - k0 x_e), the derivative
     # of the equilibrium residual with respect to one element modulus
-    adj_e = gather(mesh.edofs, homog.solver.solve(load))
-    x_e = gather(mesh.edofs, homog.chi @ eps0)
+    adj_e = homog.solver.solve(load)[mesh.edofs]
+    x_e = (homog.chi @ eps0)[mesh.edofs]
     fe = elem.f_unit @ eps0
     grad -= a_deriv * (adj_e @ fe
                        - np.einsum("ei,ij,ej->e", adj_e, elem.k0, x_e))
@@ -104,7 +104,7 @@ def stability_grad(mesh, elem, cell, band, weights):
             continue
         if smp.modes is None or smp.transform is None:
             raise ValueError("band sweep was run without store_modes")
-        pe = gather(mesh.edofs_full, smp.transform @ smp.modes[:, act])
+        pe = (smp.transform @ smp.modes[:, act])[mesh.edofs_full]
         e0 = np.einsum("ejm,jk,ekm->em", pe.conj(), elem.k0, pe).real
         qc = np.einsum("ejm,cjk,ekm->ecm", pe.conj(), elem.g_stress, pe).real
         wa = w_s[act]

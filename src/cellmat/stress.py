@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import interpolate
-from .fem import gather
 
 # deviatoric quadratic form for plane stress von Mises
 M_VM = np.array([
@@ -45,7 +44,7 @@ def element_stresses(mesh, elem, chi, rho_bar, eps0):
     stress stiffness; only the modulus branch applied on top differs
     between the strength measure (eps-relaxed) and the geometric terms.
     """
-    u = gather(mesh.edofs, chi) @ eps0          # (ne, 8)
+    u = chi[mesh.edofs] @ eps0                  # (ne, 8)
     strain = eps0[None, :] - u @ elem.b_center.T
     s_unit = strain @ elem.d0.T
     e_s, de_s = interpolate(rho_bar, "stress")

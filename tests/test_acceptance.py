@@ -17,11 +17,11 @@ import pytest
 from conftest import cross_density
 
 from cellmat.aggregate import KSAggregator
-from cellmat.bloch import _pin, bloch_transform, buckling_strength, fold, \
-    solve_band, stress_stiffness
+from cellmat.bloch import band_pencil, buckling_strength, solve_band, \
+    stress_stiffness
 from cellmat.design import PDEFilter, enforce_symmetry, interpolate, project
 from cellmat.element import element_matrices
-from cellmat.fem import assemble_k0
+from cellmat.fem import assemble, assemble_k0, pin
 from cellmat.gridio import read_grid
 from cellmat.homogenize import homogenize
 from cellmat.materials import classify_failure, fit_scaling, get_material
@@ -251,9 +251,10 @@ def test_criterion_06_bloch_pencil_consistency():
             k_points=(np.zeros((1, 2)), np.zeros(1)))
         pinned = next(s for s in center.samples if s.pinned)
         k_red = assemble_k0(mesh, elem, e_k, reduced=True)
-        ks_red = stress_stiffness(mesh, elem, weights, reduced=True)
-        tau_ref, _ = solve_band(_pin(k_red.astype(complex), 1.0),
-                                _pin(ks_red.astype(complex), 0.0), 6)
+        ks_red = assemble(mesh.edofs, mesh.ndof, np.einsum(
+            "ec,cij->eij", weights, elem.g_stress))
+        tau_ref, _ = solve_band(pin(k_red.astype(complex), 1.0),
+                                pin(ks_red.astype(complex), 0.0), 6)
         scale = max(1.0, np.max(np.abs(tau_ref)))
         err_pin = max(err_pin,
                       np.max(np.abs(pinned.tau - tau_ref)) / scale)
@@ -265,13 +266,9 @@ def test_criterion_06_bloch_pencil_consistency():
         out = buckling_strength(mesh, elem, e_k, weights, n_seg=10, m=6,
                                 store_modes=True)
         k0f = assemble_k0(mesh, elem, e_k, reduced=False)
-        ksf = stress_stiffness(mesh, elem, weights, reduced=False)
+        ksf = stress_stiffness(mesh, elem, weights)
         for s in out.samples:
-            k0k = fold(k0f, s.transform)
-            ksk = fold(ksf, s.transform)
-            if s.pinned:
-                k0k = _pin(k0k, 1.0)
-                ksk = _pin(ksk, 0.0)
+            _, k0k, ksk = band_pencil(mesh, k0f, ksf, s.k)
             for j in range(s.modes.shape[1]):
                 phi = s.modes[:, j]
                 mag = np.abs(phi)

@@ -40,7 +40,7 @@ def test_empty_and_bad_sharpness_raise():
     with pytest.raises(ConfigError):
         ks([1.0], 0.0)
     with pytest.raises(ConfigError):
-        KSAggregator(zeta=-1.0)
+        KSAggregator(zeta=-1.0, tag="bad")
 
 
 def test_scale_freezes_between_refreshes():
@@ -62,7 +62,7 @@ def test_scale_freezes_between_refreshes():
 
 
 def test_bootstrap_handles_negative_values():
-    agg = KSAggregator(zeta=100.0)
+    agg = KSAggregator(zeta=100.0, tag="neg")
     out, w = agg(np.array([-4.0, -2.0]))
     assert agg.scale == pytest.approx(2.0)
     assert out >= -2.0

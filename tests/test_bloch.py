@@ -16,7 +16,7 @@ from cellmat import bloch
 from cellmat.bloch import (
     TAU_TINY,
     _certified_below,
-    _pin,
+    band_pencil,
     bloch_transform,
     buckling_strength,
     fold,
@@ -27,7 +27,7 @@ from cellmat.bloch import (
 from cellmat.design import interpolate
 from cellmat.element import element_matrices
 from cellmat.errors import AnalysisError, ConfigError
-from cellmat.fem import assemble_k0
+from cellmat.fem import assemble, assemble_k0, pin
 from cellmat.homogenize import homogenize
 from cellmat.mesh import build_mesh
 from cellmat.stress import element_stresses
@@ -70,22 +70,19 @@ def rng_module():
     return np.random.default_rng(7)
 
 
-@pytest.fixture
-def sparse_path(monkeypatch):
-    """Send even the small test pencils through the ARPACK path."""
-    monkeypatch.setattr(bloch, "DENSE_CUTOFF", 10)
+def pencil(mesh, elem, e_k, weights, k):
+    """The sweep's (K0(k), K_sigma(k)) of a loaded state."""
+    _, k0k, ksk = band_pencil(mesh, assemble_k0(mesh, elem, e_k, reduced=False),
+                              stress_stiffness(mesh, elem, weights),
+                              np.asarray(k, dtype=float))
+    return k0k, ksk
 
 
 def cross8_pencil(cross8, k, sigma0=(-1.0, 0.0, 0.0)):
-    """Folded (K0, K_sigma) at k; pinned at k = 0 as in the sweep."""
+    """The sweep's (K0(k), K_sigma(k)) of the loaded cross8 cell."""
     mesh, elem, rho = cross8
     e_k, weights, _, _ = loaded_state(mesh, elem, rho, sigma0)
-    t = bloch_transform(mesh, np.asarray(k, dtype=float))
-    k0k = fold(assemble_k0(mesh, elem, e_k, reduced=False), t)
-    ksk = fold(stress_stiffness(mesh, elem, weights), t)
-    if not np.any(k):
-        k0k, ksk = _pin(k0k, 1.0), _pin(ksk, 0.0)
-    return k0k, ksk
+    return pencil(mesh, elem, e_k, weights, k)
 
 
 def plain_eigsh(k0k, ksk, m, tol):
@@ -183,24 +180,17 @@ class TestFoldedOperators:
         assert_allclose(np.abs(ks1 @ tx).max(), 0.0, atol=1e-12)
 
     def test_reciprocity(self, cross8):
-        mesh, elem, rho = cross8
-        e_k, weights, _, _ = loaded_state(mesh, elem, rho)
-        k_full = assemble_k0(mesh, elem, e_k, reduced=False)
-        ks_full = stress_stiffness(mesh, elem, weights)
         k = np.array([0.8, 2.1])
         taus = []
         for kk in (k, -k):
-            t = bloch_transform(mesh, kk)
-            tau, _ = solve_band(fold(k_full, t), fold(ks_full, t), 4)
+            tau, _ = solve_band(*cross8_pencil(cross8, kk), 4)
             taus.append(tau)
         assert_allclose(taus[0], taus[1], rtol=1e-9, atol=1e-12)
 
     def test_zero_stress_gives_zero_tau(self, cross8):
         mesh, elem, rho = cross8
         e_k, _, _, _ = loaded_state(mesh, elem, rho)
-        t = bloch_transform(mesh, np.array([1.0, 0.5]))
-        k0k = fold(assemble_k0(mesh, elem, e_k, reduced=False), t)
-        ksk = fold(stress_stiffness(mesh, elem, np.zeros((mesh.ne, 3))), t)
+        k0k, ksk = pencil(mesh, elem, e_k, np.zeros((mesh.ne, 3)), (1.0, 0.5))
         tau, _ = solve_band(k0k, ksk, 3)
         assert_allclose(tau, 0.0, atol=1e-13)
 
@@ -212,11 +202,7 @@ class TestFoldedOperators:
 
 class TestSolveBand:
     def test_modes_are_k0_normalized(self, cross8):
-        mesh, elem, rho = cross8
-        e_k, weights, _, _ = loaded_state(mesh, elem, rho)
-        t = bloch_transform(mesh, np.array([0.6, 0.6]))
-        k0k = fold(assemble_k0(mesh, elem, e_k, reduced=False), t)
-        ksk = fold(stress_stiffness(mesh, elem, weights), t)
+        k0k, ksk = cross8_pencil(cross8, (0.6, 0.6))
         tau, phi = solve_band(k0k, ksk, 4)
         norms = np.real(np.einsum("im,ij,jm->m", phi.conj(), k0k.toarray(), phi))
         assert_allclose(norms, 1.0, rtol=1e-9)
@@ -225,19 +211,15 @@ class TestSolveBand:
             r = -ksk @ phi[:, j] - tau[j] * (k0k @ phi[:, j])
             assert np.linalg.norm(r) < 1e-9 * max(1.0, abs(tau[j]))
 
-    def test_sparse_matches_dense(self, bar32, monkeypatch):
+    def test_sparse_matches_dense(self, bar32):
         mesh, elem, rho = bar32
         e_k, weights, _, _ = loaded_state(mesh, elem, rho)
-        t = bloch_transform(mesh, np.array([np.pi / 2.0, 0.0]))
-        k0k = fold(assemble_k0(mesh, elem, e_k, reduced=False), t)
-        ksk = fold(stress_stiffness(mesh, elem, weights), t)
-        monkeypatch.setattr(bloch, "DENSE_CUTOFF", 10 ** 9)
-        tau_d, _ = solve_band(k0k, ksk, 3)
-        monkeypatch.setattr(bloch, "DENSE_CUTOFF", 10)
+        k0k, ksk = pencil(mesh, elem, e_k, weights, (np.pi / 2.0, 0.0))
         tau_s, _ = solve_band(k0k, ksk, 3)
-        assert_allclose(tau_s, tau_d, rtol=1e-8)
+        tau_d = sla.eigh(-ksk.toarray(), k0k.toarray(), eigvals_only=True)
+        assert_allclose(tau_s, tau_d[::-1][:3], rtol=1e-8)
 
-    def test_real_pencil_matches_complex_cast(self, cross8, sparse_path):
+    def test_real_pencil_matches_complex_cast(self, cross8):
         k0k, ksk = cross8_pencil(cross8, (np.pi, 0.0))
         assert k0k.dtype == ksk.dtype == np.float64
         tau, phi = solve_band(k0k, ksk, 4)
@@ -245,13 +227,13 @@ class TestSolveBand:
         assert phi.dtype == np.float64
         assert_allclose(tau, tau_c, rtol=1e-10)
 
-    def test_owned_factor_matches_eigsh_reference(self, cross8, sparse_path):
+    def test_owned_factor_matches_eigsh_reference(self, cross8):
         k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
         tau, _ = solve_band(k0k, ksk, 4)
         tau_ref, _ = plain_eigsh(k0k, ksk, 4, tol=1e-9)
         assert_allclose(tau, tau_ref, rtol=1e-10)
 
-    def test_near_zero_reproduces_eigsh_bit_for_bit(self, cross8, sparse_path):
+    def test_near_zero_reproduces_eigsh_bit_for_bit(self, cross8):
         k0k, ksk = cross8_pencil(cross8, (1e-4, 0.0))
         tau, phi = solve_band(k0k, ksk, 4, near_zero=True)
         tau_ref, phi_ref = plain_eigsh(k0k, ksk, 4, tol=1e-5)
@@ -259,12 +241,7 @@ class TestSolveBand:
         assert_array_equal(phi, phi_ref)
 
     def test_eigenvalues_are_real(self, cross8):
-        mesh, elem, rho = cross8
-        e_k, weights, _, _ = loaded_state(mesh, elem, rho)
-        t = bloch_transform(mesh, np.array([2.5, 1.5]))
-        k0k = fold(assemble_k0(mesh, elem, e_k, reduced=False), t)
-        ksk = fold(stress_stiffness(mesh, elem, weights), t)
-        tau, _ = solve_band(k0k, ksk, 4)
+        tau, _ = solve_band(*cross8_pencil(cross8, (2.5, 1.5)), 4)
         assert tau.dtype.kind == "f"
 
 
@@ -305,7 +282,7 @@ class TestNonConvergence:
     """ARPACK gives up at once, after converging the pairs given."""
 
     @pytest.fixture
-    def arpack_gives_up(self, monkeypatch, sparse_path):
+    def arpack_gives_up(self, monkeypatch):
         def install(w, v):
             def give_up(*args, **kwargs):
                 raise ArpackNoConvergence("no convergence", w, v)
@@ -350,7 +327,7 @@ class TestScreen:
     """critical_only skips samples certified below the running tau_max."""
 
     @pytest.mark.parametrize("load", sorted(LOADS))
-    def test_reports_the_full_sweep_result(self, cross8, sparse_path, load):
+    def test_reports_the_full_sweep_result(self, cross8, load):
         mesh, elem, rho = cross8
         e_k, weights, _, _ = loaded_state(mesh, elem, rho, LOADS[load])
         full = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=3)
@@ -368,7 +345,7 @@ class TestScreen:
             # nothing exceeds TAU_TINY, so nothing is screened
             assert sizes == [3] * len(full.samples)
 
-    def test_zone_center_keeps_its_bands(self, cross8, sparse_path):
+    def test_zone_center_keeps_its_bands(self, cross8):
         # (pi, 0) tops every zone-center sample of the compressed cross and
         # comes first, so only the zone-center rule keeps them solved
         mesh, elem, rho = cross8
@@ -383,7 +360,7 @@ class TestScreen:
         assert out.samples[0].tau[0] > max(s.tau[0] for s in full.samples[1:])
 
     @pytest.mark.parametrize("ratio", [1.0 + 1e-4, 1.0 - 1e-3])
-    def test_floor_is_sharp(self, cross8, sparse_path, ratio):
+    def test_floor_is_sharp(self, cross8, ratio):
         floor = 10.0
         k0k, ksk = rescaled_pencil(cross8, ratio * floor)
         tau, phi = solve_band(k0k, ksk, 3, floor=floor)
@@ -409,10 +386,7 @@ def test_euler_column_critical_load(bar32):
     assert_allclose(state.s_unit[bar, 0], -1.0 / w, rtol=2e-2)
 
     k1 = np.pi / 2.0
-    t = bloch_transform(mesh, np.array([k1, 0.0]))
-    k0k = fold(assemble_k0(mesh, elem, e_k, reduced=False), t)
-    ksk = fold(stress_stiffness(mesh, elem, weights), t)
-    tau, _ = solve_band(k0k, ksk, 2)
+    tau, _ = solve_band(*pencil(mesh, elem, e_k, weights, (k1, 0.0)), 2)
     lam = 1.0 / tau[0]
     p_euler = w ** 3 / 12.0 * k1 ** 2
     assert lam == pytest.approx(p_euler, rel=0.12), \
@@ -485,7 +459,8 @@ class TestBucklingStrength:
         assert len(pinned) == 1
         # direct real assembly on the reduced dofs, same pinning
         k_red = assemble_k0(mesh, elem, e_k, reduced=True)
-        ks_red = stress_stiffness(mesh, elem, weights, reduced=True)
-        tau_ref, _ = solve_band(_pin(k_red.astype(complex), 1.0),
-                                _pin(ks_red.astype(complex), 0.0), 4)
+        ks_red = assemble(mesh.edofs, mesh.ndof, np.einsum(
+            "ec,cij->eij", weights, elem.g_stress))
+        tau_ref, _ = solve_band(pin(k_red.astype(complex), 1.0),
+                                pin(ks_red.astype(complex), 0.0), 4)
         assert_allclose(pinned[0].tau, tau_ref, rtol=1e-10, atol=1e-12)

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cellmat import cli, optimize
 from cellmat.cli import main
 from cellmat.config import load_config, parse_config
 from cellmat.errors import ConfigError
@@ -98,6 +99,55 @@ class TestCli:
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_evaluate_without_bands(self, tmp_path, capsys):
+        grid = tmp_path / "d.grid"
+        write_grid(grid, seed_lattice(8, 0.3), 8)
+        argv = ["evaluate", "--grid", str(grid), "--material", "PC",
+                "--n-seg", "2", "--m-bands", "4"]
+        assert main(argv) == 0
+        banded = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--no-bands"]) == 0
+        plain = json.loads(capsys.readouterr().out)
+        assert plain["ebar"] == banded["ebar"]
+        assert plain["sigma_y"] == banded["sigma_y"]
+        assert banded["sigma_c"] is not None
+        for key in ("sigma_c", "tau_max", "k_critical", "failure"):
+            assert plain[key] is None, key
+
+    @pytest.mark.parametrize("argv", [["evaluate", "--material", "PC"],
+                                      ["sweep"], ["band", "--k", "0.5,0"]])
+    @pytest.mark.parametrize("out", ["missing/x", "."])
+    def test_unwritable_out_fails_before_the_analysis(
+            self, tmp_path, capsys, monkeypatch, argv, out):
+        def analysis(*args, **kwargs):
+            raise AssertionError("the analysis ran")
+        monkeypatch.setattr(cli, "analyze_cell", analysis)
+        monkeypatch.setattr(cli, "evaluate_design", analysis)
+        grid = tmp_path / "d.grid"
+        write_grid(grid, seed_lattice(8, 0.3), 8)
+        target = str(tmp_path / out)
+        assert main(argv + ["--grid", str(grid), "--out", target]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert target in err["message"]
+
+    def test_optimize_out_is_an_existing_file(self, tmp_path, capsys,
+                                              monkeypatch):
+        def analysis(*args, **kwargs):
+            raise AssertionError("the analysis ran")
+        monkeypatch.setattr(optimize, "evaluate_problem", analysis)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(base_cfg(max_iter=2)))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["optimize", "--config", str(cfg),
+                     "--out", str(taken)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert str(taken) in err["message"]
 
     def test_evaluate_needs_material_info(self, tmp_path, capsys):
         grid = tmp_path / "d.grid"

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from cellmat.element import element_matrices
 from cellmat.errors import ConfigError, SolverError
-from cellmat.fem import PinnedSolver, assemble_k0, assemble_loads
+from cellmat.fem import PINS, PinnedSolver, assemble_k0, assemble_loads, pin
 from cellmat.mesh import build_mesh
 
 NU = 1.0 / 3.0
@@ -117,6 +117,18 @@ class TestPinnedSolve:
         assert_allclose(u, u_ref, rtol=0, atol=1e-11)
         # pinned solution still satisfies the full singular system
         assert_allclose(kd @ u - f, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("value", [1.0, 0.0])
+    def test_pin_zeroes_node0_and_stores_no_zeros(self, mesh8, elem8, rng,
+                                                  value):
+        k = assemble_k0(mesh8, elem8, rng.uniform(0.1, 1.0, mesh8.ne))
+        a = pin(k, value)
+        ref = k.toarray()
+        ref[PINS, :] = 0.0
+        ref[:, PINS] = 0.0
+        ref[PINS, PINS] = value
+        assert_array_equal(a.toarray(), ref)
+        assert np.all(a.data != 0.0)
 
     def test_singular_operator_raises(self):
         with pytest.raises(SolverError):

@@ -22,7 +22,7 @@ def test_unconstrained_quadratic():
     def con(x):
         return np.array([-1.0]), np.zeros((1, 2))
 
-    mma = MMA(2, 1, 0.0, 1.0)
+    mma = MMA(2, 1, 0.0, 1.0, move=0.1)
     x = run(mma, np.array([0.5, 0.5]), obj, con, 50)
     assert_allclose(x, target, atol=1e-4)
 
@@ -37,7 +37,7 @@ def test_active_linear_constraint_kkt():
     def con(x):
         return np.array([x.mean() - 0.4]), np.full((1, n), 1.0 / n)
 
-    mma = MMA(n, 1, 0.0, 1.0)
+    mma = MMA(n, 1, 0.0, 1.0, move=0.1)
     x = run(mma, np.full(n, 0.9), obj, con, 120)
     assert_allclose(x, 0.4, atol=1e-5)
     kkt = obj(x) + mma.lam[0] * con(x)[1][0]
@@ -48,7 +48,7 @@ def test_active_linear_constraint_kkt():
 def test_zero_gradient_keeps_iterate():
     n = 5
     x0 = np.linspace(0.2, 0.8, n)
-    mma = MMA(n, 1, 0.0, 1.0)
+    mma = MMA(n, 1, 0.0, 1.0, move=0.1)
     x = mma.update(x0, np.zeros(n), np.array([-0.5]), np.zeros((1, n)))
     assert_allclose(x, x0, atol=1e-7)
 
@@ -66,7 +66,7 @@ def test_move_limit_respected():
 def test_iterates_stay_in_box():
     n = 8
     rng = np.random.default_rng(3)
-    mma = MMA(n, 1, 0.2, 0.9)
+    mma = MMA(n, 1, 0.2, 0.9, move=0.1)
     x = np.full(n, 0.5)
     for _ in range(20):
         g = rng.normal(size=n) * 10.0
@@ -77,7 +77,7 @@ def test_iterates_stay_in_box():
 
 def test_deterministic():
     def play():
-        mma = MMA(3, 1, 0.0, 1.0)
+        mma = MMA(3, 1, 0.0, 1.0, move=0.1)
         x = np.array([0.5, 0.4, 0.6])
         out = []
         for k in range(10):
@@ -100,7 +100,7 @@ def test_infeasible_start_recovers():
     def con(x):
         return np.array([x.mean() - 0.2]), np.full((1, n), 1.0 / n)
 
-    mma = MMA(n, 1, 0.0, 1.0)
+    mma = MMA(n, 1, 0.0, 1.0, move=0.1)
     x = run(mma, np.full(n, 0.9), obj, con, 150)
     assert x.mean() <= 0.2 + 1e-6
     assert_allclose(x, 0.2, atol=1e-4)
