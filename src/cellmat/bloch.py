@@ -44,8 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import (ArpackNoConvergence, LinearOperator, eigsh,
-                                  splu)
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
 
 from .errors import AnalysisError, ConfigError
 from .fem import assemble, assemble_k0, pin
@@ -178,11 +177,12 @@ def solve_band(k0k, ksk, m, near_zero=False, floor=None):
 
     A sample with nothing destabilized has no gap at the top (modes pile
     up under the zero cluster) and no Lanczos tolerance can converge
-    there.  When ARPACK does not converge, one more factor settles the
-    question: if K_sigma(k) + TAU_TINY K0(k) is positive definite, no band
-    exceeds TAU_TINY and the sample is certified stable, returning tau = 0
-    with zero (weightless) modes.  Otherwise the bands that did converge
-    stand, with a warning, and a sample with none is a solver failure.
+    there.  When ARPACK fails, one more factor settles the question: if
+    K_sigma(k) + TAU_TINY K0(k) is positive definite, no band exceeds
+    TAU_TINY and the sample is certified stable, returning tau = 0 with
+    zero (weightless) modes.  Otherwise the bands that did converge stand,
+    with a warning, and a sample with none (an ARPACK failure other than
+    non-convergence keeps none) is a solver failure.
 
     With a floor, the pencil is screened first by the same kind of factor:
     if K_sigma(k) + floor K0(k) is positive definite, no band exceeds the
@@ -207,15 +207,16 @@ def solve_band(k0k, ksk, m, near_zero=False, floor=None):
     try:
         w, v = eigsh(a_sh, k=m_eff, M=b, Minv=minv, which="LA", v0=v0,
                      tol=1e-5 if near_zero else 1e-9, maxiter=150)
-    except ArpackNoConvergence as err:
+    except ArpackError as err:
         if _certified_below(a, b, TAU_TINY):
             warnings.warn("no band above TAU_TINY: sample certified stable",
                           RuntimeWarning, stacklevel=2)
             return np.zeros(m_eff), np.zeros((ndof, m_eff), dtype=b.dtype)
-        # a complex pencil's partial results keep the solver's complex
-        # dtype; the pencil is Hermitian definite, so drop the roundoff
-        # imaginary part
-        w, v = err.eigenvalues.real, err.eigenvectors
+        # only an ArpackNoConvergence carries the bands that did converge;
+        # they keep a complex pencil's dtype, though the pencil is
+        # Hermitian definite, so drop the roundoff imaginary part
+        w = getattr(err, "eigenvalues", np.empty(0)).real
+        v = getattr(err, "eigenvectors", None)
         if w.size == 0:
             raise AnalysisError("eigensolver converged no band on a sample "
                                 "not certified stable") from err

@@ -1,71 +1,53 @@
-"""JSON run configuration: schema validation and problem construction."""
+"""JSON run configuration: keys and JSON types come from the problem's
+dataclass fields; the bounds are OptimizationProblem.validate()'s."""
 
 import json
-
-import jsonschema
+from dataclasses import MISSING, fields, is_dataclass
 
 from .errors import ConfigError
 from .materials import get_material
-from .optimize import KSParams, OptimizationProblem
+from .optimize import OptimizationProblem
 
-KS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "zeta": {"type": "number", "exclusiveMinimum": 0},
-        "kappa1": {"enum": [0, 1]},
-        "kappa2": {"enum": [0, 1]},
-        "n_seg": {"type": "integer", "minimum": 2},
-        "m_bands": {"type": "integer", "minimum": 1},
-    },
-}
+# the JSON values a field of each type takes, compared by exact type(), so
+# true/false pass for neither and 8.0 is no integer; a nested dataclass
+# takes an object
+_JSON_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+_OBJECT = ((dict,), "an object")
 
-SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["n", "f_star", "gamma1"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 4},
-        "f_star": {"type": "number", "exclusiveMinimum": 0,
-                   "exclusiveMaximum": 1},
-        "gamma1": {"type": "number", "minimum": 0, "maximum": 1},
-        "sigma_star": {"type": "number", "minimum": 0},
-        "e_star": {"type": "number", "minimum": 0},
-        "material": {"type": "string"},
-        "sigma1_rel": {"type": "number", "exclusiveMinimum": 0,
-                       "exclusiveMaximum": 1},
-        "radius": {"type": "number", "minimum": 0},
-        "delta_eta": {"type": "number", "exclusiveMinimum": 0,
-                      "exclusiveMaximum": 0.5},
-        "beta_max": {"type": "number", "minimum": 1},
-        "beta_every": {"type": "integer", "minimum": 1},
-        "max_iter": {"type": "integer", "minimum": 1},
-        "move": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "tol_change": {"type": "number", "exclusiveMinimum": 0},
-        "checkpoint_every": {"type": "integer", "minimum": 1},
-        "ks": KS_SCHEMA,
-    },
-}
+
+def _build(cls, cfg, where=""):
+    """cls(**cfg) once cfg holds every required field of cls, no other
+    key, and each value of its field's JSON type."""
+    kinds = {f.name: f.type for f in fields(cls)}
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in cfg:
+            raise ConfigError(f"{where}{f.name}: required field missing")
+    kw = dict(cfg)
+    for key, value in cfg.items():
+        path, kind = where + key, kinds.get(key)
+        if kind is None:
+            raise ConfigError(f"{path}: unknown key")
+        types, name = _JSON_TYPES.get(kind, _OBJECT)
+        if type(value) not in types:
+            raise ConfigError(f"{path}: must be {name}, got {value!r}")
+        if is_dataclass(kind):
+            kw[key] = _build(kind, value, path + "/")
+    return cls(**kw)
 
 
 def parse_config(cfg):
-    """Validated config dict -> (OptimizationProblem, material or None)."""
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as err:
-        where = "/".join(str(p) for p in err.absolute_path) or "config"
-        raise ConfigError(f"{where}: {err.message}") from err
-
-    material = None
+    """Config dict -> (OptimizationProblem, material or None)."""
     cfg = dict(cfg)
+    material = None
     if "material" in cfg:
         if "sigma1_rel" in cfg:
             raise ConfigError("give either material or sigma1_rel, not both")
-        material = get_material(cfg.pop("material"))
+        name = cfg.pop("material")
+        if type(name) is not str:
+            raise ConfigError(f"material: must be a string, got {name!r}")
+        material = get_material(name)
         cfg["sigma1_rel"] = material.sigma1_rel
-    if "ks" in cfg:
-        cfg["ks"] = KSParams(**cfg["ks"])
-    problem = OptimizationProblem(**cfg)
+    problem = _build(OptimizationProblem, cfg)
     problem.validate()
     return problem, material
 

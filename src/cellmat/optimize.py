@@ -35,6 +35,14 @@ from .sensitivity import chain_to_design, grad_ebar, stability_grad, \
 from .stress import yield_strength
 
 
+def _require(params, rules):
+    """Raise a ConfigError naming the first field whose bound fails."""
+    for name, holds, bound in rules:
+        if not holds:
+            raise ConfigError(f"{name} must be {bound}, "
+                              f"got {getattr(params, name)}")
+
+
 @dataclass(frozen=True)
 class KSParams:
     zeta: float = 100.0
@@ -44,10 +52,11 @@ class KSParams:
     m_bands: int = 6
 
     def validate(self):
-        if self.zeta <= 0.0:
-            raise ConfigError(f"zeta must be positive, got {self.zeta}")
-        if self.kappa1 not in (0, 1) or self.kappa2 not in (0, 1):
-            raise ConfigError("kappa flags must be 0 or 1")
+        _require(self, [("zeta", self.zeta > 0.0, "positive"),
+                        ("kappa1", self.kappa1 in (0, 1), "0 or 1"),
+                        ("kappa2", self.kappa2 in (0, 1), "0 or 1"),
+                        ("n_seg", self.n_seg >= 2, ">= 2"),
+                        ("m_bands", self.m_bands >= 1, ">= 1")])
 
 
 @dataclass(frozen=True)
@@ -69,17 +78,24 @@ class OptimizationProblem:
     checkpoint_every: int = 25
 
     def validate(self):
+        """Check every bound; the mesh size is build_mesh's to check."""
         self.ks.validate()
-        if not 0.0 <= self.gamma1 <= 1.0:
-            raise ConfigError(f"gamma1 must be in [0,1], got {self.gamma1}")
-        if not 0.0 < self.f_star < 1.0:
-            raise ConfigError(f"f_star must be in (0,1), got {self.f_star}")
-        if self.sigma_star < 0.0 or self.e_star < 0.0:
-            raise ConfigError("sigma_star and e_star must be >= 0")
+        _require(self, [
+            ("gamma1", 0.0 <= self.gamma1 <= 1.0, "in [0,1]"),
+            ("f_star", 0.0 < self.f_star < 1.0, "in (0,1)"),
+            ("sigma_star", self.sigma_star >= 0.0, ">= 0"),
+            ("e_star", self.e_star >= 0.0, ">= 0"),
+            ("sigma1_rel", 0.0 < self.sigma1_rel < 1.0, "in (0,1)"),
+            ("radius", self.radius >= 0.0, ">= 0"),
+            ("delta_eta", 0.0 < self.delta_eta < 0.5, "in (0,0.5)"),
+            ("beta_max", self.beta_max >= 1.0, ">= 1"),
+            ("beta_every", self.beta_every >= 1, ">= 1"),
+            ("max_iter", self.max_iter >= 1, ">= 1"),
+            ("move", 0.0 < self.move <= 1.0, "in (0,1]"),
+            ("tol_change", self.tol_change > 0.0, "positive"),
+            ("checkpoint_every", self.checkpoint_every >= 1, ">= 1")])
         if self.gamma1 > 0.0 and not (self.ks.kappa1 or self.ks.kappa2):
             raise ConfigError("strength objective needs kappa1 or kappa2")
-        if not 0.0 < self.delta_eta < 0.5:
-            raise ConfigError(f"delta_eta must be in (0,0.5), got {self.delta_eta}")
 
     def filter_radius(self):
         if self.radius > 0.0:

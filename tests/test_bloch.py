@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from conftest import cross_density
 from cellmat import bloch
@@ -279,7 +279,8 @@ class TestStabilityCertificate:
 
 
 class TestNonConvergence:
-    """ARPACK gives up at once, after converging the pairs given."""
+    """ARPACK gives up at once, after converging the pairs given, or fails
+    otherwise, converging none."""
 
     @pytest.fixture
     def arpack_gives_up(self, monkeypatch):
@@ -303,6 +304,26 @@ class TestNonConvergence:
                                                      arpack_gives_up):
         k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
         arpack_gives_up(np.empty(0), np.empty((k0k.shape[0], 0)))
+        with pytest.raises(AnalysisError, match="not certified stable"):
+            solve_band(k0k, ksk, 3)
+
+    @pytest.fixture
+    def arpack_fails(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArpackError(3, {3: "No shifts could be applied"})
+        monkeypatch.setattr(bloch, "eigsh", fail)
+
+    def test_other_failure_on_a_certified_sample_returns_zero_bands(
+            self, cross8, arpack_fails):
+        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0), LOADS["tension"])
+        with pytest.warns(RuntimeWarning, match="certified stable"):
+            tau, phi = solve_band(k0k, ksk, 3)
+        assert_array_equal(tau, np.zeros(3))
+        assert_array_equal(phi, np.zeros((k0k.shape[0], 3)))
+
+    def test_other_failure_on_a_destabilized_sample_raises(self, cross8,
+                                                           arpack_fails):
+        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
         with pytest.raises(AnalysisError, match="not certified stable"):
             solve_band(k0k, ksk, 3)
 

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +40,9 @@ class TestConfig:
             parse_config(base_cfg(material="PC", sigma1_rel=0.01))
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="(?i)additional properties"):
+        with pytest.raises(ConfigError, match="volume: unknown key"):
             parse_config(base_cfg(volume=0.5))
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="sharpness: unknown key"):
             parse_config(base_cfg(ks={"sharpness": 10}))
 
     def test_bad_types_rejected(self):
@@ -47,6 +52,24 @@ class TestConfig:
             parse_config(base_cfg(gamma1=2.0))
         with pytest.raises(ConfigError):
             parse_config({"n": 8})
+
+    @pytest.mark.parametrize("cfg, field", [
+        (base_cfg(n=True), "n"),
+        (base_cfg(gamma1=True), "gamma1"),
+        (base_cfg(material=5), "material"),
+        (base_cfg(ks=5), "ks"),
+        (base_cfg(ks={"n_seg": 2.0}), "ks/n_seg"),
+        ({"n": 8, "gamma1": 0.0}, "f_star"),
+    ], ids=["n-bool", "gamma1-bool", "material-int", "ks-int",
+            "n_seg-float", "f_star-missing"])
+    def test_field_type_and_presence(self, cfg, field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            parse_config(cfg)
+
+    def test_values_pass_through_unconverted(self):
+        problem, _ = parse_config(base_cfg(gamma1=1, ks={"zeta": 60}))
+        assert type(problem.gamma1) is int
+        assert type(problem.ks.zeta) is int
 
     def test_ks_block(self):
         problem, _ = parse_config(base_cfg(
@@ -133,6 +156,16 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError"
         assert target in err["message"]
+
+    def test_float_mesh_size_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(base_cfg(n=8.0)))
+        rc = main(["optimize", "--config", str(cfg),
+                   "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        assert err["message"].startswith("n: ")
 
     def test_optimize_out_is_an_existing_file(self, tmp_path, capsys,
                                               monkeypatch):
@@ -304,3 +337,28 @@ def test_evaluate_design_rejects_bad_density(value):
     rho[5] = value
     with pytest.raises(ConfigError, match="element 5"):
         evaluate_design(rho, 4, 0.01)
+
+
+def test_config_needs_no_jsonschema():
+    # a None entry in sys.modules makes any import of jsonschema fail
+    code = textwrap.dedent("""
+        import sys
+        sys.modules["jsonschema"] = None
+        import cellmat.cli
+        from cellmat.config import parse_config
+        from cellmat.errors import ConfigError
+        parse_config({"n": 64, "f_star": 0.2, "gamma1": 1.0, "material": "PC",
+                      "ks": {"kappa1": 1, "kappa2": 1, "n_seg": 2,
+                             "m_bands": 6}})
+        try:
+            parse_config({"n": 8})
+        except ConfigError:
+            pass
+        else:
+            sys.exit("parse_config accepted a config without f_star")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -13,8 +13,8 @@ from cellmat.errors import AnalysisError, ConfigError
 from cellmat.gridio import read_grid
 from cellmat.mesh import build_mesh
 from cellmat.mma import MMA
-from cellmat.optimize import (KSParams, OptimizationProblem, evaluate_problem,
-                              optimize, seed_lattice)
+from cellmat.optimize import (KSParams, OptimizationProblem, build_run,
+                              evaluate_problem, optimize, seed_lattice)
 
 
 def small_problem(**kw):
@@ -33,18 +33,45 @@ def test_seed_lattice_volume():
     np.testing.assert_array_equal(img, img[::-1, :])
 
 
-def test_validation():
-    with pytest.raises(ConfigError):
-        small_problem(gamma1=1.5).validate()
-    with pytest.raises(ConfigError):
-        small_problem(f_star=0.0).validate()
-    with pytest.raises(ConfigError):
-        small_problem(gamma1=1.0, ks=KSParams(kappa1=0, kappa2=0)).validate()
-    with pytest.raises(ConfigError):
-        small_problem(ks=KSParams(zeta=-3.0)).validate()
-    with pytest.raises(ConfigError):
-        small_problem(sigma_star=-1.0).validate()
-    small_problem().validate()
+# one value outside each bound of validate(), and the field it names
+BAD_FIELDS = [
+    (dict(gamma1=1.5), "gamma1"),
+    (dict(f_star=0.0), "f_star"),
+    (dict(sigma_star=-1.0), "sigma_star"),
+    (dict(e_star=-1.0), "e_star"),
+    (dict(sigma1_rel=2), "sigma1_rel"),
+    (dict(radius=-1), "radius"),
+    (dict(delta_eta=0.5), "delta_eta"),
+    (dict(beta_max=0.5), "beta_max"),
+    (dict(beta_every=0), "beta_every"),
+    (dict(max_iter=0), "max_iter"),
+    (dict(move=5), "move"),
+    (dict(tol_change=-1), "tol_change"),
+    (dict(checkpoint_every=0), "checkpoint_every"),
+    (dict(ks=KSParams(zeta=-3.0)), "zeta"),
+    (dict(ks=KSParams(kappa1=2)), "kappa1"),
+    (dict(ks=KSParams(kappa2=-1)), "kappa2"),
+    (dict(ks=KSParams(n_seg=1)), "n_seg"),
+    (dict(ks=KSParams(m_bands=0)), "m_bands"),
+    (dict(gamma1=1.0, ks=KSParams(kappa1=0, kappa2=0)), "kappa1 or kappa2"),
+]
+
+
+@pytest.mark.parametrize("kw, field", BAD_FIELDS,
+                         ids=[field for _, field in BAD_FIELDS])
+def test_validation(kw, field):
+    with pytest.raises(ConfigError, match=field):
+        small_problem(**kw).validate()
+
+
+def test_build_run_rejects_the_problem_before_the_analysis(tmp_path,
+                                                           monkeypatch):
+    def analysis(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+    monkeypatch.setattr(optimize_module, "evaluate_problem", analysis)
+    with pytest.raises(ConfigError, match="sigma1_rel"):
+        build_run(small_problem(sigma1_rel=2), str(tmp_path / "run"), None,
+                  None, None)
 
 
 def test_filter_radius_default():
