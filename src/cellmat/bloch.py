@@ -16,10 +16,10 @@ sampled with two small k offsets as well, which pick up the long-wavelength
 (macroscopic) branches that the strictly periodic problem cannot see.
 
 band_pencil builds the pencil at one k, pinned exactly when k = 0, and
-solve_band solves it; every sample of every sweep, at every mesh size,
-takes this one path.  Where every component of k is 0 or +-pi the phases
-are exactly +-1, so T(k), the folded pencil and its modes are real and
-the band solve runs in real symmetric arithmetic; elsewhere they are
+solve_band solves it; every solved sample of every sweep, at every mesh
+size, takes this one path.  Where every component of k is 0 or +-pi the
+phases are exactly +-1, so T(k), the folded pencil and its modes are real
+and the band solve runs in real symmetric arithmetic; elsewhere they are
 complex.  solve_band factors K0(k) itself and hands the factor to ARPACK.
 It orders the factor by minimum degree, except at the near-zero offsets:
 their tau is set by roundoff, so they keep COLAMD, the ordering ARPACK
@@ -27,16 +27,30 @@ would choose itself.
 
 Only the largest tau matters for sigma_c.  When K0(k) is positive
 definite, the number of bands above tau0 equals the number of negative
-eigenvalues of tau0 K0(k) + K_sigma(k) (Sylvester's law of inertia, the
-Sturm-sequence check of finite-element eigen-analysis), so one factor of
-that matrix with positive diagonal pivots proves that no band at k
-exceeds tau0.  The same certificate settles a sample ARPACK cannot
-converge (tau0 = TAU_TINY) and, in the evaluate_design report sweep
-(buckling_strength with critical_only), skips the eigen-solve of every
-sample that cannot beat the largest tau found so far.  The sweeps that
-print or differentiate every band (cellmat sweep and band, the
-optimizer's KS aggregate and its gradient, the gradient check) solve
-every sample in full.
+eigenvalues of A(k) = tau0 K0(k) + K_sigma(k) (Sylvester's law of
+inertia, the Sturm-sequence check of finite-element eigen-analysis), so
+proving A(k) positive definite proves that no band at k exceeds tau0.
+A sample ARPACK cannot converge is settled that way at tau0 = TAU_TINY,
+by one factor of A(k) with positive diagonal pivots.
+
+The evaluate_design report sweep (buckling_strength with critical_only)
+uses the same fact to skip the eigen-solve of every sample that cannot
+beat the largest tau found so far, but proves it on the Bloch cut.  Only
+the dofs on the cell boundary B carry Bloch phases; the interior dofs I
+map to themselves at every k.  So the interior block A_II of the
+full-node-set A = tau0 K0 + K_sigma is real and the same at every k, and
+by Haynsworth's inertia additivity
+
+    In(A(k)) = In(A_II) + In(S(k)),   S(k) = T_B(k)^H H T_B(k),
+    H = A_BB - A_BI A_II^-1 A_IB,
+
+where T_B(k) is T(k) restricted to the boundary rows and columns (for
+structures this is the Wittrick-Williams count).  One real factor of A_II
+and one dense H of the 8n boundary dofs per floor tau0 then settle every
+sample with a dense Cholesky factor of the (4n - 2)-square S(k), without
+building its pencil.  The sweeps that print or differentiate every band
+(cellmat sweep and band, the optimizer's KS aggregate and its gradient,
+the gradient check) solve every sample in full.
 """
 
 import warnings
@@ -57,9 +71,12 @@ K_ZERO_OFFSET = 1e-4
 TAU_TINY = 1e-6
 # a screened sample must lie below the running tau_max by this relative
 # margin.  It sits far above the error of a solved tau (ARPACK tolerance
-# 1e-9) and of the certificate's factor, so a sample the full sweep would
+# 1e-9) and of the screen's factors, so a sample the full sweep would
 # have made critical is never screened.
 SCREEN_MARGIN = 1e-6
+# boundary columns of A_II^-1 A_IB formed at a time: whole, they would be
+# a dense (interior dofs) x 8n array, 32 MB at n = 64
+CUT_BLOCK = 64
 
 
 def stress_stiffness(mesh, elem, stress_weights):
@@ -124,37 +141,110 @@ def _symmetric_lu(a):
                 options={"SymmetricMode": True})
 
 
+def _definite_lu(a):
+    """_symmetric_lu of a Hermitian a when it proves a positive definite,
+    else None.
+
+    The proof is a factor with diagonal pivots: perm_r == perm_c and every
+    Re diag(U) positive; an exactly zero pivot counts as not definite.
+    Diagonal pivoting is stable in exactly the case it certifies.  SuperLU
+    hands out U's diagonal only through full copies of L and U, so this
+    briefly holds about twice the memory of the factor alone.
+    """
+    try:
+        lu = _symmetric_lu(a.tocsc())
+    except RuntimeError:
+        return None
+    if (np.array_equal(lu.perm_r, lu.perm_c)
+            and np.all(lu.U.diagonal().real > 0.0)):
+        return lu
+    return None
+
+
 def _certified_below(a, b, tau0):
     """True when no eigenvalue of a phi = tau b phi exceeds tau0.
 
     b is Hermitian positive definite, so by Sylvester's law of inertia
-    that holds exactly when tau0 * b - a is positive definite, which a
-    factor with diagonal pivots proves: perm_r == perm_c and every
-    Re diag(U) positive.  Diagonal pivoting is stable in exactly the case
-    it certifies.  SuperLU hands out U's diagonal only through full copies
-    of L and U, so this briefly holds about twice the memory of the factor
-    alone.
+    that holds exactly when tau0 * b - a is positive definite.
     """
-    try:
-        lu = _symmetric_lu((tau0 * b - a).tocsc())
-    except RuntimeError:        # an exactly zero pivot: not definite
-        return False
-    return (np.array_equal(lu.perm_r, lu.perm_c)
-            and bool(np.all(lu.U.diagonal().real > 0.0)))
+    return _definite_lu(tau0 * b - a) is not None
 
 
-def solve_band(k0k, ksk, m, near_zero=False, floor=None):
+class _CutScreen:
+    """No band at k above a floor, proven on the Bloch cut (module doc).
+
+    The cut B is every dof of a node on the cell boundary of the full node
+    set (8n dofs), the interior I every other one.  T(k) maps I to its
+    reduced dofs with phase 1 and B to its masters, cut_red: the reduced
+    dofs of the nodes on the left and bottom edges (4n - 2 dofs).  H is
+    formed for one floor at a time, when a sample is first screened
+    against it, and only when A_II is proven positive definite: otherwise
+    no A(k) is positive definite and nothing is screened at that floor.
+    """
+
+    def __init__(self, mesh, k0_full, ks_full):
+        n = mesh.n
+        node = np.arange(mesh.nn_full)
+        on_cut = np.repeat((node % (n + 1) % n == 0)
+                           | (node // (n + 1) % n == 0), 2)
+        red = np.arange(mesh.nn)
+        self.mesh = mesh
+        self.k0_full, self.ks_full = k0_full, ks_full
+        self.cut, self.inner = np.flatnonzero(on_cut), np.flatnonzero(~on_cut)
+        self.cut_red = np.flatnonzero(np.repeat((red % n == 0)
+                                                | (red // n == 0), 2))
+        self.floor, self.h = None, None
+
+    def condense(self, floor):
+        """H of A = floor K0 + K_sigma, or None if A_II is not proven
+        positive definite."""
+        a = (floor * self.k0_full + self.ks_full).tocsr()
+        a_i, a_b = a[self.inner], a[self.cut]
+        lu = _definite_lu(a_i[:, self.inner])
+        if lu is None:
+            return None
+        a_ib, a_bi = a_i[:, self.cut].tocsc(), a_b[:, self.inner]
+        h = a_b[:, self.cut].toarray()
+        for j in range(0, self.cut.size, CUT_BLOCK):
+            cols = slice(j, j + CUT_BLOCK)
+            h[:, cols] -= a_bi @ lu.solve(a_ib[:, cols].toarray())
+        return 0.5 * (h + h.T)
+
+    def schur(self, k, h):
+        """S(k) = T_B(k)^H H T_B(k), Hermitized against roundoff."""
+        tb = bloch_transform(self.mesh, k).tocsr()[self.cut][:, self.cut_red]
+        s = tb.conj().T @ (tb.T @ h).T      # H is symmetric
+        return 0.5 * (s + s.conj().T)
+
+    def below(self, k, floor):
+        """True when S(k) at floor has a Cholesky factor: no band at k
+        exceeds floor."""
+        if floor != self.floor:
+            self.floor, self.h = floor, self.condense(floor)
+        if self.h is None:
+            return False
+        try:
+            np.linalg.cholesky(self.schur(k, self.h))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+
+def solve_band(k0k, ksk, m, near_zero=False):
     """Largest m eigenvalues of -K_sigma(k) phi = tau K0(k) phi.
 
     Returns (tau, phi) for the pencil band_pencil builds, with tau sorted
     descending and the columns of phi normalized to phi^H K0 phi = 1.
-    phi is real when the pencil is (the real-phase wavevectors and k = 0);
-    eigsh then runs the symmetric real Lanczos solver, while a complex
-    pencil goes through its non-Hermitian Arnoldi path.  Every pencil, of
-    any size, goes to ARPACK shifted by +1 * K0, which moves the (often
-    hugely degenerate) zero eigenvalues of the geometric operator away
-    from the origin where the relative convergence test cannot terminate;
-    the shift is subtracted again and changes nothing else.
+    Every call solves: the critical_only sweep screens its samples on the
+    Bloch cut before their pencils are built (buckling_strength), so a
+    screened sample never reaches this function.  phi is real when the
+    pencil is (the real-phase wavevectors and k = 0); eigsh then runs the
+    symmetric real Lanczos solver, while a complex pencil goes through its
+    non-Hermitian Arnoldi path.  Every pencil, of any size, goes to ARPACK
+    shifted by +1 * K0, which moves the (often hugely degenerate) zero
+    eigenvalues of the geometric operator away from the origin where the
+    relative convergence test cannot terminate; the shift is subtracted
+    again and changes nothing else.
 
     K0(k) is factored here, once, and the factor is passed to eigsh as
     Minv.  The factor uses the symmetric minimum-degree ordering
@@ -183,21 +273,12 @@ def solve_band(k0k, ksk, m, near_zero=False, floor=None):
     zero (weightless) modes.  Otherwise the bands that did converge stand,
     with a warning, and a sample with none (an ARPACK failure other than
     non-convergence keeps none) is a solver failure.
-
-    With a floor, the pencil is screened first by the same kind of factor:
-    if K_sigma(k) + floor K0(k) is positive definite, no band exceeds the
-    floor and the call returns zero bands (empty tau, phi without
-    columns), with no warning and without factoring K0(k) or running the
-    eigensolver.  Only the critical_only sweep of buckling_strength
-    passes a floor.
     """
     ndof = k0k.shape[0]
     m_eff = int(min(m, ndof - 2))
     if m_eff < 1:
         raise ConfigError(f"cannot extract {m} bands from {ndof} dofs")
     a = -ksk
-    if floor is not None and _certified_below(a, k0k, floor):
-        return np.empty(0), np.empty((ndof, 0), dtype=k0k.dtype)
     shift = 1.0
     a_sh = (a + shift * k0k).tocsc()
     b = k0k.tocsc()
@@ -284,19 +365,20 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     (pts, arclength).
 
     critical_only is for callers that need only tau_max, sigma_c and the
-    critical sample, not every band.  Samples are solved in path order,
-    and each one after the first destabilized sample is screened against
-    the largest tau so far, less a relative SCREEN_MARGIN (see
-    solve_band's floor): a sample certified below it cannot be critical
-    and keeps an empty tau.  The zone-center samples are never screened:
-    at the near-zero offsets the computed tau can differ from the pencil's
-    exact top eigenvalue by far more than SCREEN_MARGIN (up to ~1e-3
-    relative, see solve_band), and the pinned k = 0 pencil carries the
-    zero cluster, so a certificate there would not prove that the value
-    the full sweep computes loses.  Nothing is screened until some tau
-    exceeds TAU_TINY, so a stable design is swept in full.  The reported
-    tau_max, sigma_c and critical sample and band are those of the full
-    sweep.
+    critical sample, not every band.  Samples are taken in path order, and
+    each one after the first destabilized sample is screened on the Bloch
+    cut (module doc) against the largest tau so far, less a relative
+    SCREEN_MARGIN: a sample proven to have no band above that floor cannot
+    be critical, keeps an empty tau and no modes, and its pencil is never
+    built.  H is formed again only when a solved sample raises the floor.
+    The zone-center samples are never screened: at the near-zero offsets
+    the computed tau can differ from the pencil's exact top eigenvalue by
+    far more than SCREEN_MARGIN (up to ~1e-3 relative, see solve_band),
+    and the pinned k = 0 pencil carries the zero cluster, so a proof there
+    would not show that the value the full sweep computes loses.  Nothing
+    is screened until some tau exceeds TAU_TINY, so a stable design is
+    swept in full.  The reported tau_max, sigma_c and critical sample and
+    band are those of the full sweep.
     """
     k0_full = assemble_k0(mesh, elem, moduli_k, reduced=False)
     ks_full = stress_stiffness(mesh, elem, stress_weights)
@@ -311,19 +393,22 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
         else:
             jobs.append((np.asarray(kvec, dtype=float), a))
 
+    screen = _CutScreen(mesh, k0_full, ks_full) if critical_only else None
     samples = []
     tau_max = -np.inf
     crit = (0, 0)
     for i, (kvec, a) in enumerate(jobs):
-        t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec)
         pinned = not np.any(kvec)
         near_zero = (not pinned
                      and np.linalg.norm(kvec) < 10.0 * K_ZERO_OFFSET)
-        floor = None
-        if (critical_only and not (pinned or near_zero)
-                and tau_max > TAU_TINY):
-            floor = tau_max * (1.0 - SCREEN_MARGIN)
-        tau, phi = solve_band(k0k, ksk, m, near_zero=near_zero, floor=floor)
+        if (screen is not None and not (pinned or near_zero)
+                and tau_max > TAU_TINY
+                and screen.below(kvec, tau_max * (1.0 - SCREEN_MARGIN))):
+            samples.append(BandSample(k=kvec, arclength=a, pinned=False,
+                                      tau=np.empty(0)))
+            continue
+        t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec)
+        tau, phi = solve_band(k0k, ksk, m, near_zero=near_zero)
         samples.append(BandSample(
             k=kvec, arclength=a, pinned=pinned, tau=tau,
             modes=phi if store_modes else None,

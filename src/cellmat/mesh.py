@@ -48,11 +48,14 @@ def _dofs_from_nodes(node_ids):
 def build_mesh(n):
     """Square n-by-n mesh of the unit cell.
 
-    n must be even and at least 4 so that the quarter-symmetry maps and the
-    periodic identification are well posed on element-centered fields.
+    n must be an even integer of at least 4 so that the quarter-symmetry
+    maps and the periodic identification are well posed on
+    element-centered fields; a float or a bool is no mesh size.
     """
-    if n < 4 or n % 2 != 0:
-        raise ConfigError(f"invalid mesh: n must be even and >= 4, got n={n}")
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or n < 4 or n % 2 != 0):
+        raise ConfigError("invalid mesh: n must be an even integer >= 4, "
+                          f"got n={n!r}")
     h = 1.0 / n
     ex, ey = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
     ex = ex.ravel()

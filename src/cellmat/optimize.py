@@ -35,6 +35,11 @@ from .sensitivity import chain_to_design, grad_ebar, stability_grad, \
 from .stress import yield_strength
 
 
+def _integer(value):
+    """An int or numpy integer, but no bool: True would pass as 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require(params, rules):
     """Raise a ConfigError naming the first field whose bound fails."""
     for name, holds, bound in rules:
@@ -53,10 +58,14 @@ class KSParams:
 
     def validate(self):
         _require(self, [("zeta", self.zeta > 0.0, "positive"),
-                        ("kappa1", self.kappa1 in (0, 1), "0 or 1"),
-                        ("kappa2", self.kappa2 in (0, 1), "0 or 1"),
-                        ("n_seg", self.n_seg >= 2, ">= 2"),
-                        ("m_bands", self.m_bands >= 1, ">= 1")])
+                        ("kappa1", _integer(self.kappa1)
+                         and self.kappa1 in (0, 1), "0 or 1"),
+                        ("kappa2", _integer(self.kappa2)
+                         and self.kappa2 in (0, 1), "0 or 1"),
+                        ("n_seg", _integer(self.n_seg) and self.n_seg >= 2,
+                         "an integer >= 2"),
+                        ("m_bands", _integer(self.m_bands)
+                         and self.m_bands >= 1, "an integer >= 1")])
 
 
 @dataclass(frozen=True)
@@ -89,11 +98,14 @@ class OptimizationProblem:
             ("radius", self.radius >= 0.0, ">= 0"),
             ("delta_eta", 0.0 < self.delta_eta < 0.5, "in (0,0.5)"),
             ("beta_max", self.beta_max >= 1.0, ">= 1"),
-            ("beta_every", self.beta_every >= 1, ">= 1"),
-            ("max_iter", self.max_iter >= 1, ">= 1"),
+            ("beta_every", _integer(self.beta_every)
+             and self.beta_every >= 1, "an integer >= 1"),
+            ("max_iter", _integer(self.max_iter) and self.max_iter >= 1,
+             "an integer >= 1"),
             ("move", 0.0 < self.move <= 1.0, "in (0,1]"),
             ("tol_change", self.tol_change > 0.0, "positive"),
-            ("checkpoint_every", self.checkpoint_every >= 1, ">= 1")])
+            ("checkpoint_every", _integer(self.checkpoint_every)
+             and self.checkpoint_every >= 1, "an integer >= 1")])
         if self.gamma1 > 0.0 and not (self.ks.kappa1 or self.ks.kappa2):
             raise ConfigError("strength objective needs kappa1 or kappa2")
 

@@ -16,6 +16,7 @@ from cellmat import bloch
 from cellmat.bloch import (
     TAU_TINY,
     _certified_below,
+    _CutScreen,
     band_pencil,
     bloch_transform,
     buckling_strength,
@@ -68,6 +69,13 @@ def cross8(rng_module):
 @pytest.fixture(scope="module")
 def rng_module():
     return np.random.default_rng(7)
+
+
+def loaded_operators(mesh, elem, rho, sigma0):
+    """Full-node-set (K0, K_sigma) of a cell loaded by sigma0."""
+    e_k, weights, _, _ = loaded_state(mesh, elem, rho, sigma0)
+    return (assemble_k0(mesh, elem, e_k, reduced=False),
+            stress_stiffness(mesh, elem, weights))
 
 
 def pencil(mesh, elem, e_k, weights, k):
@@ -254,11 +262,25 @@ LOADS = {"tension": (1.0, 1.0, 0.0), "compression": (-1.0, 0.0, 0.0),
          "shear": (0.0, 0.0, 1.0)}
 
 
-def rescaled_pencil(cross8, top):
-    """The compressed cross8 pencil at k = (1.1, -2.0), its top tau at top."""
-    k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
+RESCALE_K = np.array([1.1, -2.0])
+
+
+def rescaled_operators(cross8, top):
+    """Full-node-set (K0, K_sigma) of the compressed cross8 cell, K_sigma
+    scaled so that the top tau at RESCALE_K sits at top."""
+    mesh, elem, rho = cross8
+    k0_full, ks_full = loaded_operators(mesh, elem, rho,
+                                        LOADS["compression"])
+    _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, RESCALE_K)
     w = sla.eigh(-ksk.toarray(), k0k.toarray(), eigvals_only=True)[-1]
-    return k0k, ksk * (top / w)
+    return k0_full, ks_full * (top / w)
+
+
+def rescaled_pencil(cross8, top):
+    """The compressed cross8 pencil at RESCALE_K, its top tau at top."""
+    _, k0k, ksk = band_pencil(cross8[0], *rescaled_operators(cross8, top),
+                              RESCALE_K)
+    return k0k, ksk
 
 
 class TestStabilityCertificate:
@@ -383,14 +405,124 @@ class TestScreen:
     @pytest.mark.parametrize("ratio", [1.0 + 1e-4, 1.0 - 1e-3])
     def test_floor_is_sharp(self, cross8, ratio):
         floor = 10.0
-        k0k, ksk = rescaled_pencil(cross8, ratio * floor)
-        tau, phi = solve_band(k0k, ksk, 3, floor=floor)
-        if ratio > 1.0:
-            assert tau.size == 3
-            assert tau[0] == pytest.approx(ratio * floor, rel=1e-9)
-        else:
-            assert tau.size == 0
-            assert phi.shape == (k0k.shape[0], 0)
+        screen = _CutScreen(cross8[0], *rescaled_operators(cross8,
+                                                           ratio * floor))
+        assert screen.below(RESCALE_K, floor) == (ratio < 1.0)
+
+    def test_indefinite_interior_block_keeps_the_full_sweep(self, cross8,
+                                                             monkeypatch):
+        # shear lifts (0.4, 2.7) above the zone center.  With the floor
+        # between that sample's second band and the interior-clamped top
+        # band, A_II and A(k) each have one negative eigenvalue, so S(k)
+        # alone would screen the sample that the full sweep makes critical
+        mesh, elem, rho = cross8
+        k0_full, ks_full = loaded_operators(mesh, elem, rho, LOADS["shear"])
+        kvec = np.array([0.4, 2.7])
+        tau_k = dense_bands(mesh, k0_full, ks_full, kvec)
+        clamped = clamped_bands(mesh, k0_full, ks_full)
+        floor = 0.5 * (tau_k[1] + clamped[0])
+        assert clamped[1] < tau_k[1] < floor < clamped[0] < tau_k[0]
+
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho, LOADS["shear"])
+        pts = np.array([[0.0, 0.0], kvec])
+        full = buckling_strength(mesh, elem, e_k, weights, m=3,
+                                 k_points=(pts, np.arange(2.0)))
+        assert full.critical_sample == 3
+        zone_center = max(s.tau[0] for s in full.samples[:3])
+        monkeypatch.setattr(bloch, "SCREEN_MARGIN",
+                            1.0 - floor / zone_center)
+        out = buckling_strength(mesh, elem, e_k, weights, m=3,
+                                k_points=(pts, np.arange(2.0)),
+                                critical_only=True)
+        assert [s.tau.size for s in out.samples] == [3, 3, 3, 3]
+        for key in ("tau_max", "critical_sample", "critical_band"):
+            assert getattr(out, key) == getattr(full, key), key
+
+
+# ==========================================================================
+# the condensed test on the Bloch cut
+# ==========================================================================
+
+
+def gray_cell(n):
+    """A random gray n x n cell with its mesh and element matrices."""
+    mesh = build_mesh(n)
+    rho = np.random.default_rng(n).uniform(0.3, 1.0, mesh.ne)
+    return mesh, element_matrices(NU, mesh.h), rho
+
+
+def dense_bands(mesh, k0_full, ks_full, k):
+    """Every tau of the sweep's pencil at k, descending, from sla.eigh."""
+    _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, np.asarray(k, float))
+    return sla.eigh(-ksk.toarray(), k0k.toarray(), eigvals_only=True)[::-1]
+
+
+def clamped_bands(mesh, k0_full, ks_full):
+    """Every tau with the cell boundary clamped, descending."""
+    inner = _CutScreen(mesh, k0_full, ks_full).inner
+    ii = np.ix_(inner, inner)
+    return sla.eigh(-ks_full.toarray()[ii], k0_full.toarray()[ii],
+                    eigvals_only=True)[::-1]
+
+
+CUT_KS = [(np.pi, 0.0), (np.pi, np.pi), (1.1, -2.0), (0.4, 2.7)]
+
+
+class TestCutScreen:
+    """below(k, floor) against dense spectra of the full pencil."""
+
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_decision_matches_dense_spectrum(self, n, load):
+        mesh, elem, rho = gray_cell(n)
+        k0_full, ks_full = loaded_operators(mesh, elem, rho, LOADS[load])
+        screen = _CutScreen(mesh, k0_full, ks_full)
+        for k in CUT_KS:
+            tau = dense_bands(mesh, k0_full, ks_full, k)
+            # just above and just below the top band, and between the
+            # second and third, where A(k) has two negative eigenvalues
+            for floor in (tau[0] + 1e-5 * abs(tau[0]),
+                          tau[0] - 1e-5 * abs(tau[0]),
+                          0.5 * (tau[1] + tau[2])):
+                proven = screen.below(np.array(k), floor)
+                assert proven == (floor > tau[0]), (k, floor, tau[:3])
+
+    @pytest.mark.parametrize("k", CUT_KS, ids=["X", "M", "c1", "c2"])
+    def test_cut_matrix_is_the_hermitian_schur_complement(self, k):
+        mesh, elem, rho = gray_cell(12)
+        k0_full, ks_full = loaded_operators(mesh, elem, rho, LOADS["shear"])
+        screen = _CutScreen(mesh, k0_full, ks_full)
+        floor = 20.0
+        s = screen.schur(np.array(k), screen.condense(floor))
+        assert_array_equal(s, s.conj().T)
+        # the same Schur complement of the folded A(k) on the reduced dofs
+        _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, np.array(k))
+        a = (floor * k0k + ksk).toarray()
+        b = screen.cut_red
+        i = np.setdiff1d(np.arange(mesh.ndof), b)
+        ref = a[np.ix_(b, b)] - a[np.ix_(b, i)] @ np.linalg.solve(
+            a[np.ix_(i, i)], a[np.ix_(i, b)])
+        assert_allclose(s, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+
+    def test_indefinite_interior_block_declines(self, cross8):
+        # at (0.4, 2.7) under shear only the top band of A(k) lies above
+        # this floor, as does only the top interior-clamped band: S(k) is
+        # positive definite, A(k) is not, and only the A_II check says so
+        mesh, elem, rho = cross8
+        k0_full, ks_full = loaded_operators(mesh, elem, rho, LOADS["shear"])
+        kvec = np.array([0.4, 2.7])
+        tau_k = dense_bands(mesh, k0_full, ks_full, kvec)
+        clamped = clamped_bands(mesh, k0_full, ks_full)
+        floor = 0.5 * (tau_k[1] + clamped[0])
+        assert clamped[1] < tau_k[1] < floor < clamped[0] < tau_k[0]
+        screen = _CutScreen(mesh, k0_full, ks_full)
+        assert screen.condense(floor) is None
+        assert not screen.below(kvec, floor)
+        # just above the clamped top band A_II is definite again, and S(k)
+        # carries the sample's top band
+        above = clamped[0] * (1.0 + 1e-6)
+        assert screen.condense(above) is not None
+        assert not screen.below(kvec, above)
 
 
 # ==========================================================================

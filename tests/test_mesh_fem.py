@@ -29,7 +29,7 @@ def test_build_mesh_counts():
     assert m.edofs.min() == 0
 
 
-@pytest.mark.parametrize("n", [3, 5, 2, 7, 0, -4])
+@pytest.mark.parametrize("n", [3, 5, 2, 7, 0, -4, 8.0, True])
 def test_build_mesh_rejects_bad_n(n):
     with pytest.raises(ConfigError):
         build_mesh(n)

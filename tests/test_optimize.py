@@ -55,13 +55,31 @@ BAD_FIELDS = [
     (dict(ks=KSParams(m_bands=0)), "m_bands"),
     (dict(gamma1=1.0, ks=KSParams(kappa1=0, kappa2=0)), "kappa1 or kappa2"),
 ]
+# a bool in each int field: True would pass every bound as 1
+BOOL_FIELDS = [
+    (dict(beta_every=True), "beta_every"),
+    (dict(max_iter=True), "max_iter"),
+    (dict(checkpoint_every=True), "checkpoint_every"),
+    (dict(ks=KSParams(kappa1=True)), "kappa1"),
+    (dict(ks=KSParams(kappa2=False)), "kappa2"),
+    (dict(ks=KSParams(n_seg=True)), "n_seg"),
+    (dict(ks=KSParams(m_bands=True)), "m_bands"),
+]
 
 
-@pytest.mark.parametrize("kw, field", BAD_FIELDS,
-                         ids=[field for _, field in BAD_FIELDS])
+@pytest.mark.parametrize(
+    "kw, field", BAD_FIELDS + BOOL_FIELDS,
+    ids=[field for _, field in BAD_FIELDS]
+    + [f"bool-{field}" for _, field in BOOL_FIELDS])
 def test_validation(kw, field):
     with pytest.raises(ConfigError, match=field):
         small_problem(**kw).validate()
+
+
+@pytest.mark.parametrize("n", [8.0, True])
+def test_mesh_size_must_be_an_integer(n):
+    with pytest.raises(ConfigError, match=r"\bn must be"):
+        optimize(small_problem(n=n, max_iter=1))
 
 
 def test_build_run_rejects_the_problem_before_the_analysis(tmp_path,
