@@ -25,6 +25,26 @@ It orders the factor by minimum degree, except at the near-zero offsets:
 their tau is set by roundoff, so they keep COLAMD, the ordering ARPACK
 would choose itself.
 
+Every other sample of the quarter-zone path lies on a mirror line of the
+zone, where one component of k is 0 or +-pi, and on a mirror line of a
+mirror-symmetric cell the complex pencil is a real one in disguise.  Let
+M be the mirror about axis x of the full node set (column c -> n - c,
+u_x negated; axis y likewise with rows), with M K M = K for both
+operators, and let ky be 0 or +-pi.  Then M T(k) = conj(T(k)) R_k, where
+R_k is the reduced image of the mirror, so K(k) = R_k^H conj(K(k)) R_k:
+the antiunitary conj o R_k commutes with the pencil and squares to 1.
+The columns of the unitary U(k) = mirror_basis(mesh, k, axis) are fixed
+by it, which makes U^H K(k) U real.  band_pencil folds the pencil with
+U(k) after T(k) and keeps the real symmetric part, so such a sample is
+solved in real arithmetic, with real modes that T(k) U(k) takes back to
+the full node set.  buckling_strength takes this basis on a mirror line
+only when both full-node operators are mirror_symmetric about its axis
+within MIRROR_TOL, tested once per sweep on the first such sample, and
+never at the near-zero offsets, which keep their complex factor as they
+are; an asymmetric cell keeps the complex pencils everywhere.  Symmetric
+designs under the uniaxial load, the optimizer's and the committed ones,
+are mirror-symmetric about both axes.
+
 Only the largest tau matters for sigma_c.  When K0(k) is positive
 definite, the number of bands above tau0 equals the number of negative
 eigenvalues of A(k) = tau0 K0(k) + K_sigma(k) (Sylvester's law of
@@ -58,7 +78,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, norm, \
+    splu
 
 from .errors import AnalysisError, ConfigError
 from .fem import assemble, assemble_k0, pin
@@ -77,6 +98,15 @@ SCREEN_MARGIN = 1e-6
 # boundary columns of A_II^-1 A_IB formed at a time: whole, they would be
 # a dense (interior dofs) x 8n array, 32 MB at n = 64
 CUT_BLOCK = 64
+# relative Frobenius bound on |M A M - A|, M a mirror of the full node
+# set, under which K0 or K_sigma counts as mirror-symmetric (module doc).
+# The real basis drops the imaginary part that such an asymmetry leaves in
+# U^H K(k) U, a perturbation of the pencil of that relative size: three
+# orders below the ARPACK tolerance of 1e-9.  A mirror-symmetric design
+# under the uniaxial load misses exact symmetry only by the roundoff of
+# its stress field, 1e-14 to 2.4e-14 for K_sigma and below 1e-15 for K0
+# on the committed designs.
+MIRROR_TOL = 1e-12
 
 
 def stress_stiffness(mesh, elem, stress_weights):
@@ -105,7 +135,7 @@ def bloch_transform(mesh, k):
     wrap_x = (idx % (n + 1) == n).astype(float)
     wrap_y = (idx // (n + 1) == n).astype(float)
     phase = np.exp(1j * (k[0] * wrap_x + k[1] * wrap_y))
-    if np.all((k == 0.0) | (np.abs(np.abs(k) - np.pi) < 1e-12)):
+    if np.all(_real_phase(k)):
         # exp(i pi) carries a roundoff imaginary part; drop it so the
         # folded pencil stays real and eigsh runs the symmetric solver
         phase = np.rint(phase.real)
@@ -118,18 +148,109 @@ def bloch_transform(mesh, k):
                          shape=(mesh.ndof_full, mesh.ndof)).tocsc()
 
 
+def _real_phase(k):
+    """Per component of k: is it 0 or +-pi, where the phase is +-1?"""
+    return (k == 0.0) | (np.abs(np.abs(k) - np.pi) < 1e-12)
+
+
+def mirror_axis(k):
+    """The axis whose mirror makes the pencil at k real (module doc): 0 when
+    only ky is 0 or +-pi, 1 when only kx is, None otherwise."""
+    real = _real_phase(np.asarray(k, dtype=float))
+    if real[0] == real[1]:
+        return None
+    return 0 if real[1] else 1
+
+
+def _mirror_map(n, size, axis):
+    """(image, c) for every node of a size x size grid numbered row by row:
+    c is its coordinate along axis and image the node the mirror about
+    axis maps it to, coordinate (n - c) mod size."""
+    node = np.arange(size * size)
+    c = (node % size, node // size)[axis]
+    stride = 1 if axis == 0 else size
+    return node + ((n - c) % size - c) * stride, c
+
+
+def mirror_symmetric(mesh, ops, axis):
+    """True when every full-node operator A in ops has
+    |M A M - A|_F <= MIRROR_TOL |A|_F for the mirror M about axis: node
+    coordinate c -> n - c, the axis component of each displacement
+    negated."""
+    image, _ = _mirror_map(mesh.n, mesh.n + 1, axis)
+    dof = np.arange(mesh.ndof_full)
+    m = sp.csr_matrix((np.where(dof % 2 == axis, -1.0, 1.0),
+                       (dof, 2 * image.repeat(2) + dof % 2)),
+                      shape=(mesh.ndof_full, mesh.ndof_full))
+    return all(norm(m @ a @ m - a) <= MIRROR_TOL * norm(a) for a in ops)
+
+
+def mirror_basis(mesh, k, axis):
+    """Sparse unitary U(k) whose columns are fixed by conj o R_k.
+
+    R_k is the reduced image of the mirror about axis at a k whose other
+    component is 0 or +-pi: it maps node coordinate c to (n - c) mod n and
+    negates the axis component, and a node at c = 0, its own image, takes
+    the phase exp(i k[axis]).  A pair d < d' with R_k e_d = f e_d' gives
+    the columns (e_d + conj(f) e_d') / sqrt(2) at d and
+    i (e_d - conj(f) e_d') / sqrt(2) at d'; a dof that is its own image
+    gives exp(i arg(conj f) / 2) e_d.  For a mirror-symmetric K_full,
+    U^H K(k) U is then real (module doc).
+    """
+    image, c = _mirror_map(mesh.n, mesh.n, axis)
+    d = np.arange(mesh.ndof)
+    img = 2 * image.repeat(2) + d % 2
+    f = np.where(d % 2 == axis, -1.0, 1.0) * np.where(
+        c.repeat(2) == 0, np.exp(1j * k[axis]), 1.0)
+    fc = f.conj()
+    r = np.sqrt(0.5)
+    lo, own = d < img, d == img
+    dl, il = d[lo], img[lo]
+    rows = np.concatenate([d[own], dl, il, dl, il])
+    cols = np.concatenate([d[own], dl, dl, il, il])
+    vals = np.concatenate([np.exp(0.5j * np.angle(fc[own])),
+                           np.full(dl.size, r), r * fc[lo],
+                           np.full(dl.size, 1j * r), -1j * r * fc[lo]])
+    return sp.csc_matrix((vals, (rows, cols)), shape=(mesh.ndof, mesh.ndof))
+
+
 def fold(k_full, t):
     """T^H K T, Hermitized against roundoff."""
     a = t.conj().T @ (k_full @ t)
     return 0.5 * (a + a.conj().T)
 
 
-def band_pencil(mesh, k0_full, ks_full, k):
-    """(T(k), K0(k), K_sigma(k)) from the full-node-set operators, both
-    pinned (fem.pin) exactly at k = 0, the only k with a singular K0(k)."""
+def _real_fold(a, u):
+    """Re(U^H a U), symmetrized against roundoff, without the entries that
+    vanish exactly (in the real basis the two mirror classes decouple
+    wherever no Bloch phase enters).  The real part is taken before the
+    symmetrization, which keeps the complex temporaries to two; fold's
+    four measurably raised the optimizer's peak memory."""
+    b = (u.conj().T @ (a @ u)).real
+    b = 0.5 * (b + b.T)
+    b.eliminate_zeros()
+    return b
+
+
+def band_pencil(mesh, k0_full, ks_full, k, axis=None):
+    """(transform, K0(k), K_sigma(k)) from the full-node-set operators, both
+    pinned (fem.pin) exactly at k = 0, the only k with a singular K0(k).
+
+    The transform takes the pencil's modes to the full node set.  It is
+    T(k), unless axis names a mirror of the cell (module doc): then each
+    operator is folded with T(k), that with U(k) = mirror_basis(mesh, k,
+    axis), and its real part is kept, a real symmetric pencil with real
+    modes, and the transform is T(k) U(k).  The caller vouches that k lies
+    on that mirror line (mirror_axis) and that both operators are
+    mirror_symmetric about it.
+    """
     t = bloch_transform(mesh, k)
     k0k = fold(k0_full, t)
     ksk = fold(ks_full, t)
+    if axis is not None:
+        u = mirror_basis(mesh, k, axis)
+        k0k, ksk = _real_fold(k0k, u), _real_fold(ksk, u)
+        t = t @ u
     if not np.any(k):
         k0k, ksk = pin(k0k, 1.0), pin(ksk, 0.0)
     return t, k0k, ksk
@@ -238,13 +359,14 @@ def solve_band(k0k, ksk, m, near_zero=False):
     Every call solves: the critical_only sweep screens its samples on the
     Bloch cut before their pencils are built (buckling_strength), so a
     screened sample never reaches this function.  phi is real when the
-    pencil is (the real-phase wavevectors and k = 0); eigsh then runs the
-    symmetric real Lanczos solver, while a complex pencil goes through its
-    non-Hermitian Arnoldi path.  Every pencil, of any size, goes to ARPACK
-    shifted by +1 * K0, which moves the (often hugely degenerate) zero
-    eigenvalues of the geometric operator away from the origin where the
-    relative convergence test cannot terminate; the shift is subtracted
-    again and changes nothing else.
+    pencil is (the real-phase wavevectors, k = 0 and the mirror lines of a
+    mirror-symmetric cell); eigsh then runs the symmetric real Lanczos
+    solver, while a complex pencil goes through its non-Hermitian Arnoldi
+    path.  Every pencil, of any size, goes to ARPACK shifted by +1 * K0,
+    which moves the (often hugely degenerate) zero eigenvalues of the
+    geometric operator away from the origin where the relative convergence
+    test cannot terminate; the shift is subtracted again and changes
+    nothing else.
 
     K0(k) is factored here, once, and the factor is passed to eigsh as
     Minv.  The factor uses the symmetric minimum-degree ordering
@@ -364,6 +486,15 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     over everything sampled.  k_points overrides the path when given as
     (pts, arclength).
 
+    A sample on a mirror line of the zone, one component of k 0 or +-pi
+    and the other not, is solved as a real symmetric pencil when both
+    operators are mirror-symmetric about that line's axis (module doc);
+    each axis is tested once, when its first such sample is about to be
+    solved, so a sweep whose mirror-line samples are all screened tests
+    nothing.  The near-zero offsets keep the complex pencil.  store_modes
+    keeps each sample's modes with the transform that takes them to the
+    full node set: T(k), or T(k) U(k) in the real basis.
+
     critical_only is for callers that need only tau_max, sigma_c and the
     critical sample, not every band.  Samples are taken in path order, and
     each one after the first destabilized sample is screened on the Bloch
@@ -394,6 +525,7 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
             jobs.append((np.asarray(kvec, dtype=float), a))
 
     screen = _CutScreen(mesh, k0_full, ks_full) if critical_only else None
+    mirrored = {}       # axis -> mirror_symmetric, tested on first use
     samples = []
     tau_max = -np.inf
     crit = (0, 0)
@@ -407,7 +539,11 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
             samples.append(BandSample(k=kvec, arclength=a, pinned=False,
                                       tau=np.empty(0)))
             continue
-        t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec)
+        axis = None if near_zero else mirror_axis(kvec)
+        if axis is not None and axis not in mirrored:
+            mirrored[axis] = mirror_symmetric(mesh, (k0_full, ks_full), axis)
+        t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec,
+                                  axis if mirrored.get(axis) else None)
         tau, phi = solve_band(k0k, ksk, m, near_zero=near_zero)
         samples.append(BandSample(
             k=kvec, arclength=a, pinned=pinned, tau=tau,

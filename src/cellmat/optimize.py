@@ -154,17 +154,23 @@ def seed_lattice(n, f_star):
 @dataclass
 class Evaluation:
     objective: float
-    grad: np.ndarray
+    grad: np.ndarray | None    # None for a values-only evaluation
     cons_vals: np.ndarray      # in the order of constraint_names()
-    cons_grads: np.ndarray
+    cons_grads: np.ndarray | None
     ebar: float
     sigma_y: float
     sigma_c: float | None
     f_int: float
 
 
-def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star):
-    """Objective, constraints and design-space gradients at one iterate."""
+def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star,
+                     gradients=True):
+    """Objective, constraints and design-space gradients at one iterate.
+
+    With gradients False only the values are computed: grad and
+    cons_grads stay None and the band sweep stores no modes.  The
+    aggregators are called as with gradients, so their logs are the same.
+    """
     p = problem
     n = mesh.n
     eta_e = 0.5 + p.delta_eta
@@ -175,32 +181,58 @@ def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star):
 
     cell = analyze_cell(mesh, elem, rb)
     ebar, st = cell.homog.ebar, cell.stresses
+    e_k, weights = cell.e_k, cell.stress_weights
+    if not gradients:
+        # only the gradients read the analysis past this point; dropping
+        # it frees its periodic stiffness factor (about 25 MB at n = 64)
+        # before the band sweep makes its factors
+        del cell
     sigma1 = p.sigma1_rel
 
     need_tau = p.gamma1 > 0.0 and p.ks.kappa2 == 1
     need_vm_obj = p.gamma1 > 0.0 and p.ks.kappa1 == 1
 
     band = None
-    tau_all = None
     if need_tau:
-        band = buckling_strength(mesh, elem, cell.e_k, cell.stress_weights,
-                                 n_seg=p.ks.n_seg, m=p.ks.m_bands,
-                                 store_modes=True)
-        tau_all = np.concatenate([s.tau for s in band.samples])
-
-    def chain_e(g):
-        return chain_to_design(g, filt, rho_t, beta, eta_e, n)
+        band = buckling_strength(mesh, elem, e_k, weights, n_seg=p.ks.n_seg,
+                                 m=p.ks.m_bands, store_modes=gradients)
 
     obj = 0.0
-    grad_phys = np.zeros(mesh.ne)
     if p.gamma1 > 0.0:
         vals = []
         if need_vm_obj:
             vals.append(st.vm / sigma1)
         if need_tau:
-            vals.append(tau_all)
+            vals.append(np.concatenate([s.tau for s in band.samples]))
         ks_val, w = aggs["objective"](np.concatenate(vals))
         obj += p.gamma1 * ks_val
+    if p.gamma1 < 1.0:
+        obj += (1.0 - p.gamma1) / ebar
+
+    vals = []
+    for name in p.constraint_names():
+        if name == "yield":
+            ks_y, w_y = aggs["yield"](st.vm / sigma1)
+            vals.append(p.sigma_star * ks_y - 1.0)
+        elif name == "stiffness":
+            vals.append(1.0 - ebar / p.e_star)
+        else:                              # volume
+            f_dil = float(project(rho_t, beta, eta_d).mean())
+            vals.append(f_dil / f_dil_star - 1.0)
+
+    ev = Evaluation(
+        objective=obj, grad=None, cons_vals=np.array(vals), cons_grads=None,
+        ebar=ebar, sigma_y=yield_strength(st.max_vm, sigma1),
+        sigma_c=band.sigma_c if band is not None else None,
+        f_int=float(project(rho_t, beta, 0.5).mean()))
+    if not gradients:
+        return ev
+
+    def chain_e(g):
+        return chain_to_design(g, filt, rho_t, beta, eta_e, n)
+
+    grad_phys = np.zeros(mesh.ne)
+    if p.gamma1 > 0.0:
         if need_vm_obj:
             w_vm, w = w[:mesh.ne], w[mesh.ne:]
             grad_phys += p.gamma1 * stress_grad(mesh, elem, cell,
@@ -214,33 +246,20 @@ def evaluate_problem(mesh, elem, filt, problem, rho, beta, aggs, f_dil_star):
             grad_phys += p.gamma1 * stability_grad(mesh, elem, cell, band,
                                                    wlist)
     if p.gamma1 < 1.0:
-        obj += (1.0 - p.gamma1) / ebar
         grad_phys -= (1.0 - p.gamma1) / ebar ** 2 * grad_ebar(cell)
 
-    vals = []
     grads = []
     for name in p.constraint_names():
         if name == "yield":
-            ks_y, w_y = aggs["yield"](st.vm / sigma1)
-            vals.append(p.sigma_star * ks_y - 1.0)
             grads.append(chain_e(p.sigma_star * stress_grad(
                 mesh, elem, cell, w_y / sigma1)))
         elif name == "stiffness":
-            vals.append(1.0 - ebar / p.e_star)
             grads.append(chain_e(-grad_ebar(cell) / p.e_star))
         else:                              # volume
-            f_dil = float(project(rho_t, beta, eta_d).mean())
-            vals.append(f_dil / f_dil_star - 1.0)
             g_vol = np.full(mesh.ne, 1.0 / (mesh.ne * f_dil_star))
             grads.append(chain_to_design(g_vol, filt, rho_t, beta, eta_d, n))
-
-    f_int = float(project(rho_t, beta, 0.5).mean())
-    sigma_c = band.sigma_c if band is not None else None
-    return Evaluation(
-        objective=obj, grad=chain_e(grad_phys),
-        cons_vals=np.array(vals), cons_grads=np.array(grads),
-        ebar=ebar, sigma_y=yield_strength(st.max_vm, sigma1),
-        sigma_c=sigma_c, f_int=f_int)
+    ev.grad, ev.cons_grads = chain_e(grad_phys), np.array(grads)
+    return ev
 
 
 @dataclass
@@ -365,7 +384,7 @@ def optimize(problem, rho0=None, out_dir=None):
                 status = "converged"
                 break
         final = evaluate_problem(mesh, elem, filt, p, rho, beta, aggs,
-                                 f_dil_star)
+                                 f_dil_star, gradients=False)
     except CellmatError:
         log.checkpoint("abort", rho, p.n)
         log.finish(aggs, rho, p.n)

@@ -105,8 +105,14 @@ def stability_grad(mesh, elem, cell, band, weights):
         if smp.modes is None or smp.transform is None:
             raise ValueError("band sweep was run without store_modes")
         pe = (smp.transform @ smp.modes[:, act])[mesh.edofs_full]
-        e0 = np.einsum("ejm,jk,ekm->em", pe.conj(), elem.k0, pe).real
-        qc = np.einsum("ejm,cjk,ekm->ecm", pe.conj(), elem.g_stress, pe).real
+        pc = pe.conj()
+        # per-element quadratic forms phi_e^H K phi_e, (ne, m) and
+        # (ne, 3, m), as batched products: far faster than 3-operand
+        # einsums, and one stress component at a time keeps the
+        # temporaries at the size of pe
+        e0 = (pc * np.matmul(elem.k0, pe)).sum(axis=1).real
+        qc = np.stack([(pc * np.matmul(g, pe)).sum(axis=1).real
+                       for g in elem.g_stress], axis=1)
         wa = w_s[act]
 
         grad -= cell.de_k * (e0 * (wa * smp.tau[act])).sum(axis=1)

@@ -1,8 +1,17 @@
-import numpy as np
-import pytest
+import os
 
-from cellmat.element import element_matrices
-from cellmat.mesh import build_mesh
+# one BLAS thread unless the caller says otherwise: on a busy host a
+# multi-threaded BLAS makes the suite several times slower.  cellmat
+# copies the setting into the BLAS variables when it is imported, which
+# must happen before numpy loads.
+os.environ.setdefault("CELLMAT_THREADS", "1")
+
+import cellmat  # noqa: E402,F401
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from cellmat.element import element_matrices  # noqa: E402
+from cellmat.mesh import build_mesh  # noqa: E402
 
 
 @pytest.fixture(scope="session")

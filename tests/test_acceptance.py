@@ -17,7 +17,7 @@ import pytest
 from conftest import cross_density
 
 from cellmat.aggregate import KSAggregator
-from cellmat.bloch import band_pencil, buckling_strength, solve_band, \
+from cellmat.bloch import buckling_strength, fold, solve_band, \
     stress_stiffness
 from cellmat.design import PDEFilter, enforce_symmetry, interpolate, project
 from cellmat.element import element_matrices
@@ -268,7 +268,10 @@ def test_criterion_06_bloch_pencil_consistency():
         k0f = assemble_k0(mesh, elem, e_k, reduced=False)
         ksf = stress_stiffness(mesh, elem, weights)
         for s in out.samples:
-            _, k0k, ksk = band_pencil(mesh, k0f, ksf, s.k)
+            # the pencil each sample was solved in, in its own basis
+            k0k, ksk = fold(k0f, s.transform), fold(ksf, s.transform)
+            if s.pinned:
+                k0k, ksk = pin(k0k, 1.0), pin(ksk, 0.0)
             for j in range(s.modes.shape[1]):
                 phi = s.modes[:, j]
                 mag = np.abs(phi)

@@ -22,6 +22,9 @@ from cellmat.bloch import (
     buckling_strength,
     fold,
     ibz_path,
+    mirror_axis,
+    mirror_basis,
+    mirror_symmetric,
     solve_band,
     stress_stiffness,
 )
@@ -31,6 +34,8 @@ from cellmat.errors import AnalysisError, ConfigError
 from cellmat.fem import assemble, assemble_k0, pin
 from cellmat.homogenize import homogenize
 from cellmat.mesh import build_mesh
+from cellmat.pipeline import analyze_cell
+from cellmat.sensitivity import stability_grad
 from cellmat.stress import element_stresses
 
 NU = 1.0 / 3.0
@@ -523,6 +528,136 @@ class TestCutScreen:
         above = clamped[0] * (1.0 + 1e-6)
         assert screen.condense(above) is not None
         assert not screen.below(kvec, above)
+
+
+# ==========================================================================
+# the real basis on the mirror lines
+# ==========================================================================
+
+
+def mirrored_cell(n, axes):
+    """A random gray n x n cell made mirror-symmetric about each of axes
+    (0: x -> 1 - x, 1: y -> 1 - y), with its mesh and element matrices.
+    Both axes, with the transpose, give a D4-symmetric cell."""
+    mesh = build_mesh(n)
+    rho = np.random.default_rng(n + 10).uniform(0.3, 1.0, (n, n))
+    if axes == (0, 1):
+        rho = 0.5 * (rho + rho.T)
+    for axis in axes:       # rows are y, columns x
+        rho = 0.5 * (rho + np.flip(rho, axis=1 - axis))
+    return mesh, element_matrices(NU, mesh.h), rho.ravel()
+
+
+def sweep(cell, pts, sigma0=LOADS["compression"], m=4):
+    """The full band sweep over pts of a cell loaded by sigma0, modes kept."""
+    mesh, elem, rho = cell
+    e_k, weights, _, _ = loaded_state(mesh, elem, rho, sigma0)
+    pts = np.asarray(pts, dtype=float)
+    return buckling_strength(mesh, elem, e_k, weights, m=m, store_modes=True,
+                             k_points=(pts, np.zeros(len(pts))))
+
+
+def complex_sweep(monkeypatch, cell, pts):
+    """sweep with every sample kept in the complex basis."""
+    with monkeypatch.context() as mp:
+        mp.setattr(bloch, "mirror_symmetric", lambda *args: False)
+        return sweep(cell, pts)
+
+
+MIRROR_EDGES = [(np.pi / 2, 0.0), (np.pi, np.pi / 2), (np.pi / 2, np.pi),
+                (0.0, np.pi / 2)]
+
+
+class TestMirrorBasis:
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("k", MIRROR_EDGES, ids=["GX", "XM", "MY", "YG"])
+    def test_mirror_line_pencil_is_real(self, n, k):
+        cell = mirrored_cell(n, (0, 1))
+        mesh, elem, rho = cell
+        k0_full, ks_full = loaded_operators(mesh, elem, rho,
+                                            LOADS["compression"])
+        axis = mirror_axis(k)
+        assert mirror_symmetric(mesh, (k0_full, ks_full), axis)
+        _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, np.array(k), axis)
+        assert k0k.dtype == ksk.dtype == np.float64
+        # U is unitary and takes the complex pencil to a real one
+        _, k0c, ksc = band_pencil(mesh, k0_full, ks_full, np.array(k))
+        u = mirror_basis(mesh, np.array(k), axis).toarray()
+        assert_allclose(u.conj().T @ u, np.eye(mesh.ndof), atol=1e-14)
+        for a in (k0c, ksc):
+            b = u.conj().T @ a.toarray() @ u
+            assert np.abs(b.imag).max() <= 1e-13 * np.abs(b).max()
+        tau_c, _ = solve_band(k0c, ksc, 4)
+        out = sweep(cell, [k])
+        assert out.samples[0].modes.dtype == np.float64
+        assert_allclose(out.samples[0].tau, tau_c, rtol=1e-10)
+
+    def test_one_mirror_realifies_only_its_edges(self, monkeypatch):
+        cell = mirrored_cell(8, (0,))
+        mesh, elem, rho = cell
+        ops = loaded_operators(mesh, elem, rho, LOADS["compression"])
+        assert mirror_symmetric(mesh, ops, 0)
+        assert not mirror_symmetric(mesh, ops, 1)
+        pts, _ = ibz_path(4)
+        ref = complex_sweep(monkeypatch, cell, pts)
+        out = sweep(cell, pts)
+        for s, r in zip(out.samples, ref.samples):
+            kx, ky = np.abs(s.k)
+            on_x_mirror = ky in (0.0, np.pi) and kx > 1e-3
+            real = kx in (0.0, np.pi) and ky in (0.0, np.pi)
+            assert (s.modes.dtype == np.float64) == (real or on_x_mirror), s.k
+            if on_x_mirror and not real:
+                assert_allclose(s.tau, r.tau, rtol=1e-10)
+            else:
+                assert_array_equal(s.tau, r.tau)
+
+    def test_asymmetric_cell_keeps_the_complex_pencils(self):
+        mesh, elem, rho = cell = gray_cell(8)
+        k0_full, ks_full = loaded_operators(mesh, elem, rho,
+                                            LOADS["compression"])
+        assert not mirror_symmetric(mesh, (k0_full, ks_full), 0)
+        assert not mirror_symmetric(mesh, (k0_full, ks_full), 1)
+        out = sweep(cell, MIRROR_EDGES)
+        for s in out.samples:
+            assert s.modes.dtype == np.complex128
+            tau, phi = solve_band(*band_pencil(mesh, k0_full, ks_full, s.k)[1:],
+                                  4)
+            assert_array_equal(s.tau, tau)
+            assert_array_equal(s.modes, phi)
+
+    def test_near_zero_offsets_keep_the_complex_pencils(self):
+        mesh, elem, rho = cell = mirrored_cell(8, (0, 1))
+        k0_full, ks_full = loaded_operators(mesh, elem, rho,
+                                            LOADS["compression"])
+        out = sweep(cell, [(0.0, 0.0)])
+        for s in out.samples[:2]:
+            assert s.modes.dtype == np.complex128
+            tau, phi = solve_band(*band_pencil(mesh, k0_full, ks_full, s.k)[1:],
+                                  4, near_zero=True)
+            assert_array_equal(s.tau, tau)
+            assert_array_equal(s.modes, phi)
+
+    def test_stability_gradient_matches_the_complex_basis(self, monkeypatch):
+        mesh, elem, rho = mirrored_cell(8, (0, 1))
+        cell = analyze_cell(mesh, elem, rho)
+        kpt = (np.array([[np.pi / 2, 0.0]]), np.zeros(1))
+        w_tau = [np.array([0.5, 0.3, 0.2, 0.0])]
+
+        def grad():
+            band = buckling_strength(mesh, elem, cell.e_k,
+                                     cell.stress_weights, m=4, k_points=kpt,
+                                     store_modes=True)
+            return band, stability_grad(mesh, elem, cell, band, w_tau)
+
+        band, g = grad()
+        # the weighted bands are simple, so their gradients are defined
+        assert np.all(-np.diff(band.samples[0].tau) > 1e-6
+                      * band.samples[0].tau[0])
+        assert band.samples[0].modes.dtype == np.float64
+        monkeypatch.setattr(bloch, "mirror_symmetric", lambda *args: False)
+        band_c, g_c = grad()
+        assert band_c.samples[0].modes.dtype == np.complex128
+        assert_allclose(g, g_c, rtol=0, atol=1e-8 * np.abs(g_c).max())
 
 
 # ==========================================================================

@@ -252,3 +252,28 @@ def test_seed_override_and_size_check():
     assert res.iterations == 2
     with pytest.raises(ConfigError, match="seed"):
         optimize(small_problem(max_iter=2), rho0=rho0[:10])
+
+
+def test_values_only_evaluation_repeats_the_full_one():
+    # optimize closes with gradients=False: the same values and the same
+    # aggregator calls, and no gradients
+    p = small_problem(gamma1=0.5, sigma_star=6e-4, e_star=0.02, max_iter=1,
+                      ks=KSParams(kappa1=1, kappa2=1, n_seg=2, m_bands=3))
+    mesh = build_mesh(p.n)
+    elem = element_matrices(pipeline.NU, mesh.h)
+    filt = PDEFilter(mesh, elem, p.filter_radius())
+    rho = np.random.default_rng(4).uniform(0.2, 0.9, mesh.ne)
+    out = []
+    for gradients in (True, False):
+        aggs = {"objective": KSAggregator(p.ks.zeta, "objective"),
+                "yield": KSAggregator(p.ks.zeta, "yield")}
+        ev = evaluate_problem(mesh, elem, filt, p, rho, 2.0, aggs, 0.3,
+                              gradients=gradients)
+        out.append((ev, [agg.history for agg in aggs.values()]))
+    (full, full_log), (vals, vals_log) = out
+    assert vals.grad is None and vals.cons_grads is None
+    assert full.grad is not None and full.cons_grads is not None
+    for key in ("objective", "ebar", "sigma_y", "sigma_c", "f_int"):
+        assert getattr(vals, key) == getattr(full, key), key
+    np.testing.assert_array_equal(vals.cons_vals, full.cons_vals)
+    assert vals_log == full_log
