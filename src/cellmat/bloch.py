@@ -11,23 +11,25 @@ bands gives the critical load sigma_c = 1 / max tau.  K0(k) is positive
 definite for every k except the zone center, where the two rigid
 translations survive.  Both K0 and K_sigma annihilate translations, so at
 k = 0 pinning one node's dofs is exact: every eigenpair of the pinned
-pencil extends to the full one and vice versa.  The zone center is still
-sampled with two small k offsets as well, which pick up the long-wavelength
-(macroscopic) branches that the strictly periodic problem cannot see.
+pencil extends to the full one and vice versa.  The zone center is also
+sampled at the two offsets (K_ZERO_OFFSET, 0) and (0, K_ZERO_OFFSET),
+which pick up the long-wavelength (macroscopic) branches that the
+strictly periodic problem cannot see; they are ordinary samples in every
+other respect.
 
 band_pencil builds the pencil at one k, pinned exactly when k = 0, and
 solve_band solves it; every solved sample of every sweep, at every mesh
 size, takes this one path.  Where every component of k is 0 or +-pi the
 phases are exactly +-1, so T(k), the folded pencil and its modes are real
 and the band solve runs in real symmetric arithmetic; elsewhere they are
-complex.  solve_band factors K0(k) itself and hands the factor to ARPACK.
-It orders the factor by minimum degree, except at the near-zero offsets:
-their tau is set by roundoff, so they keep COLAMD, the ordering ARPACK
-would choose itself.
+complex.  solve_band factors K0(k) itself, by the minimum-degree
+fem.symmetric_lu that factors every sparse matrix of the package, and
+hands the factor to ARPACK.
 
-Every other sample of the quarter-zone path lies on a mirror line of the
-zone, where one component of k is 0 or +-pi, and on a mirror line of a
-mirror-symmetric cell the complex pencil is a real one in disguise.  Let
+Every other sample, the zone-center offsets included, lies on a mirror
+line of the zone, where one component of k is 0 or +-pi, and on a mirror
+line of a mirror-symmetric cell the complex pencil is a real one in
+disguise.  Let
 M be the mirror about axis x of the full node set (column c -> n - c,
 u_x negated; axis y likewise with rows), with M K M = K for both
 operators, and let ky be 0 or +-pi.  Then M T(k) = conj(T(k)) R_k, where
@@ -39,9 +41,8 @@ U(k) after T(k) and keeps the real symmetric part, so such a sample is
 solved in real arithmetic, with real modes that T(k) U(k) takes back to
 the full node set.  buckling_strength takes this basis on a mirror line
 only when both full-node operators are mirror_symmetric about its axis
-within MIRROR_TOL, tested once per sweep on the first such sample, and
-never at the near-zero offsets, which keep their complex factor as they
-are; an asymmetric cell keeps the complex pencils everywhere.  Symmetric
+within MIRROR_TOL, tested once per sweep on the first such sample; an
+asymmetric cell keeps the complex pencils everywhere.  Symmetric
 designs under the uniaxial load, the optimizer's and the committed ones,
 are mirror-symmetric about both axes.
 
@@ -78,23 +79,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, norm, \
-    splu
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, norm
 
 from .errors import AnalysisError, ConfigError
-from .fem import assemble, assemble_k0, pin
+from .fem import assemble, assemble_k0, pin, symmetric_lu
 
-K_ZERO_OFFSET = 1e-4
+# |k| of the two zone-center offsets, a trade between bias and roundoff.
+# The macroscopic shear wave that governs the committed designs converges
+# to its k -> 0 limit like |k|^2: at this offset its tau lies 2.9e-6 to
+# 9.3e-6 relative below the limit extrapolated from |k| = 0.03 and 0.01
+# on the four committed blueprints.  Roundoff grows as |k| shrinks, since
+# the wave's quadratic forms shrink like |k|^2 while the pencil's entries
+# do not.  Here the ordering of the K0(k) factor moves tau by up to 1.5e-6
+# relative, and solves of one pencil in other bases or by shift-invert
+# spread by up to 2.4e-6 (c2); at |k| = 1e-4 tau moved by up to 1e-3, and
+# a solid cell in tension showed a tau above TAU_TINY.  A wavevector given by hand
+# (cellmat band --k) that close to zero still gets a roundoff-set tau:
+# 1267.73 at (1e-4, 0) on the c2 blueprint, against 1258.87 here.
+K_ZERO_OFFSET = 1e-2
 # inverse load factors at or below this are numerically zero: no
 # instability.  It sits above the roundoff of the pinned k = 0 zero
-# cluster (a few 1e-10) and far below physical values (hundreds), but
-# roundoff at the near-zero offsets can exceed it (ROADMAP item 2).
+# cluster (a few 1e-10) and far below physical values (hundreds).
 TAU_TINY = 1e-6
 # a screened sample must lie below the running tau_max by this relative
-# margin.  It sits far above the error of a solved tau (ARPACK tolerance
-# 1e-9) and of the screen's factors, so a sample the full sweep would
-# have made critical is never screened.
-SCREEN_MARGIN = 1e-6
+# margin.  It sits above the error of a solved tau and of the screen's
+# factors, so a sample the full sweep would have made critical is never
+# screened.  Most samples are solved to ARPACK's tolerance, 1e-9; at the
+# zone-center offsets, solves of one pencil in other factor orderings or
+# bases spread by up to 2.4e-6 (K_ZERO_OFFSET).
+SCREEN_MARGIN = 1e-5
 # boundary columns of A_II^-1 A_IB formed at a time: whole, they would be
 # a dense (interior dofs) x 8n array, 32 MB at n = 64
 CUT_BLOCK = 64
@@ -256,14 +269,8 @@ def band_pencil(mesh, k0_full, ks_full, k, axis=None):
     return t, k0k, ksk
 
 
-def _symmetric_lu(a):
-    """splu of a Hermitian matrix with pivots kept on the diagonal."""
-    return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
-
-
 def _definite_lu(a):
-    """_symmetric_lu of a Hermitian a when it proves a positive definite,
+    """symmetric_lu of a Hermitian a when it proves a positive definite,
     else None.
 
     The proof is a factor with diagonal pivots: perm_r == perm_c and every
@@ -273,7 +280,7 @@ def _definite_lu(a):
     briefly holds about twice the memory of the factor alone.
     """
     try:
-        lu = _symmetric_lu(a.tocsc())
+        lu = symmetric_lu(a.tocsc())
     except RuntimeError:
         return None
     if (np.array_equal(lu.perm_r, lu.perm_c)
@@ -351,7 +358,7 @@ class _CutScreen:
         return True
 
 
-def solve_band(k0k, ksk, m, near_zero=False):
+def solve_band(k0k, ksk, m):
     """Largest m eigenvalues of -K_sigma(k) phi = tau K0(k) phi.
 
     Returns (tau, phi) for the pencil band_pencil builds, with tau sorted
@@ -368,24 +375,10 @@ def solve_band(k0k, ksk, m, near_zero=False):
     test cannot terminate; the shift is subtracted again and changes
     nothing else.
 
-    K0(k) is factored here, once, and the factor is passed to eigsh as
-    Minv.  The factor uses the symmetric minimum-degree ordering
-    MMD_AT_PLUS_A in SuperLU's symmetric mode, with the small diagonal
-    pivot threshold that mode asks for; keeping the pivots on the diagonal
-    is stable because K0(k) (pinned at k = 0) is Hermitian positive
-    definite.  On a 64x64 blueprint this cuts nnz(L+U) from about 2.4M
-    with COLAMD, splu's default, to 1.3-1.6M.  Without the symmetric mode,
-    a design whose stiffness matrix has no exactly cancelling entries (any
-    gray density) factors 2.5-3x slower and solves slower than with
-    COLAMD.
-
-    near_zero marks a sample just off the zone center.  There K0(k) is
-    almost singular and roundoff in its condition number sets a floor on
-    reachable residuals, so the ARPACK tolerance is loosened from 1e-9 to
-    1e-5.  Roundoff, not the tolerance, sets tau there: tighter
-    tolerances return the same values, while another factor ordering
-    moves them by up to ~1e-3 relative.  So such a sample keeps the COLAMD
-    factor eigsh would build itself.
+    K0(k) is factored here, once, by fem.symmetric_lu (stable because
+    K0(k), pinned at k = 0, is Hermitian positive definite), and the
+    factor is passed to eigsh as Minv.  ARPACK's tolerance is 1e-9 at
+    every sample.
 
     A sample with nothing destabilized has no gap at the top (modes pile
     up under the zero cluster) and no Lanczos tolerance can converge
@@ -404,12 +397,12 @@ def solve_band(k0k, ksk, m, near_zero=False):
     shift = 1.0
     a_sh = (a + shift * k0k).tocsc()
     b = k0k.tocsc()
-    lu = splu(b, permc_spec="COLAMD") if near_zero else _symmetric_lu(b)
+    lu = symmetric_lu(b)
     minv = LinearOperator(b.shape, matvec=lu.solve, dtype=b.dtype)
     v0 = np.full(ndof, 1.0 / np.sqrt(ndof), dtype=b.dtype)
     try:
         w, v = eigsh(a_sh, k=m_eff, M=b, Minv=minv, which="LA", v0=v0,
-                     tol=1e-5 if near_zero else 1e-9, maxiter=150)
+                     tol=1e-9, maxiter=150)
     except ArpackError as err:
         if _certified_below(a, b, TAU_TINY):
             warnings.warn("no band above TAU_TINY: sample certified stable",
@@ -491,9 +484,9 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     operators are mirror-symmetric about that line's axis (module doc);
     each axis is tested once, when its first such sample is about to be
     solved, so a sweep whose mirror-line samples are all screened tests
-    nothing.  The near-zero offsets keep the complex pencil.  store_modes
-    keeps each sample's modes with the transform that takes them to the
-    full node set: T(k), or T(k) U(k) in the real basis.
+    nothing.  store_modes keeps each sample's modes with the transform
+    that takes them to the full node set: T(k), or T(k) U(k) in the real
+    basis.
 
     critical_only is for callers that need only tau_max, sigma_c and the
     critical sample, not every band.  Samples are taken in path order, and
@@ -502,13 +495,10 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     SCREEN_MARGIN: a sample proven to have no band above that floor cannot
     be critical, keeps an empty tau and no modes, and its pencil is never
     built.  H is formed again only when a solved sample raises the floor.
-    The zone-center samples are never screened: at the near-zero offsets
-    the computed tau can differ from the pencil's exact top eigenvalue by
-    far more than SCREEN_MARGIN (up to ~1e-3 relative, see solve_band),
-    and the pinned k = 0 pencil carries the zero cluster, so a proof there
-    would not show that the value the full sweep computes loses.  Nothing
-    is screened until some tau exceeds TAU_TINY, so a stable design is
-    swept in full.  The reported tau_max, sigma_c and critical sample and
+    The pinned k = 0 sample is never screened: its pencil carries the zero
+    cluster, so a proof there would not show that the value the full sweep
+    computes loses.  Nothing is screened until some tau exceeds TAU_TINY,
+    so a stable design is swept in full.  The reported tau_max, sigma_c and critical sample and
     band are those of the full sweep.
     """
     k0_full = assemble_k0(mesh, elem, moduli_k, reduced=False)
@@ -531,20 +521,17 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     crit = (0, 0)
     for i, (kvec, a) in enumerate(jobs):
         pinned = not np.any(kvec)
-        near_zero = (not pinned
-                     and np.linalg.norm(kvec) < 10.0 * K_ZERO_OFFSET)
-        if (screen is not None and not (pinned or near_zero)
-                and tau_max > TAU_TINY
+        if (screen is not None and not pinned and tau_max > TAU_TINY
                 and screen.below(kvec, tau_max * (1.0 - SCREEN_MARGIN))):
             samples.append(BandSample(k=kvec, arclength=a, pinned=False,
                                       tau=np.empty(0)))
             continue
-        axis = None if near_zero else mirror_axis(kvec)
+        axis = mirror_axis(kvec)
         if axis is not None and axis not in mirrored:
             mirrored[axis] = mirror_symmetric(mesh, (k0_full, ks_full), axis)
         t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec,
                                   axis if mirrored.get(axis) else None)
-        tau, phi = solve_band(k0k, ksk, m, near_zero=near_zero)
+        tau, phi = solve_band(k0k, ksk, m)
         samples.append(BandSample(
             k=kvec, arclength=a, pinned=pinned, tau=tau,
             modes=phi if store_modes else None,

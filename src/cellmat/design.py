@@ -12,9 +12,9 @@ which is an orthogonal projection, so its adjoint is itself.
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigError
+from .fem import symmetric_lu
 
 _D4_MAPS = (
     lambda a: a,
@@ -72,7 +72,7 @@ class PDEFilter:
         t_vals = np.tile(elem.t_filter, mesh.ne)
         self.t_map = sp.coo_matrix(
             (t_vals, (t_rows, t_cols)), shape=(nn, mesh.ne)).tocsc()
-        self.lu = splu(a, permc_spec="COLAMD")
+        self.lu = symmetric_lu(a)
 
     def apply(self, rho):
         nodal = self.lu.solve(self.t_map @ rho)

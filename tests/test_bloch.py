@@ -14,6 +14,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 from conftest import cross_density
 from cellmat import bloch
 from cellmat.bloch import (
+    K_ZERO_OFFSET,
     TAU_TINY,
     _certified_below,
     _CutScreen,
@@ -246,13 +247,6 @@ class TestSolveBand:
         tau_ref, _ = plain_eigsh(k0k, ksk, 4, tol=1e-9)
         assert_allclose(tau, tau_ref, rtol=1e-10)
 
-    def test_near_zero_reproduces_eigsh_bit_for_bit(self, cross8):
-        k0k, ksk = cross8_pencil(cross8, (1e-4, 0.0))
-        tau, phi = solve_band(k0k, ksk, 4, near_zero=True)
-        tau_ref, phi_ref = plain_eigsh(k0k, ksk, 4, tol=1e-5)
-        assert_array_equal(tau, tau_ref)
-        assert_array_equal(phi, phi_ref)
-
     def test_eigenvalues_are_real(self, cross8):
         tau, _ = solve_band(*cross8_pencil(cross8, (2.5, 1.5)), 4)
         assert tau.dtype.kind == "f"
@@ -393,19 +387,27 @@ class TestScreen:
             # nothing exceeds TAU_TINY, so nothing is screened
             assert sizes == [3] * len(full.samples)
 
-    def test_zone_center_keeps_its_bands(self, cross8):
+    def test_pinned_center_keeps_its_bands(self, cross8, monkeypatch):
         # (pi, 0) tops every zone-center sample of the compressed cross and
-        # comes first, so only the zone-center rule keeps them solved
+        # comes first, so the two offsets are screened like any sample
         mesh, elem, rho = cross8
         e_k, weights, _, _ = loaded_state(mesh, elem, rho)
-        pts = np.array([[np.pi, 0.0], [0.0, 0.0]])
-        out = buckling_strength(mesh, elem, e_k, weights, m=3,
-                                k_points=(pts, np.arange(2.0)),
-                                critical_only=True)
-        assert [s.tau.size for s in out.samples] == [3, 3, 3, 3]
-        full = buckling_strength(mesh, elem, e_k, weights, m=3,
-                                 k_points=(pts, np.arange(2.0)))
-        assert out.samples[0].tau[0] > max(s.tau[0] for s in full.samples[1:])
+        kpt = (np.array([[np.pi, 0.0], [0.0, 0.0]]), np.arange(2.0))
+        full = buckling_strength(mesh, elem, e_k, weights, m=3, k_points=kpt)
+        assert full.samples[0].tau[0] > max(s.tau[0] for s in full.samples[1:])
+
+        def sizes():
+            out = buckling_strength(mesh, elem, e_k, weights, m=3,
+                                    k_points=kpt, critical_only=True)
+            assert out.samples[3].pinned
+            return [s.tau.size for s in out.samples]
+
+        assert sizes() == [3, 0, 0, 3]
+        # the cut test cannot prove the singular k = 0 pencil below a floor
+        # anyway; with a screen that proves every sample, only the pinned
+        # rule keeps it solved
+        monkeypatch.setattr(_CutScreen, "below", lambda *args: True)
+        assert sizes() == [3, 0, 0, 3]
 
     @pytest.mark.parametrize("ratio", [1.0 + 1e-4, 1.0 - 1e-3])
     def test_floor_is_sharp(self, cross8, ratio):
@@ -566,11 +568,14 @@ def complex_sweep(monkeypatch, cell, pts):
 
 MIRROR_EDGES = [(np.pi / 2, 0.0), (np.pi, np.pi / 2), (np.pi / 2, np.pi),
                 (0.0, np.pi / 2)]
+# the zone-center offsets lie on the GX and YG mirror lines
+OFFSETS = [(K_ZERO_OFFSET, 0.0), (0.0, K_ZERO_OFFSET)]
 
 
 class TestMirrorBasis:
     @pytest.mark.parametrize("n", [8, 16])
-    @pytest.mark.parametrize("k", MIRROR_EDGES, ids=["GX", "XM", "MY", "YG"])
+    @pytest.mark.parametrize("k", MIRROR_EDGES + OFFSETS,
+                             ids=["GX", "XM", "MY", "YG", "X0", "Y0"])
     def test_mirror_line_pencil_is_real(self, n, k):
         cell = mirrored_cell(n, (0, 1))
         mesh, elem, rho = cell
@@ -603,7 +608,7 @@ class TestMirrorBasis:
         out = sweep(cell, pts)
         for s, r in zip(out.samples, ref.samples):
             kx, ky = np.abs(s.k)
-            on_x_mirror = ky in (0.0, np.pi) and kx > 1e-3
+            on_x_mirror = ky in (0.0, np.pi) and kx > 0.0
             real = kx in (0.0, np.pi) and ky in (0.0, np.pi)
             assert (s.modes.dtype == np.float64) == (real or on_x_mirror), s.k
             if on_x_mirror and not real:
@@ -622,18 +627,6 @@ class TestMirrorBasis:
             assert s.modes.dtype == np.complex128
             tau, phi = solve_band(*band_pencil(mesh, k0_full, ks_full, s.k)[1:],
                                   4)
-            assert_array_equal(s.tau, tau)
-            assert_array_equal(s.modes, phi)
-
-    def test_near_zero_offsets_keep_the_complex_pencils(self):
-        mesh, elem, rho = cell = mirrored_cell(8, (0, 1))
-        k0_full, ks_full = loaded_operators(mesh, elem, rho,
-                                            LOADS["compression"])
-        out = sweep(cell, [(0.0, 0.0)])
-        for s in out.samples[:2]:
-            assert s.modes.dtype == np.complex128
-            tau, phi = solve_band(*band_pencil(mesh, k0_full, ks_full, s.k)[1:],
-                                  4, near_zero=True)
             assert_array_equal(s.tau, tau)
             assert_array_equal(s.modes, phi)
 
@@ -728,14 +721,19 @@ class TestBucklingStrength:
         assert not out.buckled
         assert out.sigma_c == np.inf
 
-    def test_biaxial_tension_roundoff_is_not_buckling(self):
+    @pytest.mark.parametrize("n, rho, sigma0, m", [
         # the dense pinned k = 0 pencil tops out at a few 1e-9 here, which
         # is roundoff of the zero cluster, not a critical load of ~3e8
-        mesh = build_mesh(12)
+        (12, cross_density(12, 0.5), (1.0, 1.0, 0.0), 2),
+        # every tau of a solid cell in tension is <= 0; at offsets of 1e-4
+        # roundoff lifted the top one above TAU_TINY
+        (8, np.ones(64), (1.0, 0.0, 0.0), 6),
+    ], ids=["cross12-biaxial", "solid8-uniaxial"])
+    def test_tension_roundoff_is_not_buckling(self, n, rho, sigma0, m):
+        mesh = build_mesh(n)
         elem = element_matrices(NU, mesh.h)
-        e_k, weights, _, _ = loaded_state(mesh, elem, cross_density(12, 0.5),
-                                          sigma0=(1.0, 1.0, 0.0))
-        out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=2)
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho, sigma0=sigma0)
+        out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=m)
         assert not out.buckled
         assert out.sigma_c == np.inf
 

@@ -10,8 +10,8 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / \
     "compare_band_outputs.py"
 
 SWEEP = ("arclength,kx,ky,pinned,tau_1,tau_2\n"
-         "0,0.0001,0,0,1260.76930218,1001.5\n"
-         "0,0,0.0001,0,1260.7693,1001.5\n"
+         "0,0.01,0,0,1258.86546218,1001.5\n"
+         "0,0,0.01,0,1258.8654,1001.5\n"
          "0,0,0,1,1200.25,900.125\n"
          "1.57079632679,1.57079632679,0,0,812.345678901,700.5\n")
 
@@ -31,7 +31,7 @@ def dirs(script, tmp_path):
     old.mkdir()
     for run in script.RUNS:
         (old / f"{run}.csv").write_text(SWEEP)
-        (old / f"{run}.json").write_text('{\n  "tau_max": 1260.7693\n}\n')
+        (old / f"{run}.json").write_text('{\n  "tau_max": 1258.8654\n}\n')
         (old / f"{run}.sweep.err").write_text("")
         (old / f"{run}.evaluate.err").write_text("")
     new = tmp_path / "new"

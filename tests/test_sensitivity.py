@@ -10,7 +10,7 @@ import pytest
 from conftest import fd_gradient
 from numpy.testing import assert_allclose
 
-from cellmat.bloch import buckling_strength
+from cellmat.bloch import K_ZERO_OFFSET, buckling_strength
 from cellmat.design import PDEFilter, enforce_symmetry, project
 from cellmat.element import element_matrices
 from cellmat.mesh import build_mesh
@@ -116,6 +116,37 @@ class TestStabilityGrad:
                                                 np.array([0.0])))
         with pytest.raises(ValueError, match="store_modes"):
             stability_grad(mesh4, elem4, cell, band, [np.ones(3)])
+
+
+@pytest.mark.parametrize("weights", [[1.0, 0.0, 0.0, 0.0],
+                                     [0.5, 0.3, 0.2, 0.0]],
+                         ids=["top", "three-band"])
+def test_stability_grad_at_the_zone_center_offset(weights):
+    # the offset sample carries the long-wavelength branch, which governs
+    # the committed designs.  The step is 1e-4: at 1e-6 the ARPACK
+    # tolerance, not the adjoint, sets the difference quotient's error
+    n = 16
+    mesh = build_mesh(n)
+    elem = element_matrices(NU, mesh.h)
+    rng = np.random.default_rng(16)
+    rho = rng.uniform(0.35, 0.85, mesh.ne)
+    idx = rng.choice(mesh.ne, size=8, replace=False)
+    w = np.asarray(weights)
+    k_points = (np.array([[K_ZERO_OFFSET, 0.0]]), np.zeros(1))
+
+    def sweep(r):
+        cell = analyze_cell(mesh, elem, r)
+        return cell, band_sweep(mesh, elem, cell, k_points, w.size)
+
+    def f(x):       # the weighted taus as a function of rho[idx]
+        r = rho.copy()
+        r[idx] = x
+        return float(w @ sweep(r)[1].samples[0].tau)
+
+    cell, band = sweep(rho)
+    grad = stability_grad(mesh, elem, cell, band, [w])[idx]
+    fd = fd_gradient(f, rho[idx], h=1e-4)
+    assert np.abs(grad - fd).max() <= 1e-4 * np.abs(fd).max()
 
 
 def test_chain_to_design_fd():
