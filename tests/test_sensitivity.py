@@ -123,8 +123,9 @@ class TestStabilityGrad:
                          ids=["top", "three-band"])
 def test_stability_grad_at_the_zone_center_offset(weights):
     # the offset sample carries the long-wavelength branch, which governs
-    # the committed designs.  The step is 1e-4: at 1e-6 the ARPACK
-    # tolerance, not the adjoint, sets the difference quotient's error
+    # the committed designs.  The step is 1e-4: at 1e-6 the roundoff of
+    # tau at the offset, not the adjoint, sets the difference quotient's
+    # error (it stays with ARPACK's tolerance tightened to 1e-13)
     n = 16
     mesh = build_mesh(n)
     elem = element_matrices(NU, mesh.h)
