@@ -66,10 +66,13 @@ by Haynsworth's inertia additivity
     H = A_BB - A_BI A_II^-1 A_IB,
 
 where T_B(k) is T(k) restricted to the boundary rows and columns (for
-structures this is the Wittrick-Williams count).  One real factor of A_II
-and one dense H of the 8n boundary dofs per floor tau0 then settle every
-sample with a dense Cholesky factor of the (4n - 2)-square S(k), without
-building its pencil.  The sweeps that print or differentiate every band
+structures this is the Wittrick-Williams count).  One real sparse factor
+of A per floor tau0, its interior dofs in nested-dissection order and its
+8n boundary dofs last, gives both: its interior pivots prove A_II
+positive definite, and its trailing blocks give the dense H = L_BB U_BB
+(substructuring).  Every sample is then settled by a dense Cholesky
+factor of the (4n - 2)-square S(k), without building its pencil.  The
+sweeps that print or differentiate every band
 (cellmat sweep and band, the optimizer's KS aggregate and its gradient,
 the gradient check) solve every sample in full.
 """
@@ -108,9 +111,6 @@ TAU_TINY = 1e-6
 # zone-center offsets, solves of one pencil in other factor orderings or
 # bases spread by up to 2.4e-6 (K_ZERO_OFFSET).
 SCREEN_MARGIN = 1e-5
-# boundary columns of A_II^-1 A_IB formed at a time: whole, they would be
-# a dense (interior dofs) x 8n array, 32 MB at n = 64
-CUT_BLOCK = 64
 # relative Frobenius bound on |M A M - A|, M a mirror of the full node
 # set, under which K0 or K_sigma counts as mirror-symmetric (module doc).
 # The real basis drops the imaginary part that such an asymmetry leaves in
@@ -298,16 +298,31 @@ def _certified_below(a, b, tau0):
     return _definite_lu(tau0 * b - a) is not None
 
 
+def _dissection(ids):
+    """The node ids of a grid block in nested-dissection order: the two
+    halves on either side of the middle line across its longer side, each
+    ordered so in turn, then that line."""
+    if max(ids.shape) < 3:
+        return ids.ravel()
+    if ids.shape[1] < ids.shape[0]:
+        ids = ids.T
+    m = ids.shape[1] // 2
+    return np.concatenate([_dissection(ids[:, :m]),
+                           _dissection(ids[:, m + 1:]), ids[:, m]])
+
+
 class _CutScreen:
     """No band at k above a floor, proven on the Bloch cut (module doc).
 
     The cut B is every dof of a node on the cell boundary of the full node
-    set (8n dofs), the interior I every other one.  T(k) maps I to its
-    reduced dofs with phase 1 and B to its masters, cut_red: the reduced
-    dofs of the nodes on the left and bottom edges (4n - 2 dofs).  H is
-    formed for one floor at a time, when a sample is first screened
-    against it, and only when A_II is proven positive definite: otherwise
-    no A(k) is positive definite and nothing is screened at that floor.
+    set (8n dofs), the interior I every other one, inner in the
+    nested-dissection order of the (n - 1) x (n - 1) interior nodes.  T(k)
+    maps I to its reduced dofs with phase 1 and B to its masters, cut_red:
+    the reduced dofs of the nodes on the left and bottom edges (4n - 2
+    dofs).  H is formed for one floor at a time, when a sample is first
+    screened against it, and only when A_II is proven positive definite:
+    otherwise no A(k) is positive definite and nothing is screened at that
+    floor.
     """
 
     def __init__(self, mesh, k0_full, ks_full):
@@ -316,26 +331,49 @@ class _CutScreen:
         on_cut = np.repeat((node % (n + 1) % n == 0)
                            | (node // (n + 1) % n == 0), 2)
         red = np.arange(mesh.nn)
+        inner = _dissection(node.reshape(n + 1, n + 1)[1:n, 1:n])
         self.mesh = mesh
         self.k0_full, self.ks_full = k0_full, ks_full
-        self.cut, self.inner = np.flatnonzero(on_cut), np.flatnonzero(~on_cut)
+        self.cut = np.flatnonzero(on_cut)
+        self.inner = (2 * inner[:, None] + np.arange(2)).ravel()
         self.cut_red = np.flatnonzero(np.repeat((red % n == 0)
                                                 | (red // n == 0), 2))
         self.floor, self.h = None, None
 
     def condense(self, floor):
         """H of A = floor K0 + K_sigma, or None if A_II is not proven
-        positive definite."""
-        a = (floor * self.k0_full + self.ks_full).tocsr()
-        a_i, a_b = a[self.inner], a[self.cut]
-        lu = _definite_lu(a_i[:, self.inner])
-        if lu is None:
+        positive definite.
+
+        A is factored once with the cut ordered last, so the factor's
+        trailing blocks give H = L_BB U_BB (substructuring).  The proof
+        needs SuperLU to have kept this order and diagonal pivots, and
+        every interior pivot positive.  A annihilates the two
+        translations, which would leave the last two pivots at roundoff,
+        sometimes exactly zero; a spring on the last cut node, taken off H
+        again, keeps them clear.
+        """
+        # Only this factor takes the grid's nested-dissection order:
+        # minimum degree would not keep the cut last.  Every other factor
+        # keeps fem.symmetric_lu's order, because its roundoff reaches
+        # reported values (reordering PinnedSolver's moves a sigma_c by
+        # 1.7e-7), while this one only decides which samples to solve.
+        order = np.concatenate([self.inner, self.cut])
+        ni = self.inner.size
+        a = (floor * self.k0_full + self.ks_full).tocsr()[order][:, order]
+        spring = np.zeros(a.shape[0])
+        spring[-2:] = np.abs(a.diagonal()).max()
+        try:
+            lu = symmetric_lu((a + sp.diags(spring)).tocsc(),
+                              permc_spec="NATURAL")
+        except RuntimeError:
             return None
-        a_ib, a_bi = a_i[:, self.cut].tocsc(), a_b[:, self.inner]
-        h = a_b[:, self.cut].toarray()
-        for j in range(0, self.cut.size, CUT_BLOCK):
-            cols = slice(j, j + CUT_BLOCK)
-            h[:, cols] -= a_bi @ lu.solve(a_ib[:, cols].toarray())
+        if not (np.array_equal(lu.perm_r, lu.perm_c)
+                and np.array_equal(lu.perm_c[ni:], np.arange(ni, a.shape[0]))
+                and np.all(lu.U.diagonal()[:ni] > 0.0)):
+            return None
+        h = lu.L[ni:, ni:].toarray() @ lu.U[ni:, ni:].toarray()
+        del lu      # reading L and U cached full copies of both on it
+        h[[-2, -1], [-2, -1]] -= spring[-2:]
         return 0.5 * (h + h.T)
 
     def schur(self, k, h):

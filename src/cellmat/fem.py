@@ -47,7 +47,7 @@ def scatter_vec(mesh, fe):
     return out
 
 
-def symmetric_lu(a):
+def symmetric_lu(a, permc_spec="MMD_AT_PLUS_A"):
     """splu of a Hermitian matrix with its pivots kept on the diagonal.
 
     Every sparse factor of the package is made here: the periodic
@@ -61,9 +61,10 @@ def symmetric_lu(a):
     about 2.4M with splu's default column ordering to 1.3-1.6M.  Without
     the symmetric mode, a design whose stiffness matrix has no exactly
     cancelling entries (any gray density) factors 2.5-3x slower, and
-    solves slower, than with the default ordering.
+    solves slower, than with the default ordering.  permc_spec="NATURAL"
+    keeps a's own order instead, for a caller that has ordered a itself.
     """
-    return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+    return splu(a, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
 

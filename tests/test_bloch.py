@@ -5,6 +5,8 @@ compression: at wavevector (k, 0) its critical load must approach the
 classical sinusoidal-column value P = E I k^2 with I = w^3 / 12.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -32,7 +34,7 @@ from cellmat.bloch import (
 from cellmat.design import interpolate
 from cellmat.element import element_matrices
 from cellmat.errors import AnalysisError, ConfigError
-from cellmat.fem import assemble, assemble_k0, pin
+from cellmat.fem import assemble, assemble_k0, pin, symmetric_lu
 from cellmat.homogenize import homogenize
 from cellmat.mesh import build_mesh
 from cellmat.pipeline import analyze_cell
@@ -530,6 +532,71 @@ class TestCutScreen:
         above = clamped[0] * (1.0 + 1e-6)
         assert screen.condense(above) is not None
         assert not screen.below(kvec, above)
+
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    def test_cut_matrix_is_the_dense_schur_complement(self, n, load):
+        # above the interior-clamped top band, so A_II is definite.  n = 10
+        # splits the interior unevenly, and at n = 12 under tension one of
+        # the two translation pivots would be exactly zero without the
+        # spring on the last cut node
+        mesh, elem, rho = gray_cell(n)
+        k0_full, ks_full = loaded_operators(mesh, elem, rho, LOADS[load])
+        floor = 1.5 * max(clamped_bands(mesh, k0_full, ks_full)[0], 1.0)
+        screen = _CutScreen(mesh, k0_full, ks_full)
+        h = screen.condense(floor)
+        a = (floor * k0_full + ks_full).toarray()
+        b, i = screen.cut, screen.inner
+        ref = a[np.ix_(b, b)] - a[np.ix_(b, i)] @ np.linalg.solve(
+            a[np.ix_(i, i)], a[np.ix_(i, b)])
+        assert_array_equal(h, h.T)
+        assert_allclose(h, ref, rtol=0, atol=1e-12 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n", [4, 6, 10, 64, 96])
+    def test_interior_order_is_a_permutation(self, n):
+        mesh = build_mesh(n)
+        inner = _CutScreen(mesh, None, None).inner
+        row, col = np.divmod(np.arange(mesh.nn_full), n + 1)
+        interior = (row > 0) & (row < n) & (col > 0) & (col < n)
+        assert_array_equal(np.sort(inner),
+                           np.flatnonzero(np.repeat(interior, 2)))
+
+    @pytest.mark.parametrize("disorder", ["minimum_degree", "cut", "rows"])
+    def test_disordered_factor_screens_nothing(self, cross8, monkeypatch,
+                                               disorder):
+        # the cut-last factor as SuperLU might hand it back: ordered by
+        # minimum degree after all, with the last two cut columns swapped,
+        # or with off-diagonal row pivots
+        mesh, elem, rho = cross8
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho)
+        full = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=3)
+        k0_full, ks_full = loaded_operators(mesh, elem, rho,
+                                            LOADS["compression"])
+        floor = 2.0 * full.tau_max
+        assert _CutScreen(mesh, k0_full, ks_full).below(RESCALE_K, floor)
+
+        def disordered_lu(a, permc_spec="MMD_AT_PLUS_A"):
+            if permc_spec != "NATURAL":
+                return symmetric_lu(a, permc_spec)
+            if disorder == "minimum_degree":
+                return symmetric_lu(a)
+            lu = symmetric_lu(a, permc_spec)
+            perm_c = lu.perm_c.copy()
+            if disorder == "cut":
+                perm_c[-2:] = perm_c[[-1, -2]]
+            perm_r = perm_c if disorder == "cut" else np.roll(perm_c, 1)
+            return SimpleNamespace(perm_r=perm_r, perm_c=perm_c,
+                                   L=lu.L, U=lu.U)
+
+        monkeypatch.setattr(bloch, "symmetric_lu", disordered_lu)
+        screen = _CutScreen(mesh, k0_full, ks_full)
+        assert screen.condense(floor) is None
+        assert not screen.below(RESCALE_K, floor)
+        out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=3,
+                                critical_only=True)
+        assert [s.tau.size for s in out.samples] == [3] * len(full.samples)
+        for key in ("tau_max", "critical_sample", "critical_band"):
+            assert getattr(out, key) == getattr(full, key), key
 
 
 # ==========================================================================
