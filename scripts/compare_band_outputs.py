@@ -12,9 +12,13 @@ checkout printed (see README, "Checking a band-solver change"):
     <run>.evaluate.err
 
 Every sweep row must sample the same k, and its tau must agree within
-RTOL relative.  The evaluate reports must be byte-identical, and
-every .err file must be empty: a warning there names a sample where the
-eigensolver did not converge.  Prints one line per difference and exits 1
+RTOL relative.  A row's sample is its arclength, k, pinned flag and, for
+a zone-center limit, its direction (nx, ny): the two limits share
+k = (0, 0), and a sweep printed before the limits existed, with neither
+column, sampled the zone-center offsets there instead, which shows as
+"sample differs" on those rows.  The evaluate reports must be
+byte-identical, and every .err file must be empty: a warning there names
+a sample where the eigensolver did not converge.  Prints one line per difference and exits 1
 if there is any, 0 otherwise.
 """
 
@@ -29,25 +33,40 @@ SUFFIXES = (".csv", ".json", ".sweep.err", ".evaluate.err")
 RTOL = 1e-8
 
 
+SAMPLE = ("arclength", "kx", "ky", "pinned", "nx", "ny")
+
+
 def _rows(path):
+    """(tau column names, rows as dicts) of a sweep CSV."""
     with open(path, newline="") as fh:
-        return list(csv.reader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    return [c for c in reader.fieldnames if c.startswith("tau_")], rows
+
+
+def _sample(row):
+    return tuple(row.get(c) or "" for c in SAMPLE)
+
+
+def _taus(row, names):
+    return [float(row[c]) for c in names if row[c] not in (None, "")]
 
 
 def compare_sweeps(old_path, new_path):
     """One message per difference between two sweep CSVs."""
-    old, new = _rows(old_path), _rows(new_path)
+    (old_taus, old), (new_taus, new) = _rows(old_path), _rows(new_path)
     name = Path(new_path).name
-    if old[0] != new[0] or len(old) != len(new):
+    if old_taus != new_taus or len(old) != len(new):
         return [f"{name}: header or sample count differs"]
     out = []
-    for a, b in zip(old[1:], new[1:]):
-        where = f"{name} k=({a[1]}, {a[2]})"
-        if a[:4] != b[:4]:
+    for a, b in zip(old, new):
+        where = f"{name} k=({a['kx']}, {a['ky']})"
+        x, y = _taus(a, old_taus), _taus(b, new_taus)
+        if _sample(a) != _sample(b):
             out.append(f"{where}: sample differs")
-        elif len(a) != len(b) or any(
-                abs(x - y) > RTOL * max(abs(x), abs(y))
-                for x, y in zip(map(float, a[4:]), map(float, b[4:]))):
+        elif len(x) != len(y) or any(
+                abs(p - q) > RTOL * max(abs(p), abs(q))
+                for p, q in zip(x, y)):
             out.append(f"{where}: tau differs beyond {RTOL:g} relative")
     return out
 

@@ -11,25 +11,44 @@ bands gives the critical load sigma_c = 1 / max tau.  K0(k) is positive
 definite for every k except the zone center, where the two rigid
 translations survive.  Both K0 and K_sigma annihilate translations, so at
 k = 0 pinning one node's dofs is exact: every eigenpair of the pinned
-pencil extends to the full one and vice versa.  The zone center is also
-sampled at the two offsets (K_ZERO_OFFSET, 0) and (0, K_ZERO_OFFSET),
-which pick up the long-wavelength (macroscopic) branches that the
-strictly periodic problem cannot see; they are ordinary samples in every
-other respect.
+pencil extends to the full one and vice versa.
 
-band_pencil builds the pencil at one k, pinned exactly when k = 0, and
-solve_band solves it; every solved sample of every sweep, at every mesh
-size, takes this one path.  Where every component of k is 0 or +-pi the
-phases are exactly +-1, so T(k), the folded pencil and its modes are real
-and the band solve runs in real symmetric arithmetic; elsewhere they are
-complex.  solve_band factors K0(k) itself, by the minimum-degree
-fem.symmetric_lu that factors every sparse matrix of the package, and
-hands the factor to ARPACK.
+The zone center is also sampled in its long-wavelength limit along x and
+along y (LIMIT_DIRECTIONS), which holds the macroscopic branches that the
+strictly periodic problem cannot see: the macroscopic-instability
+condition of Geymonat, Mueller & Triantafyllidis (1993, ARMA 122:231).
+The limit along a direction d is one more real pencil of the same size.
+Let w = (wrap_x, wrap_y) mark the full nodes on the right and top edges,
+U the two translations of the reduced dofs and V the others.  In the
+basis W_eps = [U, i eps V], which is nonsingular for eps > 0,
 
-Every other sample, the zone-center offsets included, lies on a mirror
-line of the zone, where one component of k is 0 or +-pi, and on a mirror
-line of a mirror-symmetric cell the complex pencil is a real one in
-disguise.  Let
+    W_eps^H K(eps d) W_eps = eps^2 T_d^T K_full T_d + O(eps^3),
+
+where T_d = limit_transform(mesh, d) is T(0) with the two columns of
+reduced node 0 replaced by the ramps (d.w) T(0) U: K_full annihilates
+T(0) U, so the phases of a translation enter at first order in eps, and
+V is fixed only up to a translation, so node 0's own entries go.  The K0
+part of (T_d^T K0 T_d, T_d^T K_sigma T_d) is positive definite, so its
+eigenvalues are exactly the eps -> 0 limits of every band at k = eps d,
+with none of the eps^2 cancellation that leaves roundoff in a sample at
+small eps.  A limit sample reports k = (0, 0) and names its direction;
+it is solved, screened and differentiated like any other sample.
+
+band_pencil builds the pencil at one k, pinned exactly when k = 0, or in
+the limit along d, and solve_band solves it; every solved sample of every
+sweep, at every mesh size, takes this one path.  Where every component
+of k is 0 or +-pi the phases are exactly +-1, so T(k), the folded pencil
+and its modes are real and the band solve runs in real symmetric
+arithmetic; elsewhere they are complex.  solve_band factors K0(k)
+itself, by fem.symmetric_lu, in the order band_pencil hands it over:
+band_pencil composes the mesh's nested-dissection order of the reduced
+dofs (cellmat.mesh) into the transform, so the pencil comes ordered and
+its modes still map to the full node set.  Every eigenvalue is then the
+same, within the solver tolerance, whatever the factor order.
+
+Every other sample of the path lies on a mirror line of the zone, where
+one component of k is 0 or +-pi, and on a mirror line of a
+mirror-symmetric cell the complex pencil is a real one in disguise.  Let
 M be the mirror about axis x of the full node set (column c -> n - c,
 u_x negated; axis y likewise with rows), with M K M = K for both
 operators, and let ky be 0 or +-pi.  Then M T(k) = conj(T(k)) R_k, where
@@ -39,9 +58,11 @@ The columns of the unitary U(k) = mirror_basis(mesh, k, axis) are fixed
 by it, which makes U^H K(k) U real.  band_pencil folds the pencil with
 U(k) after T(k) and keeps the real symmetric part, so such a sample is
 solved in real arithmetic, with real modes that T(k) U(k) takes back to
-the full node set.  buckling_strength takes this basis on a mirror line
-only when both full-node operators are mirror_symmetric about its axis
-within MIRROR_TOL, tested once per sweep on the first such sample; an
+the full node set.  Such a pencil couples each node with its mirror
+image, so it comes in the order of the mirror quotient.
+buckling_strength takes this basis on a mirror line only when both
+full-node operators are mirror_symmetric about its axis within
+MIRROR_TOL, tested once per sweep on the first such sample; an
 asymmetric cell keeps the complex pencils everywhere.  Symmetric
 designs under the uniaxial load, the optimizer's and the committed ones,
 are mirror-symmetric about both axes.
@@ -65,14 +86,17 @@ by Haynsworth's inertia additivity
     In(A(k)) = In(A_II) + In(S(k)),   S(k) = T_B(k)^H H T_B(k),
     H = A_BB - A_BI A_II^-1 A_IB,
 
-where T_B(k) is T(k) restricted to the boundary rows and columns (for
-structures this is the Wittrick-Williams count).  One real sparse factor
-of A per floor tau0, its interior dofs in nested-dissection order and its
-8n boundary dofs last, gives both: its interior pivots prove A_II
-positive definite, and its trailing blocks give the dense H = L_BB U_BB
-(substructuring).  Every sample is then settled by a dense Cholesky
-factor of the (4n - 2)-square S(k), without building its pencil.  The
-sweeps that print or differentiate every band
+where T_B(k) is T(k), or T_d, restricted to the boundary rows and
+columns (for structures this is the Wittrick-Williams count).  One real
+sparse factor of A per floor tau0, its interior dofs in
+nested-dissection order and its 8n boundary dofs last, gives both: its
+interior pivots prove A_II positive definite, and its trailing blocks
+give the dense H = L_BB U_BB (substructuring).  Every sample is then
+settled by a dense Cholesky factor of the (4n - 2)-square S(k), without
+building its pencil.  T_B(k) is sum_w exp(i k.w) P_w over the wraps w of
+the boundary nodes, so S(k) is a phase-weighted sum of real blocks
+P_v^T H P_w, which are taken once per floor.  The sweeps that print or
+differentiate every band
 (cellmat sweep and band, the optimizer's KS aggregate and its gradient,
 the gradient check) solve every sample in full.
 """
@@ -85,21 +109,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, norm
 
 from .errors import AnalysisError, ConfigError
-from .fem import assemble, assemble_k0, pin, symmetric_lu
+from .fem import PINS, assemble, assemble_k0, pin, symmetric_lu
+from .mesh import dissection, node_dofs
 
-# |k| of the two zone-center offsets, a trade between bias and roundoff.
-# The macroscopic shear wave that governs the committed designs converges
-# to its k -> 0 limit like |k|^2: at this offset its tau lies 2.9e-6 to
-# 9.3e-6 relative below the limit extrapolated from |k| = 0.03 and 0.01
-# on the four committed blueprints.  Roundoff grows as |k| shrinks, since
-# the wave's quadratic forms shrink like |k|^2 while the pencil's entries
-# do not.  Here the ordering of the K0(k) factor moves tau by up to 1.5e-6
-# relative, and solves of one pencil in other bases or by shift-invert
-# spread by up to 2.4e-6 (c2); at |k| = 1e-4 tau moved by up to 1e-3, and
-# a solid cell in tension showed a tau above TAU_TINY.  A wavevector given by hand
-# (cellmat band --k) that close to zero still gets a roundoff-set tau:
-# 1267.73 at (1e-4, 0) on the c2 blueprint, against 1258.87 here.
-K_ZERO_OFFSET = 1e-2
+# the directions of the zone-center limit samples of every sweep
+LIMIT_DIRECTIONS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
 # inverse load factors at or below this are numerically zero: no
 # instability.  It sits above the roundoff of the pinned k = 0 zero
 # cluster (a few 1e-10) and far below physical values (hundreds).
@@ -107,10 +121,13 @@ TAU_TINY = 1e-6
 # a screened sample must lie below the running tau_max by this relative
 # margin.  It sits above the error of a solved tau and of the screen's
 # factors, so a sample the full sweep would have made critical is never
-# screened.  Most samples are solved to ARPACK's tolerance, 1e-9; at the
-# zone-center offsets, solves of one pencil in other factor orderings or
-# bases spread by up to 2.4e-6 (K_ZERO_OFFSET).
-SCREEN_MARGIN = 1e-5
+# screened.  Every sample is solved to ARPACK's tolerance, 1e-9: over
+# the n_seg = 10 sweeps of the four committed blueprints, solving each
+# pencil with SuperLU's minimum-degree factor or in the complex basis
+# moved no sample's top tau by more than 7.6e-10 relative (the limits by
+# at most 1.3e-11), so the margin leaves a factor of ten over the
+# tolerance.
+SCREEN_MARGIN = 1e-8
 # relative Frobenius bound on |M A M - A|, M a mirror of the full node
 # set, under which K0 or K_sigma counts as mirror-symmetric (module doc).
 # The real basis drops the imaginary part that such an asymmetry leaves in
@@ -143,11 +160,7 @@ def bloch_transform(mesh, k):
     # written so that NaN, which fails every comparison, is rejected too
     if not np.all(np.abs(k) <= np.pi + 1e-12):
         raise ConfigError(f"wavevector {k} outside the first zone [-pi, pi]^2")
-    n = mesh.n
-    idx = np.arange(mesh.nn_full)
-    wrap_x = (idx % (n + 1) == n).astype(float)
-    wrap_y = (idx // (n + 1) == n).astype(float)
-    phase = np.exp(1j * (k[0] * wrap_x + k[1] * wrap_y))
+    phase = np.exp(1j * (_wraps(mesh, np.arange(mesh.nn_full)) @ k))
     if np.all(_real_phase(k)):
         # exp(i pi) carries a roundoff imaginary part; drop it so the
         # folded pencil stays real and eigsh runs the symmetric solver
@@ -164,6 +177,38 @@ def bloch_transform(mesh, k):
 def _real_phase(k):
     """Per component of k: is it 0 or +-pi, where the phase is +-1?"""
     return (k == 0.0) | (np.abs(np.abs(k) - np.pi) < 1e-12)
+
+
+def _wraps(mesh, nodes):
+    """(len(nodes), 2) float: is each full node on the right (wrap_x) or
+    top (wrap_y) edge, the edges that fold onto their masters?"""
+    n = mesh.n
+    return np.column_stack([nodes % (n + 1) == n,
+                            nodes // (n + 1) == n]).astype(float)
+
+
+def limit_transform(mesh, direction):
+    """Sparse real T_d of the zone-center limit along direction d (module
+    doc): T(0) with the two columns of reduced node 0 (fem.PINS) replaced
+    by ramps.  Every full dof of component c on a wrapped node gets d.w in
+    column PINS[c], w = (wrap_x, wrap_y), and the entries of T(0) that map
+    to node 0 are dropped.  Scaling d scales the ramp columns only, which
+    leaves the limit's eigenvalues as they are.
+    """
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (2,) or not np.all(np.isfinite(d)) or not np.any(d):
+        raise ConfigError("a zone-center limit needs a finite nonzero "
+                          f"direction of two components, got {direction!r}")
+    t = bloch_transform(mesh, np.zeros(2)).tocoo()
+    keep = ~np.isin(t.col, PINS)
+    nodes = np.arange(mesh.nn_full)
+    ramp = np.repeat(_wraps(mesh, nodes) @ d, 2)
+    rows = np.flatnonzero(ramp)
+    return sp.coo_matrix(
+        (np.concatenate([t.data[keep], ramp[rows]]),
+         (np.concatenate([t.row[keep], rows]),
+          np.concatenate([t.col[keep], np.asarray(PINS)[rows % 2]]))),
+        shape=t.shape).tocsc()
 
 
 def mirror_axis(k):
@@ -245,28 +290,39 @@ def _real_fold(a, u):
     return b
 
 
-def band_pencil(mesh, k0_full, ks_full, k, axis=None):
+def band_pencil(mesh, k0_full, ks_full, k, axis=None, direction=None):
     """(transform, K0(k), K_sigma(k)) from the full-node-set operators, both
-    pinned (fem.pin) exactly at k = 0, the only k with a singular K0(k).
+    pinned (fem.pin) exactly at k = 0, the only k with a singular K0(k),
+    unless direction names the zone-center limit along it (k = 0, module
+    doc).
 
     The transform takes the pencil's modes to the full node set.  It is
-    T(k), unless axis names a mirror of the cell (module doc): then each
-    operator is folded with T(k), that with U(k) = mirror_basis(mesh, k,
-    axis), and its real part is kept, a real symmetric pencil with real
-    modes, and the transform is T(k) U(k).  The caller vouches that k lies
-    on that mirror line (mirror_axis) and that both operators are
-    mirror_symmetric about it.
+    T(k), or T_d = limit_transform(mesh, direction), unless axis names a
+    mirror of the cell (module doc): then each operator is folded with
+    T(k), that with U(k) = mirror_basis(mesh, k, axis), and its real part
+    is kept, a real symmetric pencil with real modes, and the transform is
+    T(k) U(k).  The caller vouches that k lies on that mirror line
+    (mirror_axis) and that both operators are mirror_symmetric about it.
+    The transform's columns come in the mesh's order for the factor of
+    K0(k) (cellmat.mesh): the torus order, or in the mirror basis the
+    order of the mirror quotient, so the pencil comes ordered.
     """
-    t = bloch_transform(mesh, k)
-    k0k = fold(k0_full, t)
-    ksk = fold(ks_full, t)
-    if axis is not None:
-        u = mirror_basis(mesh, k, axis)
-        k0k, ksk = _real_fold(k0k, u), _real_fold(ksk, u)
-        t = t @ u
-    if not np.any(k):
-        k0k, ksk = pin(k0k, 1.0), pin(ksk, 0.0)
-    return t, k0k, ksk
+    if direction is not None:
+        t = limit_transform(mesh, direction)
+    else:
+        t = bloch_transform(mesh, k)
+    if axis is None:
+        order = mesh.order
+        t = t[:, order]
+        k0k, ksk = fold(k0_full, t), fold(ks_full, t)
+        if direction is None and not np.any(k):
+            pins = np.argsort(order)[PINS]
+            k0k, ksk = pin(k0k, 1.0, pins), pin(ksk, 0.0, pins)
+        return t, k0k, ksk
+    u = mirror_basis(mesh, k, axis)[:, mesh.mirror_orders[axis]]
+    k0k = _real_fold(fold(k0_full, t), u)
+    ksk = _real_fold(fold(ks_full, t), u)
+    return t @ u, k0k, ksk
 
 
 def _definite_lu(a):
@@ -298,19 +354,6 @@ def _certified_below(a, b, tau0):
     return _definite_lu(tau0 * b - a) is not None
 
 
-def _dissection(ids):
-    """The node ids of a grid block in nested-dissection order: the two
-    halves on either side of the middle line across its longer side, each
-    ordered so in turn, then that line."""
-    if max(ids.shape) < 3:
-        return ids.ravel()
-    if ids.shape[1] < ids.shape[0]:
-        ids = ids.T
-    m = ids.shape[1] // 2
-    return np.concatenate([_dissection(ids[:, :m]),
-                           _dissection(ids[:, m + 1:]), ids[:, m]])
-
-
 class _CutScreen:
     """No band at k above a floor, proven on the Bloch cut (module doc).
 
@@ -319,10 +362,12 @@ class _CutScreen:
     nested-dissection order of the (n - 1) x (n - 1) interior nodes.  T(k)
     maps I to its reduced dofs with phase 1 and B to its masters, cut_red:
     the reduced dofs of the nodes on the left and bottom edges (4n - 2
-    dofs).  H is formed for one floor at a time, when a sample is first
-    screened against it, and only when A_II is proven positive definite:
-    otherwise no A(k) is positive definite and nothing is screened at that
-    floor.
+    dofs).  So does the limit transform T_d, whose cut rows also carry the
+    ramps into the columns of reduced node 0, itself on the cut.  H and
+    its expansion (expand) are formed for one floor at a time, when a
+    sample is first screened against it, and only when A_II is proven
+    positive definite: otherwise no A(k) is positive definite and nothing
+    is screened at that floor.
     """
 
     def __init__(self, mesh, k0_full, ks_full):
@@ -331,14 +376,26 @@ class _CutScreen:
         on_cut = np.repeat((node % (n + 1) % n == 0)
                            | (node // (n + 1) % n == 0), 2)
         red = np.arange(mesh.nn)
-        inner = _dissection(node.reshape(n + 1, n + 1)[1:n, 1:n])
         self.mesh = mesh
         self.k0_full, self.ks_full = k0_full, ks_full
         self.cut = np.flatnonzero(on_cut)
-        self.inner = (2 * inner[:, None] + np.arange(2)).ravel()
+        self.inner = node_dofs(dissection(
+            node.reshape(n + 1, n + 1)[1:n, 1:n]))
         self.cut_red = np.flatnonzero(np.repeat((red % n == 0)
                                                 | (red // n == 0), 2))
-        self.floor, self.h = None, None
+        # T_B(k) = sum_w exp(i k.w) P_w over the wraps w of the cut nodes,
+        # with P_w the 0/1 map of the cut dofs of class w to their masters
+        cut_node = self.cut // 2
+        master = np.searchsorted(
+            self.cut_red, 2 * mesh.master[cut_node] + self.cut % 2)
+        wraps = _wraps(mesh, cut_node)
+        self.classes = []
+        for w in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            rows = np.flatnonzero(np.all(wraps == w, axis=1))
+            self.classes.append((np.array(w), sp.csr_matrix(
+                (np.ones(rows.size), (rows, master[rows])),
+                shape=(self.cut.size, self.cut_red.size))))
+        self.floor, self.h, self.terms = None, None, None
 
     def condense(self, floor):
         """H of A = floor K0 + K_sigma, or None if A_II is not proven
@@ -352,19 +409,13 @@ class _CutScreen:
         sometimes exactly zero; a spring on the last cut node, taken off H
         again, keeps them clear.
         """
-        # Only this factor takes the grid's nested-dissection order:
-        # minimum degree would not keep the cut last.  Every other factor
-        # keeps fem.symmetric_lu's order, because its roundoff reaches
-        # reported values (reordering PinnedSolver's moves a sigma_c by
-        # 1.7e-7), while this one only decides which samples to solve.
         order = np.concatenate([self.inner, self.cut])
         ni = self.inner.size
         a = (floor * self.k0_full + self.ks_full).tocsr()[order][:, order]
         spring = np.zeros(a.shape[0])
         spring[-2:] = np.abs(a.diagonal()).max()
         try:
-            lu = symmetric_lu((a + sp.diags(spring)).tocsc(),
-                              permc_spec="NATURAL")
+            lu = symmetric_lu((a + sp.diags(spring)).tocsc())
         except RuntimeError:
             return None
         if not (np.array_equal(lu.perm_r, lu.perm_c)
@@ -376,21 +427,53 @@ class _CutScreen:
         h[[-2, -1], [-2, -1]] -= spring[-2:]
         return 0.5 * (h + h.T)
 
-    def schur(self, k, h):
-        """S(k) = T_B(k)^H H T_B(k), Hermitized against roundoff."""
-        tb = bloch_transform(self.mesh, k).tocsr()[self.cut][:, self.cut_red]
-        s = tb.conj().T @ (tb.T @ h).T      # H is symmetric
-        return 0.5 * (s + s.conj().T)
+    def expand(self, h):
+        """The real blocks of S(k) = T_B(k)^H H T_B(k) = sum_d exp(i k.d)
+        N_d, d = w' - w over the classes of the cut dofs, N_d the sum of
+        their P_w^T H P_w': (N_0, [(d, N_d + N_d^T, N_d - N_d^T)]) for
+        the d > 0, since N_-d = N_d^T.  Taken once per floor, they make
+        each S(k) a phase-weighted sum of real matrices."""
+        n = {}
+        for w, p in self.classes:
+            hp = (p.T @ h).T                    # H P_w, H is symmetric
+            for v, q in self.classes:
+                d = tuple(w - v)
+                n[d] = n.get(d, 0.0) + q.T @ hp
+        n0 = n.pop((0, 0))
+        return 0.5 * (n0 + n0.T), [(np.array(d), a + a.T, a - a.T)
+                                   for d, a in n.items() if d > (0, 0)]
 
-    def below(self, k, floor):
-        """True when S(k) at floor has a Cholesky factor: no band at k
-        exceeds floor."""
+    def schur(self, k, h, direction=None, terms=None):
+        """S(k) = T_B^H H T_B, with T_B the cut rows and cut_red columns
+        of T(k), from H's expansion (terms, else expand(h)), or those of
+        T_d when direction is given."""
+        if direction is not None:
+            tb = limit_transform(self.mesh, direction).tocsr()[
+                self.cut][:, self.cut_red]
+            s = tb.T @ (tb.T @ h).T             # H is symmetric
+            return 0.5 * (s + s.T)
+        n0, parts = self.expand(h) if terms is None else terms
+        real = np.all(_real_phase(k))
+        a, b = n0.copy(), 0.0
+        for d, sym, asym in parts:
+            x = k @ d
+            if real:        # exactly +-1, as in bloch_transform
+                a += np.rint(np.cos(x)) * sym
+            else:
+                a += np.cos(x) * sym
+                b = b + np.sin(x) * asym
+        return a if real else a + 1j * b
+
+    def below(self, k, floor, direction=None):
+        """True when S(k) at floor has a Cholesky factor: no band at k, or
+        in the zone-center limit along direction, exceeds floor."""
         if floor != self.floor:
             self.floor, self.h = floor, self.condense(floor)
+            self.terms = None if self.h is None else self.expand(self.h)
         if self.h is None:
             return False
         try:
-            np.linalg.cholesky(self.schur(k, self.h))
+            np.linalg.cholesky(self.schur(k, self.h, direction, self.terms))
         except np.linalg.LinAlgError:
             return False
         return True
@@ -489,6 +572,8 @@ class BandSample:
     arclength: float
     pinned: bool
     tau: np.ndarray           # empty where critical_only screened it out
+    # the zone-center limit's direction (k is then 0), None elsewhere
+    direction: np.ndarray | None = None
     modes: np.ndarray | None = field(default=None, repr=False)
     transform: sp.spmatrix | None = field(default=None, repr=False)
 
@@ -512,10 +597,12 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     """Band sweep along the quarter-zone boundary and the critical load.
 
     moduli_k scales the elastic operator, stress_weights the geometric one.
-    The zone center is replaced by two offset samples plus the exactly
-    pinned periodic problem; the reported critical load is the worst case
-    over everything sampled.  k_points overrides the path when given as
-    (pts, arclength).
+    The zone center is replaced by its two limit samples, along x and
+    along y (module doc), plus the exactly pinned periodic problem; the
+    reported critical load is the worst case over everything sampled.  A
+    limit sample reports k = (0, 0) and names its direction; it is the
+    critical sample when the long-wavelength (macroscopic) mode governs.
+    k_points overrides the path when given as (pts, arclength).
 
     A sample on a mirror line of the zone, one component of k 0 or +-pi
     and the other not, is solved as a real symmetric pencil when both
@@ -523,8 +610,8 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     each axis is tested once, when its first such sample is about to be
     solved, so a sweep whose mirror-line samples are all screened tests
     nothing.  store_modes keeps each sample's modes with the transform
-    that takes them to the full node set: T(k), or T(k) U(k) in the real
-    basis.
+    that takes them to the full node set: T(k) or T_d, or T(k) U(k) in the
+    real basis, its columns in the order of the pencil (band_pencil).
 
     critical_only is for callers that need only tau_max, sigma_c and the
     critical sample, not every band.  Samples are taken in path order, and
@@ -535,43 +622,43 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     built.  H is formed again only when a solved sample raises the floor.
     The pinned k = 0 sample is never screened: its pencil carries the zero
     cluster, so a proof there would not show that the value the full sweep
-    computes loses.  Nothing is screened until some tau exceeds TAU_TINY,
-    so a stable design is swept in full.  The reported tau_max, sigma_c and critical sample and
-    band are those of the full sweep.
+    computes loses.  The limit samples are screened like any other, with
+    the cut rows of T_d.  Nothing is screened until some tau exceeds
+    TAU_TINY, so a stable design is swept in full.  The reported tau_max,
+    sigma_c and critical sample and band are those of the full sweep.
     """
     k0_full = assemble_k0(mesh, elem, moduli_k, reduced=False)
     ks_full = stress_stiffness(mesh, elem, stress_weights)
 
     pts, arc = ibz_path(n_seg) if k_points is None else k_points
-    jobs = []
+    jobs = []           # (k, limit direction or None, arclength)
     for kvec, a in zip(pts, arc):
         if np.allclose(kvec, 0.0, atol=1e-14):
-            jobs.extend([(np.array([K_ZERO_OFFSET, 0.0]), a),
-                         (np.array([0.0, K_ZERO_OFFSET]), a),
-                         (np.zeros(2), a)])
+            jobs.extend((np.zeros(2), d, a) for d in LIMIT_DIRECTIONS)
+            jobs.append((np.zeros(2), None, a))
         else:
-            jobs.append((np.asarray(kvec, dtype=float), a))
+            jobs.append((np.asarray(kvec, dtype=float), None, a))
 
     screen = _CutScreen(mesh, k0_full, ks_full) if critical_only else None
     mirrored = {}       # axis -> mirror_symmetric, tested on first use
     samples = []
     tau_max = -np.inf
     crit = (0, 0)
-    for i, (kvec, a) in enumerate(jobs):
-        pinned = not np.any(kvec)
+    for i, (kvec, d, a) in enumerate(jobs):
+        pinned = d is None and not np.any(kvec)
         if (screen is not None and not pinned and tau_max > TAU_TINY
-                and screen.below(kvec, tau_max * (1.0 - SCREEN_MARGIN))):
+                and screen.below(kvec, tau_max * (1.0 - SCREEN_MARGIN), d)):
             samples.append(BandSample(k=kvec, arclength=a, pinned=False,
-                                      tau=np.empty(0)))
+                                      tau=np.empty(0), direction=d))
             continue
         axis = mirror_axis(kvec)
         if axis is not None and axis not in mirrored:
             mirrored[axis] = mirror_symmetric(mesh, (k0_full, ks_full), axis)
         t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec,
-                                  axis if mirrored.get(axis) else None)
+                                  axis if mirrored.get(axis) else None, d)
         tau, phi = solve_band(k0k, ksk, m)
         samples.append(BandSample(
-            k=kvec, arclength=a, pinned=pinned, tau=tau,
+            k=kvec, arclength=a, pinned=pinned, tau=tau, direction=d,
             modes=phi if store_modes else None,
             transform=t if store_modes else None))
         if tau.size:

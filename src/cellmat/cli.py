@@ -85,6 +85,8 @@ def cmd_band(args):
     out = {"k": [kx, ky],
            "samples": [{"k": [float(s.k[0]), float(s.k[1])],
                         "pinned": s.pinned,
+                        "direction": (None if s.direction is None else
+                                      [float(c) for c in s.direction]),
                         "tau": [float(t) for t in s.tau]}
                        for s in band.samples],
            "tau_max": band.tau_max,
@@ -100,11 +102,14 @@ def cmd_sweep(args):
     try:
         w = csv.writer(fh)
         nb = max(s.tau.size for s in band.samples)
-        w.writerow(["arclength", "kx", "ky", "pinned"]
+        w.writerow(["arclength", "kx", "ky", "pinned", "nx", "ny"]
                    + [f"tau_{i + 1}" for i in range(nb)])
         for s in band.samples:
+            # nx, ny: the direction of a zone-center limit, else empty
+            d = ["", ""] if s.direction is None else \
+                [f"{c:.12g}" for c in s.direction]
             w.writerow([f"{s.arclength:.12g}", f"{s.k[0]:.12g}",
-                        f"{s.k[1]:.12g}", int(s.pinned)]
+                        f"{s.k[1]:.12g}", int(s.pinned)] + d
                        + [f"{t:.12g}" for t in s.tau])
     finally:
         if fh is not sys.stdout:

@@ -49,6 +49,8 @@ class PDEFilter:
     T' A^-1 T scaled by element volumes; it preserves the field mean exactly
     and is symmetric up to the uniform volume weights, which makes the
     adjoint a second application with the volume scaling on the other side.
+    The nodes of A and T are numbered in the mesh's torus order, the order
+    A is factored in.
     """
 
     def __init__(self, mesh, elem, radius):
@@ -60,7 +62,8 @@ class PDEFilter:
         length = radius / (2.0 * np.sqrt(3.0))
 
         nn = mesh.nn
-        conn_red = mesh.master[mesh.conn]
+        # element nodes by their place in the torus order
+        conn_red = np.argsort(mesh.node_order)[mesh.master[mesh.conn]]
         rows = np.repeat(conn_red, 4, axis=1).ravel()
         cols = np.tile(conn_red, (1, 4)).ravel()
         ae = length ** 2 * elem.k_filter + elem.m_filter

@@ -1,4 +1,4 @@
-"""Sparse assembly and the periodic linear solve."""
+"""Sparse assembly, the sparse factor and the periodic linear solve."""
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,32 +47,34 @@ def scatter_vec(mesh, fe):
     return out
 
 
-def symmetric_lu(a, permc_spec="MMD_AT_PLUS_A"):
-    """splu of a Hermitian matrix with its pivots kept on the diagonal.
+def symmetric_lu(a):
+    """splu of a Hermitian matrix with its pivots kept on the diagonal, in
+    a's own order.
 
     Every sparse factor of the package is made here: the periodic
-    stiffness, the density filter, each Bloch pencil's K0(k) and the
-    inertia tests of bloch.  The factor is ordered by the symmetric
-    minimum-degree ordering MMD_AT_PLUS_A in SuperLU's symmetric mode,
-    with the small diagonal pivot threshold that mode asks for.  Diagonal
+    stiffness, the density filter, each Bloch pencil's K0(k), the inertia
+    tests of bloch and its cut screen.  Each caller hands a already in
+    one of the nested-dissection orders of the mesh (cellmat.mesh), so
+    SuperLU orders nothing (NATURAL) and runs in its symmetric mode, with
+    the small diagonal pivot threshold that mode asks for.  Diagonal
     pivots are stable for a Hermitian positive definite matrix; the
     inertia tests, whose matrices may be indefinite, check the pivots they
-    get.  On a 64x64 blueprint's Bloch pencil this cuts nnz(L+U) from
-    about 2.4M with splu's default column ordering to 1.3-1.6M.  Without
-    the symmetric mode, a design whose stiffness matrix has no exactly
-    cancelling entries (any gray density) factors 2.5-3x slower, and
-    solves slower, than with the default ordering.  permc_spec="NATURAL"
-    keeps a's own order instead, for a caller that has ordered a itself.
+    get.  On the 64x64 blueprints the grid order factors the periodic
+    stiffness and the Bloch pencils in about half the time of SuperLU's
+    own symmetric minimum-degree order, with fewer nonzeros: 1.13M
+    against 1.37M in L+U for the stiffness of c2.
     """
-    return splu(a, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+    return splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
 
 
-def pin(a, value):
-    """a with the PINS rows and columns zeroed and value on their diagonal:
-    1 pins a stiffness K0, 0 a geometric stiffness K_sigma."""
+def pin(a, value, dofs=PINS):
+    """a with the rows and columns of dofs zeroed and value on their
+    diagonal: 1 pins a stiffness K0, 0 a geometric stiffness K_sigma.
+    dofs are the two of reduced node 0 (PINS), or where an ordered matrix
+    keeps them."""
     mask = np.ones(a.shape[0], dtype=bool)
-    mask[PINS] = False
+    mask[dofs] = False
     d = sp.diags(mask.astype(float)).tocsc()
     return (d @ a @ d + value * sp.diags((~mask).astype(float))).tocsc()
 
@@ -84,20 +86,24 @@ class PinnedSolver:
     Pinning is exact for every right-hand side that is orthogonal to the
     translations (all loads here are: they are internal-force resultants of
     periodic strain states), because the reaction at the pinned dofs then
-    vanishes identically.
+    vanishes identically.  The factor is of the pinned stiffness in order
+    (the mesh's torus order of the reduced dofs); solve takes and returns
+    vectors in the reduced numbering.
     """
 
-    def __init__(self, k_reduced):
+    def __init__(self, k_reduced, order):
         self.k_pinned = pin(k_reduced, 1.0)
+        self.order = order
         try:
-            self.lu = symmetric_lu(self.k_pinned)
+            self.lu = symmetric_lu(self.k_pinned[order][:, order])
         except RuntimeError as err:
             raise SolverError(f"stiffness factorization failed: {err}") from err
 
     def solve(self, f):
         b = np.array(f, dtype=float, copy=True)
         b[PINS] = 0.0
-        u = self.lu.solve(b)
+        u = np.empty_like(b)
+        u[self.order] = self.lu.solve(b[self.order])
         r = self.k_pinned @ u - b
         scale = max(np.linalg.norm(b), 1.0)
         if np.linalg.norm(r) > RESIDUAL_TOL * scale:

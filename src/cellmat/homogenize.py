@@ -34,12 +34,14 @@ def homogenize(mesh, elem, moduli):
     """Effective properties for an element modulus field (ne,)."""
     k = assemble_k0(mesh, elem, moduli)
     f = assemble_loads(mesh, elem, moduli)
-    solver = PinnedSolver(k)
+    solver = PinnedSolver(k, mesh.order)
     chi = np.column_stack([solver.solve(f[:, a]) for a in range(3)])
 
     u = chi[mesh.edofs]                                        # (ne, 8, 3)
     cross = np.einsum("ja,ejb->eab", elem.f_unit, u)
-    strain_energy = np.einsum("eja,jk,ekb->eab", u, elem.k0, u)
+    # per-element u_e' k0 u_e as batched products: far faster than the
+    # three-operand einsum
+    strain_energy = np.matmul(u.transpose(0, 2, 1), np.matmul(elem.k0, u))
     q = (elem.volume * elem.d0)[None, :, :] - cross - cross.transpose(0, 2, 1) \
         + strain_energy
 

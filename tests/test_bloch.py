@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh, splu
 
 from conftest import cross_density
 from cellmat import bloch
 from cellmat.bloch import (
-    K_ZERO_OFFSET,
+    LIMIT_DIRECTIONS,
     TAU_TINY,
     _certified_below,
     _CutScreen,
@@ -25,6 +25,7 @@ from cellmat.bloch import (
     buckling_strength,
     fold,
     ibz_path,
+    limit_transform,
     mirror_axis,
     mirror_basis,
     mirror_symmetric,
@@ -99,6 +100,13 @@ def cross8_pencil(cross8, k, sigma0=(-1.0, 0.0, 0.0)):
     mesh, elem, rho = cross8
     e_k, weights, _, _ = loaded_state(mesh, elem, rho, sigma0)
     return pencil(mesh, elem, e_k, weights, k)
+
+
+def minimum_degree_lu(a):
+    """fem.symmetric_lu with SuperLU's own minimum-degree order in place
+    of the order a comes in."""
+    return splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
 
 
 def plain_eigsh(k0k, ksk, m, tol):
@@ -391,7 +399,7 @@ class TestScreen:
 
     def test_pinned_center_keeps_its_bands(self, cross8, monkeypatch):
         # (pi, 0) tops every zone-center sample of the compressed cross and
-        # comes first, so the two offsets are screened like any sample
+        # comes first, so the two limits are screened like any sample
         mesh, elem, rho = cross8
         e_k, weights, _, _ = loaded_state(mesh, elem, rho)
         kpt = (np.array([[np.pi, 0.0], [0.0, 0.0]]), np.arange(2.0))
@@ -460,9 +468,10 @@ def gray_cell(n):
     return mesh, element_matrices(NU, mesh.h), rho
 
 
-def dense_bands(mesh, k0_full, ks_full, k):
+def dense_bands(mesh, k0_full, ks_full, k, axis=None, direction=None):
     """Every tau of the sweep's pencil at k, descending, from sla.eigh."""
-    _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, np.asarray(k, float))
+    _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, np.asarray(k, float),
+                              axis, direction)
     return sla.eigh(-ksk.toarray(), k0k.toarray(), eigvals_only=True)[::-1]
 
 
@@ -496,17 +505,22 @@ class TestCutScreen:
                 proven = screen.below(np.array(k), floor)
                 assert proven == (floor > tau[0]), (k, floor, tau[:3])
 
-    @pytest.mark.parametrize("k", CUT_KS, ids=["X", "M", "c1", "c2"])
-    def test_cut_matrix_is_the_hermitian_schur_complement(self, k):
+    @pytest.mark.parametrize(
+        "k, direction", [(k, None) for k in CUT_KS]
+        + [((0.0, 0.0), d) for d in LIMIT_DIRECTIONS + ((0.6, -0.8),)],
+        ids=["X", "M", "c1", "c2", "Lx", "Ly", "Ld"])
+    def test_cut_matrix_is_the_hermitian_schur_complement(self, k, direction):
         mesh, elem, rho = gray_cell(12)
         k0_full, ks_full = loaded_operators(mesh, elem, rho, LOADS["shear"])
         screen = _CutScreen(mesh, k0_full, ks_full)
         floor = 20.0
-        s = screen.schur(np.array(k), screen.condense(floor))
+        s = screen.schur(np.array(k), screen.condense(floor), direction)
         assert_array_equal(s, s.conj().T)
-        # the same Schur complement of the folded A(k) on the reduced dofs
-        _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, np.array(k))
-        a = (floor * k0k + ksk).toarray()
+        # the same Schur complement of the folded A(k), or of the limit
+        # pencil, on the reduced dofs in their own numbering
+        t = (bloch_transform(mesh, np.array(k)) if direction is None
+             else limit_transform(mesh, direction))
+        a = (floor * fold(k0_full, t) + fold(ks_full, t)).toarray()
         b = screen.cut_red
         i = np.setdiff1d(np.arange(mesh.ndof), b)
         ref = a[np.ix_(b, b)] - a[np.ix_(b, i)] @ np.linalg.solve(
@@ -575,12 +589,12 @@ class TestCutScreen:
         floor = 2.0 * full.tau_max
         assert _CutScreen(mesh, k0_full, ks_full).below(RESCALE_K, floor)
 
-        def disordered_lu(a, permc_spec="MMD_AT_PLUS_A"):
-            if permc_spec != "NATURAL":
-                return symmetric_lu(a, permc_spec)
-            if disorder == "minimum_degree":
+        def disordered_lu(a):
+            if a.shape[0] != mesh.ndof_full:     # not the cut-last factor
                 return symmetric_lu(a)
-            lu = symmetric_lu(a, permc_spec)
+            if disorder == "minimum_degree":
+                return minimum_degree_lu(a)
+            lu = symmetric_lu(a)
             perm_c = lu.perm_c.copy()
             if disorder == "cut":
                 perm_c[-2:] = perm_c[[-1, -2]]
@@ -635,25 +649,52 @@ def complex_sweep(monkeypatch, cell, pts):
 
 MIRROR_EDGES = [(np.pi / 2, 0.0), (np.pi, np.pi / 2), (np.pi / 2, np.pi),
                 (0.0, np.pi / 2)]
-# the zone-center offsets lie on the GX and YG mirror lines
-OFFSETS = [(K_ZERO_OFFSET, 0.0), (0.0, K_ZERO_OFFSET)]
+
+
+def richardson(taus):
+    """The eps -> 0 limit of bands sampled at eps = 0.04, 0.02, 0.01 and
+    0.005: they are even in eps (reciprocity), so three levels of
+    Richardson extrapolation in eps^2 leave an O(eps^8) error."""
+    t = np.asarray(taus)
+    for level in range(1, len(t)):
+        f = 4.0 ** level
+        t = (f * t[1:] - t[:-1]) / (f - 1.0)
+    return t[0]
+
+
+RICHARDSON_EPS = (0.04, 0.02, 0.01, 0.005)
 
 
 class TestMirrorBasis:
     @pytest.mark.parametrize("n", [8, 16])
-    @pytest.mark.parametrize("k", MIRROR_EDGES + OFFSETS,
-                             ids=["GX", "XM", "MY", "YG", "X0", "Y0"])
-    def test_mirror_line_pencil_is_real(self, n, k):
+    @pytest.mark.parametrize(
+        "k, direction", [(k, None) for k in MIRROR_EDGES]
+        + [((0.0, 0.0), d) for d in LIMIT_DIRECTIONS],
+        ids=["GX", "XM", "MY", "YG", "X0", "Y0"])
+    def test_mirror_line_pencil_is_real(self, n, k, direction):
         cell = mirrored_cell(n, (0, 1))
         mesh, elem, rho = cell
         k0_full, ks_full = loaded_operators(mesh, elem, rho,
                                             LOADS["compression"])
+        if direction is not None:
+            # the zone-center limit ends the GX (YG) mirror line: its real
+            # pencil's bands are the limits of the line's real-basis bands
+            axis = mirror_axis(direction)
+            out = sweep(cell, [k])
+            smp = out.samples[axis]
+            assert_array_equal(smp.direction, direction)
+            assert smp.modes.dtype == np.float64
+            taus = [dense_bands(mesh, k0_full, ks_full, eps * direction,
+                                axis)[:4] for eps in RICHARDSON_EPS]
+            assert_allclose(smp.tau, richardson(taus), rtol=1e-8)
+            return
         axis = mirror_axis(k)
         assert mirror_symmetric(mesh, (k0_full, ks_full), axis)
         _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, np.array(k), axis)
         assert k0k.dtype == ksk.dtype == np.float64
         # U is unitary and takes the complex pencil to a real one
-        _, k0c, ksc = band_pencil(mesh, k0_full, ks_full, np.array(k))
+        t = bloch_transform(mesh, np.array(k))
+        k0c, ksc = fold(k0_full, t), fold(ks_full, t)
         u = mirror_basis(mesh, np.array(k), axis).toarray()
         assert_allclose(u.conj().T @ u, np.eye(mesh.ndof), atol=1e-14)
         for a in (k0c, ksc):
@@ -783,17 +824,21 @@ class TestBucklingStrength:
         mesh, elem, rho = bar32
         e_k, weights, _, _ = loaded_state(mesh, elem, rho,
                                           sigma0=(1.0, 0.0, 0.0))
-        with pytest.warns(RuntimeWarning, match="certified stable"):
+        with pytest.warns(RuntimeWarning, match="certified stable") as rec:
             out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=2)
         assert not out.buckled
         assert out.sigma_c == np.inf
+        # every sample is either solved or certified: none, the zone-center
+        # limits included, leaves a band unconverged
+        assert not [w for w in rec if "converged only" in str(w.message)]
 
     @pytest.mark.parametrize("n, rho, sigma0, m", [
         # the dense pinned k = 0 pencil tops out at a few 1e-9 here, which
         # is roundoff of the zero cluster, not a critical load of ~3e8
         (12, cross_density(12, 0.5), (1.0, 1.0, 0.0), 2),
-        # every tau of a solid cell in tension is <= 0; at offsets of 1e-4
-        # roundoff lifted the top one above TAU_TINY
+        # every tau of a solid cell in tension is <= 0, the zone-center
+        # limits' too; near k = 0 (offsets of 1e-4) roundoff had lifted the
+        # top one above TAU_TINY
         (8, np.ones(64), (1.0, 0.0, 0.0), 6),
     ], ids=["cross12-biaxial", "solid8-uniaxial"])
     def test_tension_roundoff_is_not_buckling(self, n, rho, sigma0, m):
@@ -803,6 +848,9 @@ class TestBucklingStrength:
         out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=m)
         assert not out.buckled
         assert out.sigma_c == np.inf
+        limits = [s for s in out.samples if s.direction is not None]
+        assert len(limits) == 2
+        assert all(s.tau.max() <= TAU_TINY for s in limits)
 
     def test_pinned_center_matches_real_reduced_pencil(self, cross8):
         mesh, elem, rho = cross8
@@ -817,3 +865,72 @@ class TestBucklingStrength:
         tau_ref, _ = solve_band(pin(k_red.astype(complex), 1.0),
                                 pin(ks_red.astype(complex), 0.0), 4)
         assert_allclose(pinned[0].tau, tau_ref, rtol=1e-10, atol=1e-12)
+
+
+# ==========================================================================
+# the zone-center limit
+# ==========================================================================
+
+
+class TestZoneCenterLimit:
+    @pytest.mark.parametrize("direction", [(1.0, 0.0), (0.0, 1.0),
+                                           (0.6, 0.8)],
+                             ids=["x", "y", "oblique"])
+    def test_limit_is_the_extrapolated_offsets(self, cross8, direction):
+        # dense solves of the limit pencil and of the Bloch pencils at
+        # k = eps d, eps = 0.04 ... 0.005, extrapolated to eps = 0
+        mesh, elem, rho = cross8
+        k0_full, ks_full = loaded_operators(mesh, elem, rho,
+                                            LOADS["compression"])
+        d = np.array(direction)
+        limit = dense_bands(mesh, k0_full, ks_full, np.zeros(2),
+                            direction=d)[:3]
+        taus = [dense_bands(mesh, k0_full, ks_full, eps * d)[:3]
+                for eps in RICHARDSON_EPS]
+        assert_allclose(limit, richardson(taus), rtol=1e-9)
+
+    def test_transform_drops_node0_and_carries_the_ramps(self, mesh8):
+        n = mesh8.n
+        t = limit_transform(mesh8, np.array([0.6, 0.8])).toarray()
+        t0 = bloch_transform(mesh8, np.zeros(2)).toarray()
+        # every column off reduced node 0 is T(0)'s
+        assert_array_equal(t[:, 2:], t0[:, 2:])
+        node = np.arange(mesh8.nn_full)
+        ramp = 0.6 * (node % (n + 1) == n) + 0.8 * (node // (n + 1) == n)
+        for c in range(2):
+            assert_array_equal(t[c::2, c], ramp)
+            assert_array_equal(t[1 - c::2, c], 0.0)
+        # the corner at the origin is fixed: the limit's gauge
+        assert_array_equal(t[:2], 0.0)
+
+    def test_k0_part_is_positive_definite(self, cross8):
+        mesh, elem, rho = cross8
+        k0_full, ks_full = loaded_operators(mesh, elem, rho,
+                                            LOADS["compression"])
+        for d in LIMIT_DIRECTIONS:
+            _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, np.zeros(2),
+                                      direction=d)
+            assert k0k.dtype == ksk.dtype == np.float64
+            assert np.linalg.eigvalsh(k0k.toarray()).min() > 0.0
+
+    def test_rejects_a_zero_direction(self, mesh8):
+        for bad in ((0.0, 0.0), (np.nan, 1.0), (1.0,)):
+            with pytest.raises(ConfigError, match="direction"):
+                limit_transform(mesh8, np.array(bad))
+
+    def test_every_tau_is_independent_of_the_factor_order(self,
+                                                          monkeypatch):
+        # the grid order and SuperLU's minimum-degree order factor every
+        # pencil of the sweep differently; no sample, the zone-center
+        # limits included, may feel it beyond the solver tolerance.  The
+        # old offsets k = (0.01, 0) moved by 2.9e-9 relative here
+        mesh = build_mesh(8)
+        elem = element_matrices(NU, mesh.h)
+        e_k, weights, _, _ = loaded_state(mesh, elem, cross_density(8, 0.35))
+        grid = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=4)
+        monkeypatch.setattr(bloch, "symmetric_lu", minimum_degree_lu)
+        mmd = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=4)
+        assert grid.buckled
+        for s, r in zip(grid.samples, mmd.samples):
+            assert_allclose(s.tau, r.tau, rtol=0,
+                            atol=1e-10 * np.abs(r.tau).max())

@@ -214,17 +214,24 @@ class TestCli:
         assert len(out["samples"]) == 1
         assert len(out["samples"][0]["tau"]) == 3
 
-        # the exact zone center expands into offset and pinned samples
+        # the exact zone center expands into its limits along x and y and
+        # the pinned sample, each at k = (0, 0)
         assert main(["band", "--grid", str(grid), "--k", "0,0"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert [s["pinned"] for s in out["samples"]] == [False, False, True]
+        assert [s["direction"] for s in out["samples"]] == [[1.0, 0.0],
+                                                            [0.0, 1.0], None]
+        assert all(s["k"] == [0.0, 0.0] for s in out["samples"])
 
         sweep_csv = tmp_path / "s.csv"
         assert main(["sweep", "--grid", str(grid), "--n-seg", "2",
                      "--m-bands", "3", "--out", str(sweep_csv)]) == 0
         lines = sweep_csv.read_text().splitlines()
-        assert lines[0] == "arclength,kx,ky,pinned,tau_1,tau_2,tau_3"
+        assert lines[0] == "arclength,kx,ky,pinned,nx,ny,tau_1,tau_2,tau_3"
         assert len(lines) == 1 + 4 * 2 + 2
+        assert [line.split(",")[1:6] for line in lines[1:4]] == [
+            ["0", "0", "0", "1", "0"], ["0", "0", "0", "0", "1"],
+            ["0", "0", "1", "", ""]]
 
         assert main(["band", "--grid", str(grid), "--k", "zzz"]) == 2
 

@@ -54,6 +54,40 @@ def test_periodic_master_map():
     assert set(m.master) == set(range(m.nn))
 
 
+@pytest.mark.parametrize("n", [4, 6, 10, 64, 96])
+def test_grid_orders_are_permutations(n):
+    m = build_mesh(n)
+    assert_array_equal(np.sort(m.node_order), np.arange(m.nn))
+    assert_array_equal(m.order.reshape(-1, 2) // 2,
+                       np.repeat(m.node_order[:, None], 2, axis=1))
+    for axis in (0, 1):
+        order = m.mirror_orders[axis]
+        assert_array_equal(np.sort(order), np.arange(m.ndof))
+        assert_array_equal(order[0::2] + 1, order[1::2])
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_mirror_order_keeps_each_node_next_to_its_image(axis):
+    n = 10
+    nodes = build_mesh(n).mirror_orders[axis][0::2] // 2
+    c = (nodes % n, nodes // n)[axis]
+    i = 0
+    while i < nodes.size:
+        if c[i] in (0, n // 2):         # its own image
+            i += 1
+            continue
+        assert c[i + 1] == n - c[i]
+        assert nodes[i + 1] - nodes[i] == (n - 2 * c[i]) * (1, n)[axis]
+        i += 2
+
+
+def test_torus_order_cuts_columns_0_and_half_last():
+    n = 8
+    nodes = build_mesh(n).node_order
+    last = nodes[-2 * n:]
+    assert_array_equal(np.sort(last % n), np.repeat([0, n // 2], n))
+
+
 # ==========================================================================
 # assembly
 # ==========================================================================
@@ -107,7 +141,7 @@ class TestPinnedSolve:
         rho = rng.uniform(0.05, 1.0, mesh.ne)
         k = assemble_k0(mesh, elem, rho)
         f = assemble_loads(mesh, elem, rho)
-        s = PinnedSolver(k)
+        s = PinnedSolver(k, mesh.order)
         u = np.column_stack([s.solve(f[:, j]) for j in range(3)])
 
         kd = k.toarray()
@@ -132,14 +166,14 @@ class TestPinnedSolve:
 
     def test_singular_operator_raises(self):
         with pytest.raises(SolverError):
-            PinnedSolver(sp.csc_matrix((8, 8)))
+            PinnedSolver(sp.csc_matrix((8, 8)), np.arange(8))
 
     def test_solver_reuse_multiple_rhs(self, mesh8, elem8):
         rho = np.ones(mesh8.ne)
         k = assemble_k0(mesh8, elem8, rho)
         f = assemble_loads(mesh8, elem8, rho)
-        s = PinnedSolver(k)
+        s = PinnedSolver(k, mesh8.order)
         u = np.column_stack([s.solve(f[:, j]) for j in range(3)])
-        fresh = np.column_stack([PinnedSolver(k).solve(f[:, j])
+        fresh = np.column_stack([PinnedSolver(k, mesh8.order).solve(f[:, j])
                                  for j in range(3)])
         assert_allclose(u, fresh, rtol=0, atol=0)
