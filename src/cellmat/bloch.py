@@ -62,8 +62,8 @@ the full node set.  Such a pencil couples each node with its mirror
 image, so it comes in the order of the mirror quotient.
 buckling_strength takes this basis on a mirror line only when both
 full-node operators are mirror_symmetric about its axis within
-MIRROR_TOL, tested once per sweep on the first such sample; an
-asymmetric cell keeps the complex pencils everywhere.  Symmetric
+MIRROR_TOL (cellmat.mesh), tested once per sweep on the first such
+sample; an asymmetric cell keeps the complex pencils everywhere.  Symmetric
 designs under the uniaxial load, the optimizer's and the committed ones,
 are mirror-symmetric about both axes.
 
@@ -110,7 +110,7 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, norm
 
 from .errors import AnalysisError, ConfigError
 from .fem import PINS, assemble, assemble_k0, pin, symmetric_lu
-from .mesh import dissection, node_dofs
+from .mesh import MIRROR_TOL, dissection, mirror_map, node_dofs
 
 # the directions of the zone-center limit samples of every sweep
 LIMIT_DIRECTIONS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -128,15 +128,6 @@ TAU_TINY = 1e-6
 # at most 1.3e-11), so the margin leaves a factor of ten over the
 # tolerance.
 SCREEN_MARGIN = 1e-8
-# relative Frobenius bound on |M A M - A|, M a mirror of the full node
-# set, under which K0 or K_sigma counts as mirror-symmetric (module doc).
-# The real basis drops the imaginary part that such an asymmetry leaves in
-# U^H K(k) U, a perturbation of the pencil of that relative size: three
-# orders below the ARPACK tolerance of 1e-9.  A mirror-symmetric design
-# under the uniaxial load misses exact symmetry only by the roundoff of
-# its stress field, 1e-14 to 2.4e-14 for K_sigma and below 1e-15 for K0
-# on the committed designs.
-MIRROR_TOL = 1e-12
 
 
 def stress_stiffness(mesh, elem, stress_weights):
@@ -220,22 +211,12 @@ def mirror_axis(k):
     return 0 if real[1] else 1
 
 
-def _mirror_map(n, size, axis):
-    """(image, c) for every node of a size x size grid numbered row by row:
-    c is its coordinate along axis and image the node the mirror about
-    axis maps it to, coordinate (n - c) mod size."""
-    node = np.arange(size * size)
-    c = (node % size, node // size)[axis]
-    stride = 1 if axis == 0 else size
-    return node + ((n - c) % size - c) * stride, c
-
-
 def mirror_symmetric(mesh, ops, axis):
     """True when every full-node operator A in ops has
     |M A M - A|_F <= MIRROR_TOL |A|_F for the mirror M about axis: node
     coordinate c -> n - c, the axis component of each displacement
     negated."""
-    image, _ = _mirror_map(mesh.n, mesh.n + 1, axis)
+    image, _ = mirror_map(mesh.n, mesh.n + 1, axis)
     dof = np.arange(mesh.ndof_full)
     m = sp.csr_matrix((np.where(dof % 2 == axis, -1.0, 1.0),
                        (dof, 2 * image.repeat(2) + dof % 2)),
@@ -255,7 +236,7 @@ def mirror_basis(mesh, k, axis):
     gives exp(i arg(conj f) / 2) e_d.  For a mirror-symmetric K_full,
     U^H K(k) U is then real (module doc).
     """
-    image, c = _mirror_map(mesh.n, mesh.n, axis)
+    image, c = mirror_map(mesh.n, mesh.n, axis)
     d = np.arange(mesh.ndof)
     img = 2 * image.repeat(2) + d % 2
     f = np.where(d % 2 == axis, -1.0, 1.0) * np.where(

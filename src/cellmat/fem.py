@@ -1,4 +1,11 @@
-"""Sparse assembly, the sparse factor and the periodic linear solve."""
+"""Sparse assembly, the sparse factor and the periodic linear solve.
+
+The periodic solve factors the pinned stiffness once in a basis of the
+mesh (cellmat.mesh) and maps every right-hand side into that basis and
+every solution back: the torus-order permutation, or, for a cell
+mirror-symmetric about both axes, the two-mirror class basis, in which
+the stiffness is block diagonal (cellmat.homogenize picks the basis).
+"""
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,15 +61,18 @@ def symmetric_lu(a):
     Every sparse factor of the package is made here: the periodic
     stiffness, the density filter, each Bloch pencil's K0(k), the inertia
     tests of bloch and its cut screen.  Each caller hands a already in
-    one of the nested-dissection orders of the mesh (cellmat.mesh), so
-    SuperLU orders nothing (NATURAL) and runs in its symmetric mode, with
-    the small diagonal pivot threshold that mode asks for.  Diagonal
-    pivots are stable for a Hermitian positive definite matrix; the
-    inertia tests, whose matrices may be indefinite, check the pivots they
-    get.  On the 64x64 blueprints the grid order factors the periodic
+    one of the nested-dissection orders of the mesh (cellmat.mesh), or,
+    for the periodic stiffness of a two-mirror-symmetric cell, in its
+    class basis, class by class in the dissection order of the quarter
+    grid.  So SuperLU orders nothing (NATURAL) and runs in its symmetric
+    mode, with the small diagonal pivot threshold that mode asks for.
+    Diagonal pivots are stable for a Hermitian positive definite matrix;
+    the inertia tests, whose matrices may be indefinite, check the pivots
+    they get.  On the 64x64 blueprints the grid order factors the periodic
     stiffness and the Bloch pencils in about half the time of SuperLU's
     own symmetric minimum-degree order, with fewer nonzeros: 1.13M
-    against 1.37M in L+U for the stiffness of c2.
+    against 1.37M in L+U for the stiffness of c2, and 0.60M in the class
+    basis.
     """
     return splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
@@ -86,28 +96,34 @@ class PinnedSolver:
     Pinning is exact for every right-hand side that is orthogonal to the
     translations (all loads here are: they are internal-force resultants of
     periodic strain states), because the reaction at the pinned dofs then
-    vanishes identically.  The factor is of the pinned stiffness in order
-    (the mesh's torus order of the reduced dofs); solve takes and returns
-    vectors in the reduced numbering.
+    vanishes identically.
+
+    The stiffness is factored in an orthogonal basis Q that the mesh owns
+    (cellmat.mesh): k is Q^T K Q, and Q keeps the unit vectors of PINS as
+    two of its columns, so pinning them in the basis is the pin of K.  Q
+    is the torus-order permutation (Mesh.torus_basis), or, for a cell
+    mirror-symmetric about both axes, the two-mirror class basis
+    (Mesh.classes), in which k is block diagonal.  solve takes and returns
+    vectors in the reduced numbering and maps them through Q.
     """
 
-    def __init__(self, k_reduced, order):
-        self.k_pinned = pin(k_reduced, 1.0)
-        self.order = order
+    def __init__(self, k, basis):
+        self.basis = basis
+        self.k_pinned = pin(k, 1.0, basis[PINS].indices)
         try:
-            self.lu = symmetric_lu(self.k_pinned[order][:, order])
+            self.lu = symmetric_lu(self.k_pinned)
         except RuntimeError as err:
             raise SolverError(f"stiffness factorization failed: {err}") from err
 
     def solve(self, f):
         b = np.array(f, dtype=float, copy=True)
         b[PINS] = 0.0
-        u = np.empty_like(b)
-        u[self.order] = self.lu.solve(b[self.order])
-        r = self.k_pinned @ u - b
+        b = self.basis.T @ b
+        y = self.lu.solve(b)
+        r = self.k_pinned @ y - b
         scale = max(np.linalg.norm(b), 1.0)
         if np.linalg.norm(r) > RESIDUAL_TOL * scale:
             raise SolverError(
                 f"periodic solve residual {np.linalg.norm(r) / scale:.3e} "
                 f"exceeds {RESIDUAL_TOL:.1e}")
-        return u
+        return self.basis @ y

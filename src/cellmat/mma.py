@@ -133,38 +133,47 @@ def _subsolv(mma, alfa, beta, p0, q0, pp, qq, b):
     zet = 1.0
     s = np.ones(m)
 
+    # the residual, one block per optimality condition, and the Newton
+    # system, filled in place
+    res = np.empty(3 * n + 4 * m + 2)
+    rx, ry, rz, rl, rxsi, reta, rmu, rzet, rs = np.split(
+        res, np.cumsum([n, m, 1, m, n, n, m, 1]))
+    aa = np.empty((m + 1, m + 1))
+    rhs = np.empty(m + 1)
+    diag = np.diag_indices(m)
+
     def residual(x, y, z, lam, xsi, eta, mu, zet, s, epsi):
+        """(terms, |res|_2, |res|_inf): terms are the point's values that
+        the Newton step at it reuses."""
         ux1 = upp - x
         xl1 = x - low
+        ux2 = ux1 ** 2
+        xl2 = xl1 ** 2
         plam = p0 + lam @ pp
         qlam = q0 + lam @ qq
         gvec = pp @ (1.0 / ux1) + qq @ (1.0 / xl1)
-        res = np.concatenate([
-            plam / ux1 ** 2 - qlam / xl1 ** 2 - xsi + eta,
-            c + d * y - mu - lam,
-            [a0 - zet - a @ lam],
-            gvec - a * z - y + s - b,
-            xsi * (x - alfa) - epsi,
-            eta * (beta - x) - epsi,
-            mu * y - epsi,
-            [zet * z - epsi],
-            lam * s - epsi,
-        ])
-        return res, np.linalg.norm(res), np.abs(res).max()
+        rx[:] = plam / ux2 - qlam / xl2 - xsi + eta
+        ry[:] = c + d * y - mu - lam
+        rz[:] = a0 - zet - a @ lam
+        rl[:] = gvec - a * z - y + s - b
+        rxsi[:] = xsi * (x - alfa) - epsi
+        reta[:] = eta * (beta - x) - epsi
+        rmu[:] = mu * y - epsi
+        rzet[:] = zet * z - epsi
+        rs[:] = lam * s - epsi
+        terms = ux1, xl1, ux2, xl2, plam, qlam, gvec
+        return terms, np.linalg.norm(res), np.abs(res).max()
 
     while epsi > EPSIMIN:
-        _, resnorm, resmax = residual(x, y, z, lam, xsi, eta, mu, zet, s, epsi)
+        terms, resnorm, resmax = residual(x, y, z, lam, xsi, eta, mu, zet,
+                                          s, epsi)
         for _ in range(200):
             if resmax <= 0.9 * epsi:
                 break
-            ux1 = upp - x
-            xl1 = x - low
-            plam = p0 + lam @ pp
-            qlam = q0 + lam @ qq
-            gvec = pp @ (1.0 / ux1) + qq @ (1.0 / xl1)
-            gg = pp / ux1 ** 2 - qq / xl1 ** 2
+            ux1, xl1, ux2, xl2, plam, qlam, gvec = terms
+            gg = pp / ux2 - qq / xl2
 
-            delx = plam / ux1 ** 2 - qlam / xl1 ** 2 \
+            delx = plam / ux2 - qlam / xl2 \
                 - epsi / (x - alfa) + epsi / (beta - x)
             dely = c + d * y - lam - epsi / y
             delz = a0 - a @ lam - epsi / z
@@ -176,11 +185,14 @@ def _subsolv(mma, alfa, beta, p0, q0, pp, qq, b):
             diaglamyi = s / lam + 1.0 / diagy
 
             # m << n: eliminate x and y, solve the (m+1) system
-            blam = dellam + dely / diagy - gg @ (delx / diagx)
-            alam = np.diag(diaglamyi) + (gg / diagx) @ gg.T
-            aa = np.block([[alam, a[:, None]],
-                           [a[None, :], -zet / z]])
-            sol = np.linalg.solve(aa, np.concatenate([blam, [delz]]))
+            aa[:m, :m] = (gg / diagx) @ gg.T
+            aa[diag] += diaglamyi
+            aa[:m, m] = a
+            aa[m, :m] = a
+            aa[m, m] = -zet / z
+            rhs[:m] = dellam + dely / diagy - gg @ (delx / diagx)
+            rhs[m] = delz
+            sol = np.linalg.solve(aa, rhs)
             dlam = sol[:m]
             dz = sol[m]
             dx = -(delx + dlam @ gg) / diagx
@@ -214,8 +226,8 @@ def _subsolv(mma, alfa, beta, p0, q0, pp, qq, b):
                 mu = muo + steg * dmu
                 zet = zeto + steg * dzet
                 s = so + steg * ds
-                _, resnew, resmax = residual(x, y, z, lam, xsi, eta,
-                                             mu, zet, s, epsi)
+                terms, resnew, resmax = residual(x, y, z, lam, xsi, eta,
+                                                 mu, zet, s, epsi)
                 steg *= 0.5
             resnorm = resnew
         epsi *= 0.1

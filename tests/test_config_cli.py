@@ -369,3 +369,25 @@ def test_config_needs_no_jsonschema():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("numpy_first", [False, True],
+                         ids=["cellmat-first", "numpy-first"])
+def test_threads_setting_warns_when_numpy_came_first(numpy_first):
+    # OpenBLAS reads its thread count when numpy loads, so CELLMAT_THREADS
+    # is void once numpy is in; cellmat says so instead of ignoring it
+    code = textwrap.dedent(f"""
+        import warnings
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            {"import numpy" if numpy_first else "pass"}
+            import cellmat
+        print(sum(issubclass(w.category, RuntimeWarning)
+                  and "CELLMAT_THREADS" in str(w.message) for w in caught))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, CELLMAT_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1" if numpy_first else "0"]

@@ -7,11 +7,14 @@ are piecewise constant per layer.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import cellmat.homogenize
+from cellmat.design import enforce_symmetry
 from cellmat.element import elastic_matrix, element_matrices
-from cellmat.fem import assemble_loads
-from cellmat.homogenize import homogenize
+from cellmat.fem import PINS, assemble_k0, assemble_loads, pin
+from cellmat.homogenize import class_stiffness, homogenize
 from cellmat.mesh import build_mesh
 
 NU = 1.0 / 3.0
@@ -120,6 +123,70 @@ class TestInvariances:
         assert w.min() > -1e-12
         assert_allclose(np.einsum("e,eab->ab", rho, res.q_tensors), res.dbar,
                         rtol=1e-12)
+
+
+# ==========================================================================
+# the two-mirror class basis
+# ==========================================================================
+
+
+def d4_field(n, seed):
+    rng = np.random.default_rng(seed)
+    return enforce_symmetry(rng.uniform(0.1, 1.0, n * n), n)
+
+
+@pytest.mark.parametrize("n", [4, 8, 64])
+def test_class_stiffness_is_the_pinned_stiffness_in_the_class_basis(n):
+    mesh = build_mesh(n)
+    elem = element_matrices(NU, mesh.h)
+    rho = d4_field(n, n)
+    q, col = mesh.classes.q, mesh.classes.col
+    cls = np.empty(mesh.ndof, dtype=int)
+    for i in range(4):
+        cls[col[i][col[i] >= 0]] = i
+    ref = (q.T @ pin(assemble_k0(mesh, elem, rho), 1.0) @ q).tocoo()
+    block = cls[ref.row] == cls[ref.col]
+    ref = sp.csr_matrix((ref.data[block], (ref.row[block], ref.col[block])),
+                        shape=ref.shape)
+    got = pin(class_stiffness(mesh, elem, rho), 1.0, q[PINS].indices)
+    assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def torus_only(monkeypatch):
+    monkeypatch.setattr(cellmat.homogenize, "two_mirror_symmetric",
+                        lambda mesh, moduli: False)
+
+
+def test_class_basis_matches_the_torus_order(mesh8, elem8, rng, monkeypatch):
+    rho = d4_field(8, 3)
+    res = homogenize(mesh8, elem8, rho)
+    assert res.solver.basis is mesh8.classes.q
+    torus_only(monkeypatch)
+    ref = homogenize(mesh8, elem8, rho)
+    assert ref.solver.basis is mesh8.torus_basis
+    assert np.abs(res.dbar - ref.dbar).max() <= 1e-12 * np.abs(ref.dbar).max()
+    assert np.abs(res.chi - ref.chi).max() <= 1e-10 * np.abs(ref.chi).max()
+    # the adjoint route: any load orthogonal to the translations
+    b = rng.standard_normal(mesh8.ndof)
+    b -= np.repeat(b.reshape(-1, 2).mean(axis=0)[None], mesh8.nn, 0).ravel()
+    u = ref.solver.solve(b)
+    assert np.abs(res.solver.solve(b) - u).max() <= 1e-10 * np.abs(u).max()
+
+
+def test_only_a_two_mirror_symmetric_field_takes_the_class_basis(
+        mesh8, elem8, rng):
+    rho = d4_field(8, 5)
+    roundoff = rho * (1.0 + 1e-15 * rng.standard_normal(rho.size))
+    for field in (rho, roundoff):
+        assert homogenize(mesh8, elem8, field).solver.basis \
+            is mesh8.classes.q
+    asymmetric = rng.uniform(0.1, 1.0, (8, 8))
+    one_mirror = asymmetric + asymmetric[:, ::-1]
+    perturbed = rho.copy()
+    perturbed[9] *= 1.0 + 1e-10
+    for field in (asymmetric, one_mirror, one_mirror.T, perturbed):
+        assert homogenize(mesh8, elem8, field.ravel()).solver.basis \
+            is mesh8.torus_basis
 
 
 # ==========================================================================

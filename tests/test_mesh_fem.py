@@ -5,10 +5,11 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
+from cellmat.design import enforce_symmetry
 from cellmat.element import element_matrices
 from cellmat.errors import ConfigError, SolverError
 from cellmat.fem import PINS, PinnedSolver, assemble_k0, assemble_loads, pin
-from cellmat.mesh import build_mesh
+from cellmat.mesh import CLASSES, build_mesh
 
 NU = 1.0 / 3.0
 
@@ -88,6 +89,50 @@ def test_torus_order_cuts_columns_0_and_half_last():
     assert_array_equal(np.sort(last % n), np.repeat([0, n // 2], n))
 
 
+def class_of_columns(mesh):
+    """The class index of every column of mesh.classes.q."""
+    col = mesh.classes.col
+    cls = np.empty(mesh.ndof, dtype=int)
+    for i in range(4):
+        cls[col[i][col[i] >= 0]] = i
+    return cls
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 64])
+def test_class_basis_is_orthogonal_and_splits_the_stiffness(n):
+    mesh = build_mesh(n)
+    q = mesh.classes.q
+    assert np.diff(q.indptr).max() <= 4
+    eye = (q.T @ q).tocoo()
+    assert np.abs(eye - sp.identity(mesh.ndof)).max() <= 1e-15
+    # the columns come class by class
+    cls = class_of_columns(mesh)
+    assert np.all(np.diff(cls) >= 0)
+    assert_array_equal(np.unique(cls), np.arange(4))
+
+    rho = enforce_symmetry(np.random.default_rng(n).uniform(
+        0.1, 1.0, mesh.ne), n)
+    k = assemble_k0(mesh, element_matrices(NU, mesh.h), rho)
+    kq = (q.T @ k @ q).tocoo()
+    off = cls[kq.row] != cls[kq.col]
+    assert np.abs(kq.data[off]).max() <= 1e-14 * np.abs(kq.data).max()
+
+
+def test_class_basis_keeps_the_pins_and_sorts_the_rigid_fields(mesh8):
+    q = mesh8.classes.q
+    cls = class_of_columns(mesh8)
+    # each pinned dof is itself a column of Q, in the class of its
+    # translation
+    for dof, (sx, sy) in zip(PINS, [(-1, 1), (1, -1)]):
+        assert q[dof].nnz == 1 and q[dof].data[0] == 1.0
+        assert CLASSES[cls[q[dof].indices[0]]] == (sx, sy)
+        assert q[:, q[dof].indices[0]].nnz == 1
+        translation = (np.arange(mesh8.ndof) % 2 == dof).astype(float)
+        coords = q.T @ translation
+        live = np.abs(coords) > 1e-12
+        assert {CLASSES[c] for c in cls[live]} == {(sx, sy)}
+
+
 # ==========================================================================
 # assembly
 # ==========================================================================
@@ -141,7 +186,8 @@ class TestPinnedSolve:
         rho = rng.uniform(0.05, 1.0, mesh.ne)
         k = assemble_k0(mesh, elem, rho)
         f = assemble_loads(mesh, elem, rho)
-        s = PinnedSolver(k, mesh.order)
+        o = mesh.order
+        s = PinnedSolver(k[o][:, o], mesh.torus_basis)
         u = np.column_stack([s.solve(f[:, j]) for j in range(3)])
 
         kd = k.toarray()
@@ -166,14 +212,16 @@ class TestPinnedSolve:
 
     def test_singular_operator_raises(self):
         with pytest.raises(SolverError):
-            PinnedSolver(sp.csc_matrix((8, 8)), np.arange(8))
+            PinnedSolver(sp.csc_matrix((8, 8)), sp.identity(8, format="csr"))
 
     def test_solver_reuse_multiple_rhs(self, mesh8, elem8):
         rho = np.ones(mesh8.ne)
         k = assemble_k0(mesh8, elem8, rho)
         f = assemble_loads(mesh8, elem8, rho)
-        s = PinnedSolver(k, mesh8.order)
+        o = mesh8.order
+        k = k[o][:, o]
+        s = PinnedSolver(k, mesh8.torus_basis)
         u = np.column_stack([s.solve(f[:, j]) for j in range(3)])
-        fresh = np.column_stack([PinnedSolver(k, mesh8.order).solve(f[:, j])
-                                 for j in range(3)])
+        fresh = np.column_stack([PinnedSolver(k, mesh8.torus_basis).solve(
+            f[:, j]) for j in range(3)])
         assert_allclose(u, fresh, rtol=0, atol=0)
