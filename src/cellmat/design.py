@@ -7,8 +7,13 @@ produced by the fixed chain
 
 and every consumer of gradients walks the same chain backwards.  Square
 symmetry is enforced by averaging the full orbit of the 8 dihedral maps,
-which is an orthogonal projection, so its adjoint is itself.
+which is an orthogonal projection, so its adjoint is itself.  A symmetric
+field is fixed by its values on one element of each orbit (d4_orbits):
+the optimizer's variables are those values.
 """
+
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,6 +44,29 @@ def enforce_symmetry(rho, n):
     for m in _D4_MAPS:
         out += m(grid)
     return (out / 8.0).ravel()
+
+
+@dataclass(frozen=True)
+class Orbits:
+    """The orbits of the elements of an n-by-n grid under the 8 dihedral
+    maps.  rho[reps] holds every value of a symmetric field rho, and
+    x[index] expands orbit values x back to the field.  Read-only."""
+    reps: np.ndarray         # (orbits,) smallest element id of each orbit
+    index: np.ndarray        # (n*n,) each element's orbit
+    sizes: np.ndarray        # (orbits,) members: 4 on a diagonal, else 8
+                             # (for even n)
+
+
+@cache
+def d4_orbits(n):
+    """The Orbits of the n-by-n grid, built once per n."""
+    ids = np.arange(n * n).reshape(n, n)
+    least = np.min([m(ids) for m in _D4_MAPS], axis=0).ravel()
+    reps, index, sizes = np.unique(least, return_inverse=True,
+                                   return_counts=True)
+    for a in (reps, index, sizes):
+        a.flags.writeable = False
+    return Orbits(reps=reps, index=index, sizes=sizes)
 
 
 class PDEFilter:

@@ -28,11 +28,14 @@ dissection, without the wrap separators of the torus order.  The
 columns of reduced node 0, fem.PINS, are those two dofs themselves: x in
 class (-, +) with the x translation, y in (+, -) with the y translation.
 The correctors of the normal macro strains lie in (+, +), that of the
-shear strain in (-, -).
+shear strain in (-, -).  So the columns come in two pairs of classes:
+first the corrector pair (+, +) and (-, -), then the translation pair
+(+, -) and (-, +), which holds the pins.  The basis depends on n alone
+and is built once per n.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,19 +54,21 @@ from .errors import ConfigError
 # to 2.4e-14 for K_sigma under the uniaxial load.
 MIRROR_TOL = 1e-12
 # the parity classes (sx, sy) of the two axis mirrors, in the order of
-# ClassBasis's columns
-CLASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+# ClassBasis's columns: the corrector pair, then the translation pair
+CLASSES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassBasis:
     """The orthogonal basis Q of the two-mirror classes of the reduced
     dofs (module doc), its columns class by class in CLASSES order and
-    each class in the dissection order of the quarter grid."""
+    each class in the dissection order of the quarter grid.  Shared by
+    every mesh of its n: its arrays are read-only."""
     q: sp.csr_matrix         # (ndof, ndof) orthogonal, <= 4 entries a row
     col: np.ndarray          # (4, ndof) the column of each dof's orbit in
                              # each class, -1 where the orbit has none
     coef: np.ndarray         # (4, ndof) Q[dof, col], 0 where none
+    split: int               # columns of the corrector pair, the first
 
 
 @dataclass
@@ -82,7 +87,8 @@ class Mesh:
 
     @cached_property
     def classes(self):
-        """The two-mirror class basis (ClassBasis), built on first use."""
+        """The two-mirror class basis (ClassBasis) of n, shared by every
+        mesh of that n."""
         return class_basis(self.n)
 
     @cached_property
@@ -185,9 +191,10 @@ def order_basis(order):
                          shape=(size, size))
 
 
+@cache
 def class_basis(n):
     """The two-mirror class basis of the reduced dofs of the n x n grid
-    (module doc).
+    (module doc), built once per n.
 
     In class (sx, sy) a mirror acts on a dof by the factor t: the class
     sign of that mirror, negated when the mirror flips the dof's
@@ -226,7 +233,9 @@ def class_basis(n):
     live = col >= 0
     q = sp.csr_matrix((coef[live], (np.nonzero(live)[1], col[live])),
                       shape=(ndof, ndof))
-    return ClassBasis(q=q, col=col, coef=coef)
+    for a in (q.data, q.indices, q.indptr, col, coef):
+        a.flags.writeable = False
+    return ClassBasis(q=q, col=col, coef=coef, split=int(col[1].max()) + 1)
 
 
 def build_mesh(n):

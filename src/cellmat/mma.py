@@ -8,6 +8,15 @@ iteration on the full set of primal and dual variables; with far fewer
 constraints than variables the Newton step reduces to an (m+1)-square
 dense system.
 
+Each variable may stand for several equal ones: with weights w, variable
+i counts w_i times in every sum over the variables (the constraint
+approximations, the Newton system and the residual 2-norm), so a step on
+the orbit representatives of a symmetric design, weighted by the orbit
+sizes, is the step that the full design would take.  Max-norms and step
+lengths need no weights.  Without weights every variable counts once, and
+the arithmetic is that of the unweighted method bit for bit: w multiplies
+before anything is divided by a variable's terms.
+
 Constraint convention: fval <= 0 is feasible.  All vectors are numpy
 arrays; the caller owns the box bounds.
 """
@@ -15,6 +24,8 @@ arrays; the caller owns the box bounds.
 import warnings
 
 import numpy as np
+
+from .errors import ConfigError
 
 ASYINIT = 0.5
 ASYINCR = 1.2
@@ -31,11 +42,20 @@ C_PENALTY = 1000.0
 class MMA:
     """Holds the asymptote state between update() calls."""
 
-    def __init__(self, n, m, xmin, xmax, move):
+    def __init__(self, n, m, xmin, xmax, move, weights=None):
         self.n = n
         self.m = m
         self.xmin = np.broadcast_to(np.asarray(xmin, float), (n,)).copy()
         self.xmax = np.broadcast_to(np.asarray(xmax, float), (n,)).copy()
+        if weights is None:
+            self.w = np.ones(n)
+        else:
+            self.w = np.asarray(weights, dtype=float)
+            if self.w.shape != (n,) or not np.all(np.isfinite(self.w)) \
+                    or not np.all(self.w > 0.0):
+                raise ConfigError(f"MMA weights must be {n} positive finite "
+                                  f"values, got shape {self.w.shape}, "
+                                  f"min {self.w.min(initial=np.inf)}")
         self.move = move
         self.a0 = A0
         self.a = np.zeros(m)
@@ -97,7 +117,7 @@ class MMA:
         ppqq = 0.001 * (pp + qq) + RAA0 / xmami
         pp = (pp + ppqq) * ux1 ** 2
         qq = (qq + ppqq) * xl1 ** 2
-        b = pp @ (1.0 / ux1) + qq @ (1.0 / xl1) - fval
+        b = pp @ (self.w / ux1) + qq @ (self.w / xl1) - fval
 
         xnew, lam = _subsolv(self, alfa, beta, p0, q0, pp, qq, b)
         if not (np.all(np.isfinite(xnew)) and np.all(np.isfinite(lam))):
@@ -119,7 +139,7 @@ def _subsolv(mma, alfa, beta, p0, q0, pp, qq, b):
          alfa <= x <= beta, y >= 0, z >= 0.
     """
     m, n = mma.m, mma.n
-    low, upp = mma.low, mma.upp
+    low, upp, w = mma.low, mma.upp, mma.w
     a0, a, c, d = mma.a0, mma.a, mma.c, mma.d
 
     epsi = 1.0
@@ -136,8 +156,13 @@ def _subsolv(mma, alfa, beta, p0, q0, pp, qq, b):
     # the residual, one block per optimality condition, and the Newton
     # system, filled in place
     res = np.empty(3 * n + 4 * m + 2)
-    rx, ry, rz, rl, rxsi, reta, rmu, rzet, rs = np.split(
-        res, np.cumsum([n, m, 1, m, n, n, m, 1]))
+    blocks = np.cumsum([n, m, 1, m, n, n, m, 1])
+    rx, ry, rz, rl, rxsi, reta, rmu, rzet, rs = np.split(res, blocks)
+    # the residual's 2-norm counts the entries of a variable, in rx, rxsi
+    # and reta, w times
+    root_w = np.ones_like(res)
+    wx, _, _, _, wxsi, weta, _, _, _ = np.split(root_w, blocks)
+    wx[:] = wxsi[:] = weta[:] = np.sqrt(w)
     aa = np.empty((m + 1, m + 1))
     rhs = np.empty(m + 1)
     diag = np.diag_indices(m)
@@ -151,7 +176,7 @@ def _subsolv(mma, alfa, beta, p0, q0, pp, qq, b):
         xl2 = xl1 ** 2
         plam = p0 + lam @ pp
         qlam = q0 + lam @ qq
-        gvec = pp @ (1.0 / ux1) + qq @ (1.0 / xl1)
+        gvec = pp @ (w / ux1) + qq @ (w / xl1)
         rx[:] = plam / ux2 - qlam / xl2 - xsi + eta
         ry[:] = c + d * y - mu - lam
         rz[:] = a0 - zet - a @ lam
@@ -162,7 +187,7 @@ def _subsolv(mma, alfa, beta, p0, q0, pp, qq, b):
         rzet[:] = zet * z - epsi
         rs[:] = lam * s - epsi
         terms = ux1, xl1, ux2, xl2, plam, qlam, gvec
-        return terms, np.linalg.norm(res), np.abs(res).max()
+        return terms, np.linalg.norm(res * root_w), np.abs(res).max()
 
     while epsi > EPSIMIN:
         terms, resnorm, resmax = residual(x, y, z, lam, xsi, eta, mu, zet,
@@ -185,12 +210,12 @@ def _subsolv(mma, alfa, beta, p0, q0, pp, qq, b):
             diaglamyi = s / lam + 1.0 / diagy
 
             # m << n: eliminate x and y, solve the (m+1) system
-            aa[:m, :m] = (gg / diagx) @ gg.T
+            aa[:m, :m] = (gg * w / diagx) @ gg.T
             aa[diag] += diaglamyi
             aa[:m, m] = a
             aa[m, :m] = a
             aa[m, m] = -zet / z
-            rhs[:m] = dellam + dely / diagy - gg @ (delx / diagx)
+            rhs[:m] = dellam + dely / diagy - gg @ (w * delx / diagx)
             rhs[m] = delz
             sol = np.linalg.solve(aa, rhs)
             dlam = sol[:m]

@@ -4,8 +4,12 @@ One iteration: symmetrize and filter the raw design, project the eroded,
 intermediate and dilated realizations, analyze the eroded one (stiffness,
 stress, and when requested the band sweep), aggregate, chain all
 gradients back to the raw variables along each realization's own
-projection, and take one MMA step.  The dilated realization carries the
-volume constraint; its bound is retuned every 20 iterations so the
+projection, and take one MMA step.  The raw design is D4-symmetric: MMA
+runs on its values at the orbit representatives (design.d4_orbits),
+each weighted by its orbit's size, so that its steps are those of MMA on
+the whole symmetric field.  A seed enters as its D4 average, the field
+that the analysis chain sees anyway.  The dilated realization carries
+the volume constraint; its bound is retuned every 20 iterations so the
 intermediate design lands on the requested fraction.  Projection
 sharpness doubles on a fixed schedule; the loop ends at the iteration
 cap or when the design stops moving at the final sharpness.
@@ -21,7 +25,7 @@ import numpy as np
 
 from .aggregate import KSAggregator
 from .bloch import buckling_strength
-from .design import PDEFilter, enforce_symmetry, project
+from .design import PDEFilter, d4_orbits, enforce_symmetry, project
 from .element import element_matrices
 from .errors import CellmatError, ConfigError
 from .gridio import read_grid, write_grid, write_json, write_pgm
@@ -331,7 +335,9 @@ class _RunLog:
 def optimize(problem, rho0=None, out_dir=None):
     """Run the design loop; returns the final design and its history.
 
-    The history rows mirror the iteration CSV.  On an analysis or solver
+    rho0 (default: the seed lattice) enters as its D4 average; every
+    design evaluated, checkpointed or returned is D4-symmetric.  The
+    history rows mirror the iteration CSV.  On an analysis or solver
     error the log files are closed as at the end of a run, next to a
     checkpoint_abort.grid of the last design, and the error is re-raised.
     """
@@ -344,11 +350,15 @@ def optimize(problem, rho0=None, out_dir=None):
         np.asarray(rho0, dtype=float).copy()
     if rho.size != mesh.ne:
         raise ConfigError(f"seed has {rho.size} values, mesh wants {mesh.ne}")
+    orbits = d4_orbits(p.n)
+    x = enforce_symmetry(rho, p.n)[orbits.reps]
+    rho = x[orbits.index]
 
     aggs = {"objective": KSAggregator(p.ks.zeta, "objective"),
             "yield": KSAggregator(p.ks.zeta, "yield")}
     names = p.constraint_names()
-    mma = MMA(mesh.ne, len(names), 0.0, 1.0, move=p.move)
+    mma = MMA(x.size, len(names), 0.0, 1.0, move=p.move,
+              weights=orbits.sizes)
     f_dil_star = p.f_star
     obj_scale = None
     history = []
@@ -376,10 +386,13 @@ def optimize(problem, rho0=None, out_dir=None):
                     f_dil_star * p.f_star / max(ev.f_int, 1e-9),
                     1e-3, 0.999))
 
-            x_new = mma.update(rho, obj_scale * ev.grad,
-                               ev.cons_vals, ev.cons_grads)
-            change = float(np.abs(x_new - rho).max())
-            rho = x_new
+            # the gradients are orbit averages (chain_to_design), taken
+            # at the representatives
+            x_new = mma.update(x, obj_scale * ev.grad[orbits.reps],
+                               ev.cons_vals, ev.cons_grads[:, orbits.reps])
+            change = float(np.abs(x_new - x).max())
+            x = x_new
+            rho = x[orbits.index]
             if change < p.tol_change and beta >= p.beta_max:
                 status = "converged"
                 break

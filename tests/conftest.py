@@ -51,3 +51,12 @@ def cross_density(n, f):
     rho[on_x, :] = 1.0
     rho[:, on_x] = 1.0
     return rho.ravel()
+
+
+def exact_d4_field(n, rng, low=0.0, high=1.0):
+    """A field (n*n,) that every dihedral map of the grid fixes bit for
+    bit: its value depends only on the sorted pair of folded coordinates."""
+    i, j = np.indices((n, n))
+    a, b = np.minimum(i, n - 1 - i), np.minimum(j, n - 1 - j)
+    table = rng.uniform(low, high, (n, n))
+    return table[np.minimum(a, b), np.maximum(a, b)].ravel()

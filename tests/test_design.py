@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from cellmat.design import (
     PDEFilter,
+    d4_orbits,
     enforce_symmetry,
     interpolate,
     project,
@@ -41,6 +42,27 @@ class TestSymmetry:
         n = 8
         x = rng.uniform(size=n * n)
         assert_allclose(enforce_symmetry(x, n).mean(), x.mean(), rtol=1e-14)
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 64])
+    def test_orbits_cover_the_grid(self, n, rng):
+        from conftest import exact_d4_field
+
+        orbits = d4_orbits(n)
+        assert orbits.sizes.sum() == n * n
+        assert_array_equal(np.bincount(orbits.index), orbits.sizes)
+        assert_array_equal(orbits.index[orbits.reps],
+                           np.arange(orbits.reps.size))
+        # every dihedral image of an element lies in its orbit
+        g = orbits.index.reshape(n, n)
+        for mapped in (np.rot90(g), np.rot90(g, 2), np.rot90(g, 3), g.T,
+                       np.flipud(g), np.fliplr(g), np.rot90(g, 2).T):
+            assert_array_equal(mapped, g)
+        if n % 2 == 0:
+            i, j = np.divmod(orbits.reps, n)
+            on_diagonal = (i == j) | (i + j == n - 1)
+            assert_array_equal(orbits.sizes, np.where(on_diagonal, 4, 8))
+        rho = exact_d4_field(n, rng)
+        assert_array_equal(rho[orbits.reps][orbits.index], rho)
 
     def test_rejects_non_square(self):
         with pytest.raises(ConfigError):

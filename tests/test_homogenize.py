@@ -10,12 +10,13 @@ import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import cellmat.fem
 import cellmat.homogenize
 from cellmat.design import enforce_symmetry
 from cellmat.element import elastic_matrix, element_matrices
-from cellmat.fem import PINS, assemble_k0, assemble_loads, pin
-from cellmat.homogenize import class_stiffness, homogenize
-from cellmat.mesh import build_mesh
+from cellmat.fem import PINS, PinnedSolver, assemble_k0, assemble_loads, pin
+from cellmat.homogenize import class_loads, class_stiffness, homogenize
+from cellmat.mesh import CLASSES, build_mesh
 
 NU = 1.0 / 3.0
 
@@ -152,6 +153,68 @@ def test_class_stiffness_is_the_pinned_stiffness_in_the_class_basis(n):
     assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
 
 
+def column_classes(mesh):
+    """The class (an index into CLASSES) of every column of the class
+    basis."""
+    col = mesh.classes.col
+    cls = np.empty(mesh.ndof, dtype=int)
+    for i in range(4):
+        cls[col[i][col[i] >= 0]] = i
+    return cls
+
+
+@pytest.mark.parametrize("n", [4, 8, 64])
+def test_class_loads_are_the_loads_in_the_class_basis(n):
+    mesh = build_mesh(n)
+    elem = element_matrices(NU, mesh.h)
+    rho = d4_field(n, n + 1)
+    got = class_loads(mesh, elem, rho)
+    ref = mesh.classes.q.T @ assemble_loads(mesh, elem, rho)
+    # the loads are below 0.06 at every n here
+    assert np.abs(got - ref).max() <= 1e-15
+    # the normal strains load (+, +) alone, the shear strain (-, -) alone
+    cls = column_classes(mesh)
+    for a, own in enumerate([(1, 1), (1, 1), (-1, -1)]):
+        outside = cls != CLASSES.index(own)
+        assert np.all(got[outside, a] == 0.0)
+        assert np.all(got[~outside, a] != 0.0)
+
+
+def count_factors(monkeypatch):
+    """Count the factors fem makes from now on."""
+    made = []
+    real = cellmat.fem.symmetric_lu
+
+    def counting(a):
+        made.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(cellmat.fem, "symmetric_lu", counting)
+    return made
+
+
+def test_the_translation_pair_is_factored_on_first_use(mesh8, elem8, rng,
+                                                        monkeypatch):
+    made = count_factors(monkeypatch)
+    rho = d4_field(8, 7)
+    res = homogenize(mesh8, elem8, rho)
+    # the correctors need the corrector pair alone
+    split = mesh8.classes.split
+    assert made == [split]
+    assert np.all(column_classes(mesh8)[:split] < 2)
+
+    # a general load builds the translation pair once, pinned, and
+    # solves the pinned system
+    k = pin(assemble_k0(mesh8, elem8, rho), 1.0).toarray()
+    for _ in range(2):
+        b = rng.standard_normal(mesh8.ndof)
+        u = res.solver.solve(b)
+        b[PINS] = 0.0
+        ref = np.linalg.solve(k, b)
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert made == [split, mesh8.ndof - split]
+
+
 def torus_only(monkeypatch):
     monkeypatch.setattr(cellmat.homogenize, "two_mirror_symmetric",
                         lambda mesh, moduli: False)
@@ -171,6 +234,22 @@ def test_class_basis_matches_the_torus_order(mesh8, elem8, rng, monkeypatch):
     b -= np.repeat(b.reshape(-1, 2).mean(axis=0)[None], mesh8.nn, 0).ravel()
     u = ref.solver.solve(b)
     assert np.abs(res.solver.solve(b) - u).max() <= 1e-10 * np.abs(u).max()
+
+
+def test_the_torus_path_solves_the_permuted_stiffness_bit_for_bit(rng):
+    # the gather into the torus order moves the assembled entries without
+    # summing them again, so the correctors are those of K[o][:, o]
+    mesh = build_mesh(16)
+    elem = element_matrices(NU, mesh.h)
+    rho = rng.uniform(0.05, 1.0, mesh.ne)
+    res = homogenize(mesh, elem, rho)
+    assert res.solver.basis is mesh.torus_basis
+    o = mesh.order
+    ref = PinnedSolver(assemble_k0(mesh, elem, rho)[o][:, o],
+                       mesh.torus_basis)
+    f = assemble_loads(mesh, elem, rho)
+    chi = np.column_stack([ref.solve(f[:, a]) for a in range(3)])
+    np.testing.assert_array_equal(res.chi, chi)
 
 
 def test_only_a_two_mirror_symmetric_field_takes_the_class_basis(

@@ -210,6 +210,29 @@ class TestPinnedSolve:
         assert_array_equal(a.toarray(), ref)
         assert np.all(a.data != 0.0)
 
+    def test_pin_takes_any_sparse_form_and_any_pin_order(self, rng):
+        # duplicates, a stored zero, unsorted rows, CSR, complex, and pins
+        # out of order: the pin of the summed matrix, canonical, no zeros
+        rows = np.array([0, 3, 3, 5, 1, 2, 4, 4, 2, 5, 0])
+        cols = np.array([0, 3, 3, 1, 5, 2, 4, 0, 4, 5, 3])
+        vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(
+            rows.size)
+        vals[2] = -vals[1]                     # sums to a zero at (3, 3)
+        a = sp.coo_matrix((vals, (rows, cols)), shape=(6, 6))
+        ref = a.toarray()
+        ref[[4, 2], :] = 0.0
+        ref[:, [4, 2]] = 0.0
+        ref[[4, 2], [4, 2]] = 1.0
+        by_col = np.argsort(cols, kind="stable")   # rows unsorted within
+        raw = sp.csc_matrix((vals[by_col], rows[by_col], np.searchsorted(
+            cols[by_col], np.arange(7))), shape=(6, 6))
+        assert not raw.has_canonical_format
+        for form in (a.tocsr(), a.tocsc(), raw):
+            got = pin(form, 1.0, [4, 2])
+            assert got.format == "csc" and got.has_canonical_format
+            assert_array_equal(got.toarray(), ref)
+            assert np.all(got.data != 0.0)
+
     def test_singular_operator_raises(self):
         with pytest.raises(SolverError):
             PinnedSolver(sp.csc_matrix((8, 8)), sp.identity(8, format="csr"))

@@ -7,7 +7,7 @@ import pytest
 from cellmat import optimize as optimize_module
 from cellmat import pipeline
 from cellmat.aggregate import KSAggregator
-from cellmat.design import PDEFilter, enforce_symmetry, project
+from cellmat.design import PDEFilter, d4_orbits, enforce_symmetry, project
 from cellmat.element import element_matrices
 from cellmat.errors import AnalysisError, ConfigError
 from cellmat.gridio import read_grid
@@ -243,6 +243,33 @@ def test_constraint_names_order_the_constraints(monkeypatch, sigma_star,
     res = optimize(p)
     assert [m.m for m in made] == [len(names)]
     assert len(res.final.cons_vals) == len(names)
+
+
+def test_the_optimizer_steps_the_orbit_representatives(tmp_path,
+                                                       monkeypatch):
+    made = []
+
+    class RecordingMMA(MMA):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(optimize_module, "MMA", RecordingMMA)
+    p = small_problem(max_iter=3)
+    rho0 = np.random.default_rng(5).uniform(0.2, 0.8, 64)
+    res = optimize(p, rho0=rho0, out_dir=str(tmp_path))
+    orbits = d4_orbits(p.n)
+    assert [m.n for m in made] == [orbits.reps.size] == [10]
+    np.testing.assert_array_equal(made[0].w, orbits.sizes)
+    # the seed enters as its D4 average, and every design written or
+    # returned is symmetric bit for bit
+    start, _ = read_grid(tmp_path / "checkpoint_0000.grid")
+    np.testing.assert_array_equal(
+        start, enforce_symmetry(rho0, p.n)[orbits.reps][orbits.index])
+    final, _ = read_grid(tmp_path / "design.grid")
+    np.testing.assert_array_equal(final, res.rho)
+    np.testing.assert_array_equal(res.rho, res.rho[orbits.reps][orbits.index])
+    assert np.abs(res.rho - start).max() > 1e-3
 
 
 def test_seed_override_and_size_check():
