@@ -67,17 +67,15 @@ sample; an asymmetric cell keeps the complex pencils everywhere.  Symmetric
 designs under the uniaxial load, the optimizer's and the committed ones,
 are mirror-symmetric about both axes.
 
-Only the largest tau matters for sigma_c.  When K0(k) is positive
-definite, the number of bands above tau0 equals the number of negative
-eigenvalues of A(k) = tau0 K0(k) + K_sigma(k) (Sylvester's law of
-inertia, the Sturm-sequence check of finite-element eigen-analysis), so
-proving A(k) positive definite proves that no band at k exceeds tau0.
-A sample ARPACK cannot converge is settled that way at tau0 = TAU_TINY,
-by one factor of A(k) with positive diagonal pivots.
-
-The evaluate_design report sweep (buckling_strength with critical_only)
-uses the same fact to skip the eigen-solve of every sample that cannot
-beat the largest tau found so far, but proves it on the Bloch cut.  Only
+Only the largest tau matters for sigma_c.  K0(k) is positive definite
+(pinned at k = 0), so the number of bands above a floor tau0 equals the
+number of negative eigenvalues of A(k) = tau0 K0(k) + K_sigma(k)
+(Sylvester's law of inertia, the Sturm-sequence check of finite-element
+eigen-analysis): proving A(k) positive definite proves that no band at k
+exceeds tau0.  buckling_strength proves it on the Bloch cut, the one
+certificate, to settle a sample without an eigen-solve: at TAU_TINY
+where ARPACK cannot converge because nothing is destabilized, and in the
+evaluate_design report sweep below the largest tau found so far.  Only
 the dofs on the cell boundary B carry Bloch phases; the interior dofs I
 map to themselves at every k.  So the interior block A_II of the
 full-node-set A = tau0 K0 + K_sigma is real and the same at every k, and
@@ -95,10 +93,11 @@ give the dense H = L_BB U_BB (substructuring).  Every sample is then
 settled by a dense Cholesky factor of the (4n - 2)-square S(k), without
 building its pencil.  T_B(k) is sum_w exp(i k.w) P_w over the wraps w of
 the boundary nodes, so S(k) is a phase-weighted sum of real blocks
-P_v^T H P_w, which are taken once per floor.  The sweeps that print or
-differentiate every band
-(cellmat sweep and band, the optimizer's KS aggregate and its gradient,
-the gradient check) solve every sample in full.
+P_v^T H P_w, which are taken once per floor.  The pinned pencil at
+k = 0 condenses to S(0) without the two rows and columns of reduced node
+0, a corner on the cut.  The sweeps that print or differentiate every
+band (cellmat sweep and band, the optimizer's KS aggregate and its
+gradient, the gradient check) solve every sample not certified stable.
 """
 
 import warnings
@@ -306,35 +305,6 @@ def band_pencil(mesh, k0_full, ks_full, k, axis=None, direction=None):
     return t @ u, k0k, ksk
 
 
-def _definite_lu(a):
-    """symmetric_lu of a Hermitian a when it proves a positive definite,
-    else None.
-
-    The proof is a factor with diagonal pivots: perm_r == perm_c and every
-    Re diag(U) positive; an exactly zero pivot counts as not definite.
-    Diagonal pivoting is stable in exactly the case it certifies.  SuperLU
-    hands out U's diagonal only through full copies of L and U, so this
-    briefly holds about twice the memory of the factor alone.
-    """
-    try:
-        lu = symmetric_lu(a.tocsc())
-    except RuntimeError:
-        return None
-    if (np.array_equal(lu.perm_r, lu.perm_c)
-            and np.all(lu.U.diagonal().real > 0.0)):
-        return lu
-    return None
-
-
-def _certified_below(a, b, tau0):
-    """True when no eigenvalue of a phi = tau b phi exceeds tau0.
-
-    b is Hermitian positive definite, so by Sylvester's law of inertia
-    that holds exactly when tau0 * b - a is positive definite.
-    """
-    return _definite_lu(tau0 * b - a) is not None
-
-
 class _CutScreen:
     """No band at k above a floor, proven on the Bloch cut (module doc).
 
@@ -447,14 +417,18 @@ class _CutScreen:
 
     def below(self, k, floor, direction=None):
         """True when S(k) at floor has a Cholesky factor: no band at k, or
-        in the zone-center limit along direction, exceeds floor."""
+        in the zone-center limit along direction, exceeds floor.  At the
+        pinned k = 0 (band_pencil) S(0) drops reduced node 0, cut_red[:2]."""
         if floor != self.floor:
             self.floor, self.h = floor, self.condense(floor)
             self.terms = None if self.h is None else self.expand(self.h)
         if self.h is None:
             return False
+        s = self.schur(k, self.h, direction, self.terms)
+        if direction is None and not np.any(k):
+            s = s[2:, 2:]
         try:
-            np.linalg.cholesky(self.schur(k, self.h, direction, self.terms))
+            np.linalg.cholesky(s)
         except np.linalg.LinAlgError:
             return False
         return True
@@ -465,39 +439,30 @@ def solve_band(k0k, ksk, m):
 
     Returns (tau, phi) for the pencil band_pencil builds, with tau sorted
     descending and the columns of phi normalized to phi^H K0 phi = 1.
-    Every call solves: the critical_only sweep screens its samples on the
-    Bloch cut before their pencils are built (buckling_strength), so a
-    screened sample never reaches this function.  phi is real when the
-    pencil is (the real-phase wavevectors, k = 0 and the mirror lines of a
-    mirror-symmetric cell); eigsh then runs the symmetric real Lanczos
-    solver, while a complex pencil goes through its non-Hermitian Arnoldi
-    path.  Every pencil, of any size, goes to ARPACK shifted by +1 * K0,
-    which moves the (often hugely degenerate) zero eigenvalues of the
-    geometric operator away from the origin where the relative convergence
-    test cannot terminate; the shift is subtracted again and changes
-    nothing else.
+    phi is real when the pencil is (the real-phase wavevectors, k = 0 and
+    the mirror lines of a mirror-symmetric cell); eigsh then runs the
+    symmetric real Lanczos solver, while a complex pencil goes through its
+    non-Hermitian Arnoldi path.  Every pencil, of any size, goes to ARPACK
+    shifted by +1 * K0, which moves the (often hugely degenerate) zero
+    eigenvalues of the geometric operator away from the origin where the
+    relative convergence test cannot terminate; the shift is subtracted
+    again and changes nothing else.
 
     K0(k) is factored here, once, by fem.symmetric_lu (stable because
     K0(k), pinned at k = 0, is Hermitian positive definite), and the
     factor is passed to eigsh as Minv.  ARPACK's tolerance is 1e-9 at
     every sample.
 
-    A sample with nothing destabilized has no gap at the top (modes pile
-    up under the zero cluster) and no Lanczos tolerance can converge
-    there.  When ARPACK fails, one more factor settles the question: if
-    K_sigma(k) + TAU_TINY K0(k) is positive definite, no band exceeds
-    TAU_TINY and the sample is certified stable, returning tau = 0 with
-    zero (weightless) modes.  Otherwise the bands that did converge stand,
-    with a warning, and a sample with none (an ARPACK failure other than
-    non-convergence keeps none) is a solver failure.
+    When ARPACK fails, the bands it did converge are returned: fewer than
+    m, and none after a failure other than non-convergence.
+    buckling_strength decides what such a sample means (module doc).
     """
     ndof = k0k.shape[0]
     m_eff = int(min(m, ndof - 2))
     if m_eff < 1:
         raise ConfigError(f"cannot extract {m} bands from {ndof} dofs")
-    a = -ksk
     shift = 1.0
-    a_sh = (a + shift * k0k).tocsc()
+    a_sh = (-ksk + shift * k0k).tocsc()
     b = k0k.tocsc()
     lu = symmetric_lu(b)
     minv = LinearOperator(b.shape, matvec=lu.solve, dtype=b.dtype)
@@ -506,20 +471,11 @@ def solve_band(k0k, ksk, m):
         w, v = eigsh(a_sh, k=m_eff, M=b, Minv=minv, which="LA", v0=v0,
                      tol=1e-9, maxiter=150)
     except ArpackError as err:
-        if _certified_below(a, b, TAU_TINY):
-            warnings.warn("no band above TAU_TINY: sample certified stable",
-                          RuntimeWarning, stacklevel=2)
-            return np.zeros(m_eff), np.zeros((ndof, m_eff), dtype=b.dtype)
         # only an ArpackNoConvergence carries the bands that did converge;
         # they keep a complex pencil's dtype, though the pencil is
         # Hermitian definite, so drop the roundoff imaginary part
         w = getattr(err, "eigenvalues", np.empty(0)).real
-        v = getattr(err, "eigenvectors", None)
-        if w.size == 0:
-            raise AnalysisError("eigensolver converged no band on a sample "
-                                "not certified stable") from err
-        warnings.warn(f"eigensolver converged only {w.size} of {m_eff} bands",
-                      RuntimeWarning, stacklevel=2)
+        v = getattr(err, "eigenvectors", np.empty((ndof, 0), b.dtype))
     order = np.argsort(w)[::-1]
     return w[order] - shift, v[:, order]
 
@@ -605,8 +561,17 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     cluster, so a proof there would not show that the value the full sweep
     computes loses.  The limit samples are screened like any other, with
     the cut rows of T_d.  Nothing is screened until some tau exceeds
-    TAU_TINY, so a stable design is swept in full.  The reported tau_max,
-    sigma_c and critical sample and band are those of the full sweep.
+    TAU_TINY.  The reported tau_max, sigma_c and critical sample and band
+    are those of the full sweep.
+
+    A sample where ARPACK converges fewer than m bands (solve_band) is put
+    to the cut at TAU_TINY, with the sweep's screen or one built then, so a
+    sweep whose samples all converge builds none.  Proven there, it is
+    certified stable: tau = 0 in every band, zero modes and transform, and
+    a RuntimeWarning.  From then on each sample, the pinned k = 0 too, is
+    tested so before its pencil is built, unless the critical_only screen
+    runs, whose floor is higher.  Not proven, the converged bands stand
+    with a RuntimeWarning, and a sample with none raises AnalysisError.
     """
     k0_full = assemble_k0(mesh, elem, moduli_k, reduced=False)
     ks_full = stress_stiffness(mesh, elem, stress_weights)
@@ -620,24 +585,49 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
         else:
             jobs.append((np.asarray(kvec, dtype=float), None, a))
 
+    m_eff = int(min(m, mesh.ndof - 2))
     screen = _CutScreen(mesh, k0_full, ks_full) if critical_only else None
+    certify_first = False   # set once the cut has proven a sample stable
     mirrored = {}       # axis -> mirror_symmetric, tested on first use
     samples = []
     tau_max = -np.inf
     crit = (0, 0)
     for i, (kvec, d, a) in enumerate(jobs):
         pinned = d is None and not np.any(kvec)
-        if (screen is not None and not pinned and tau_max > TAU_TINY
+        screening = critical_only and tau_max > TAU_TINY
+        if (screening and not pinned
                 and screen.below(kvec, tau_max * (1.0 - SCREEN_MARGIN), d)):
             samples.append(BandSample(k=kvec, arclength=a, pinned=False,
                                       tau=np.empty(0), direction=d))
             continue
-        axis = mirror_axis(kvec)
-        if axis is not None and axis not in mirrored:
-            mirrored[axis] = mirror_symmetric(mesh, (k0_full, ks_full), axis)
-        t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec,
-                                  axis if mirrored.get(axis) else None, d)
-        tau, phi = solve_band(k0k, ksk, m)
+        stable = (certify_first and not screening
+                  and screen.below(kvec, TAU_TINY, d))
+        if not stable:
+            axis = mirror_axis(kvec)
+            if axis is not None and axis not in mirrored:
+                mirrored[axis] = mirror_symmetric(mesh, (k0_full, ks_full),
+                                                  axis)
+            t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec,
+                                      axis if mirrored.get(axis) else None, d)
+            tau, phi = solve_band(k0k, ksk, m)
+            if tau.size < m_eff:
+                if screen is None:
+                    screen = _CutScreen(mesh, k0_full, ks_full)
+                stable = screen.below(kvec, TAU_TINY, d)
+                if stable:
+                    certify_first = True
+                elif tau.size:
+                    warnings.warn(f"eigensolver converged only {tau.size} "
+                                  f"of {m_eff} bands", RuntimeWarning,
+                                  stacklevel=2)
+                else:
+                    raise AnalysisError("eigensolver converged no band on a "
+                                        "sample not certified stable")
+        if stable:
+            warnings.warn("no band above TAU_TINY: sample certified stable",
+                          RuntimeWarning, stacklevel=2)
+            tau, phi = np.zeros(m_eff), np.zeros((mesh.ndof, m_eff))
+            t = sp.csc_matrix((mesh.ndof_full, mesh.ndof))
         samples.append(BandSample(
             k=kvec, arclength=a, pinned=pinned, tau=tau, direction=d,
             modes=phi if store_modes else None,

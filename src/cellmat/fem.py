@@ -61,16 +61,16 @@ def symmetric_lu(a):
     a's own order.
 
     Every sparse factor of the package is made here: the periodic
-    stiffness, the density filter, each Bloch pencil's K0(k), the inertia
-    tests of bloch and its cut screen.  Each caller hands a already in
+    stiffness, the density filter, each Bloch pencil's K0(k) and the cut
+    screen of bloch, its one inertia test.  Each caller hands a already in
     one of the nested-dissection orders of the mesh (cellmat.mesh), or,
     for the periodic stiffness of a two-mirror-symmetric cell, in its
     class basis, class by class in the dissection order of the quarter
     grid.  So SuperLU orders nothing (NATURAL) and runs in its symmetric
     mode, with the small diagonal pivot threshold that mode asks for.
     Diagonal pivots are stable for a Hermitian positive definite matrix;
-    the inertia tests, whose matrices may be indefinite, check the pivots
-    they get.  On the 64x64 blueprints the grid order factors the periodic
+    the cut screen, whose matrices may be indefinite, checks the pivots it
+    gets.  On the 64x64 blueprints the grid order factors the periodic
     stiffness and the Bloch pencils in about half the time of SuperLU's
     own symmetric minimum-degree order, with fewer nonzeros: 1.13M
     against 1.37M in L+U for the stiffness of c2, and 0.60M in the class

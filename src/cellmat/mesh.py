@@ -138,26 +138,31 @@ def node_dofs(nodes):
         *nodes.shape[:-1], -1)
 
 
+@cache
 def torus_order(n):
     """The reduced node ids of the periodic n x n grid in nested-dissection
     order: the four blocks left by cutting columns 0 and n/2 and then rows
     0 and n/2 of each strip between them, each by dissection, then the
-    rows cut, then the columns."""
+    rows cut, then the columns.  Built once per n, read-only."""
     ids = np.arange(n * n).reshape(n, n)        # [row, column]
     h = n // 2
     strips = (ids[:, 1:h], ids[:, h + 1:])
     blocks = [b for s in strips for b in (s[1:h], s[h + 1:])]
-    return np.concatenate([dissection(b) for b in blocks]
-                          + [s[[0, h]].ravel() for s in strips]
-                          + [ids[:, [0, h]].ravel()])
+    order = np.concatenate([dissection(b) for b in blocks]
+                           + [s[[0, h]].ravel() for s in strips]
+                           + [ids[:, [0, h]].ravel()])
+    order.flags.writeable = False
+    return order
 
 
+@cache
 def mirror_order(n, axis):
     """The reduced node ids of the periodic n x n grid in the
     nested-dissection order of its quotient by the mirror about axis
     (coordinate c -> (n - c) mod n along it), each node followed by its
     image.  The quotient keeps the lines c = 0 ... n/2 along the axis and
-    is periodic across it, so it is cut at rows 0 and n/2 across it."""
+    is periodic across it, so it is cut at rows 0 and n/2 across it.
+    Built once per n and axis, read-only."""
     ids = np.arange(n * n).reshape(n, n)
     if axis == 1:
         ids = ids.T                             # [other coordinate, c]
@@ -170,7 +175,9 @@ def mirror_order(n, axis):
     seq = pairs.reshape(-1, 2)[order]
     keep = np.ones(seq.shape, dtype=bool)
     keep[:, 1] = seq[:, 1] != seq[:, 0]         # c = 0, n/2: its own image
-    return seq[keep]
+    nodes = seq[keep]
+    nodes.flags.writeable = False
+    return nodes
 
 
 def mirror_map(n, size, axis):

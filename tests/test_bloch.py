@@ -5,6 +5,7 @@ compression: at wavevector (k, 0) its critical load must approach the
 classical sinusoidal-column value P = E I k^2 with I = w^3 / 12.
 """
 
+from contextlib import nullcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,6 @@ from cellmat import bloch
 from cellmat.bloch import (
     LIMIT_DIRECTIONS,
     TAU_TINY,
-    _certified_below,
     _CutScreen,
     band_pencil,
     bloch_transform,
@@ -285,33 +285,46 @@ def rescaled_operators(cross8, top):
     return k0_full, ks_full * (top / w)
 
 
-def rescaled_pencil(cross8, top):
-    """The compressed cross8 pencil at RESCALE_K, its top tau at top."""
-    _, k0k, ksk = band_pencil(cross8[0], *rescaled_operators(cross8, top),
-                              RESCALE_K)
-    return k0k, ksk
-
-
 class TestStabilityCertificate:
+    """The cut's decision at TAU_TINY, the sweep's one stability
+    certificate, against dense spectra of the sweep's pencils; at k = 0
+    the pencil is the pinned one, decided through the pinned S(0)."""
+
     @pytest.mark.parametrize("load", sorted(LOADS))
     def test_certified_exactly_when_dense_top_is_tiny(self, cross8, load):
+        mesh, elem, rho = cross8
+        k0_full, ks_full = loaded_operators(mesh, elem, rho, LOADS[load])
+        screen = _CutScreen(mesh, k0_full, ks_full)
         for k in ((0.0, 0.0), (np.pi, 0.0), (1.1, -2.0)):
-            k0k, ksk = cross8_pencil(cross8, k, LOADS[load])
-            top = sla.eigh(-ksk.toarray(), k0k.toarray(),
-                           eigvals_only=True)[-1]
-            assert _certified_below(-ksk, k0k, TAU_TINY) == (top <= TAU_TINY)
+            top = dense_bands(mesh, k0_full, ks_full, k)[0]
+            assert screen.below(np.array(k), TAU_TINY) == (top <= TAU_TINY)
 
     def test_threshold_is_sharp(self, cross8):
         # the compressed pencil rescaled so its top band sits just above
         # and just below the threshold
         for ratio in (10.0, 0.1):
-            k0k, ksk = rescaled_pencil(cross8, ratio * TAU_TINY)
-            assert _certified_below(-ksk, k0k, TAU_TINY) == (ratio < 1.0)
+            screen = _CutScreen(cross8[0],
+                                *rescaled_operators(cross8, ratio * TAU_TINY))
+            assert screen.below(RESCALE_K, TAU_TINY) == (ratio < 1.0)
+
+    @pytest.mark.parametrize("load", ["compression", "shear"])
+    def test_pinned_center_matches_the_dense_pinned_pencil(self, cross8,
+                                                           load):
+        # S(0) itself is singular (A annihilates the translations); only
+        # without reduced node 0 is it the pinned pencil's condensation
+        mesh, elem, rho = cross8
+        k0_full, ks_full = loaded_operators(mesh, elem, rho, LOADS[load])
+        top = dense_bands(mesh, k0_full, ks_full, (0.0, 0.0))[0]
+        assert top > TAU_TINY
+        screen = _CutScreen(mesh, k0_full, ks_full)
+        for ratio in (0.99, 1.01):
+            assert screen.below(np.zeros(2), ratio * top) == (ratio > 1.0)
 
 
 class TestNonConvergence:
     """ARPACK gives up at once, after converging the pairs given, or fails
-    otherwise, converging none."""
+    otherwise, converging none, on a one-sample sweep of the cross8 cell;
+    buckling_strength settles the sample on the cut."""
 
     @pytest.fixture
     def arpack_gives_up(self, monkeypatch):
@@ -321,53 +334,64 @@ class TestNonConvergence:
             monkeypatch.setattr(bloch, "eigsh", give_up)
         return install
 
-    def test_certified_sample_returns_weightless_zero_bands(
-            self, cross8, arpack_gives_up):
-        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0), LOADS["tension"])
-        arpack_gives_up(np.empty(0), np.empty((k0k.shape[0], 0)))
-        with pytest.warns(RuntimeWarning, match="certified stable"):
-            tau, phi = solve_band(k0k, ksk, 3)
-        assert_array_equal(tau, np.zeros(3))
-        assert_array_equal(phi, np.zeros((k0k.shape[0], 3)))
-        assert phi.dtype == k0k.dtype
-
-    def test_no_band_on_a_destabilized_sample_raises(self, cross8,
-                                                     arpack_gives_up):
-        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
-        arpack_gives_up(np.empty(0), np.empty((k0k.shape[0], 0)))
-        with pytest.raises(AnalysisError, match="not certified stable"):
-            solve_band(k0k, ksk, 3)
-
     @pytest.fixture
     def arpack_fails(self, monkeypatch):
         def fail(*args, **kwargs):
             raise ArpackError(3, {3: "No shifts could be applied"})
         monkeypatch.setattr(bloch, "eigsh", fail)
 
+    @staticmethod
+    def sample(cross8, load):
+        """The only sample of a sweep of cross8 at RESCALE_K, m = 3."""
+        mesh, elem, rho = cross8
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho, LOADS[load])
+        out = buckling_strength(mesh, elem, e_k, weights, m=3,
+                                store_modes=True,
+                                k_points=(RESCALE_K[None], np.zeros(1)))
+        assert len(out.samples) == 1
+        return out.samples[0]
+
+    @staticmethod
+    def assert_weightless_zero_bands(smp, ndof):
+        assert_array_equal(smp.tau, np.zeros(3))
+        assert_array_equal(smp.modes, np.zeros((ndof, 3)))
+        assert smp.transform.nnz == 0
+
+    def test_certified_sample_returns_weightless_zero_bands(
+            self, cross8, arpack_gives_up):
+        ndof = cross8[0].ndof
+        arpack_gives_up(np.empty(0), np.empty((ndof, 0)))
+        with pytest.warns(RuntimeWarning, match="certified stable"):
+            smp = self.sample(cross8, "tension")
+        self.assert_weightless_zero_bands(smp, ndof)
+
+    def test_no_band_on_a_destabilized_sample_raises(self, cross8,
+                                                     arpack_gives_up):
+        arpack_gives_up(np.empty(0), np.empty((cross8[0].ndof, 0)))
+        with pytest.raises(AnalysisError, match="not certified stable"):
+            self.sample(cross8, "compression")
+
     def test_other_failure_on_a_certified_sample_returns_zero_bands(
             self, cross8, arpack_fails):
-        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0), LOADS["tension"])
         with pytest.warns(RuntimeWarning, match="certified stable"):
-            tau, phi = solve_band(k0k, ksk, 3)
-        assert_array_equal(tau, np.zeros(3))
-        assert_array_equal(phi, np.zeros((k0k.shape[0], 3)))
+            smp = self.sample(cross8, "tension")
+        self.assert_weightless_zero_bands(smp, cross8[0].ndof)
 
     def test_other_failure_on_a_destabilized_sample_raises(self, cross8,
                                                            arpack_fails):
-        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
         with pytest.raises(AnalysisError, match="not certified stable"):
-            solve_band(k0k, ksk, 3)
+            self.sample(cross8, "compression")
 
     def test_partial_convergence_keeps_the_converged_bands(
             self, cross8, arpack_gives_up):
-        k0k, ksk = cross8_pencil(cross8, (1.1, -2.0))
+        k0k, ksk = cross8_pencil(cross8, RESCALE_K)
         w, v = sla.eigh(-ksk.toarray(), k0k.toarray())
         # the solver works on the pencil shifted by +1 * K0
         arpack_gives_up(w[-1:] + 1.0, v[:, -1:])
         with pytest.warns(RuntimeWarning, match="converged only 1 of 3"):
-            tau, phi = solve_band(k0k, ksk, 3)
-        assert_allclose(tau, w[-1:], rtol=1e-12)
-        assert_array_equal(phi, v[:, -1:])
+            smp = self.sample(cross8, "compression")
+        assert_allclose(smp.tau, w[-1:], rtol=1e-12)
+        assert_array_equal(smp.modes, v[:, -1:])
 
 
 # ==========================================================================
@@ -832,20 +856,58 @@ class TestBucklingStrength:
         # limits included, leaves a band unconverged
         assert not [w for w in rec if "converged only" in str(w.message)]
 
-    @pytest.mark.parametrize("n, rho, sigma0, m", [
+    @pytest.mark.parametrize("critical_only", [False, True])
+    def test_stable_sweep_certifies_first(self, bar32, monkeypatch,
+                                          critical_only):
+        # ARPACK fails on the first sample, the cut proves it stable, and
+        # every later sample, the pinned k = 0 among them, is proven on
+        # the cut without a solve
+        mesh, elem, rho = bar32
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho,
+                                          sigma0=(1.0, 0.0, 0.0))
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(bloch, "eigsh", counted)
+        with pytest.warns(RuntimeWarning, match="certified stable"):
+            out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=2,
+                                    critical_only=critical_only)
+        assert len(calls) == 1
+        assert not out.buckled
+        assert all(s.tau.size == 2 and not s.tau.any() for s in out.samples)
+
+    def test_converging_sweep_builds_no_cut_screen(self, cross8, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a cut screen was built")
+
+        monkeypatch.setattr(_CutScreen, "__init__", refuse)
+        mesh, elem, rho = cross8
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho)
+        out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=3)
+        assert out.buckled
+        assert all(s.tau.size == 3 for s in out.samples)
+
+    @pytest.mark.parametrize("n, rho, sigma0, m, certified", [
         # the dense pinned k = 0 pencil tops out at a few 1e-9 here, which
-        # is roundoff of the zero cluster, not a critical load of ~3e8
-        (12, cross_density(12, 0.5), (1.0, 1.0, 0.0), 2),
+        # is roundoff of the zero cluster, not a critical load of ~3e8;
+        # ARPACK cannot converge there and the cut proves the sample
+        (12, cross_density(12, 0.5), (1.0, 1.0, 0.0), 2, True),
         # every tau of a solid cell in tension is <= 0, the zone-center
         # limits' too; near k = 0 (offsets of 1e-4) roundoff had lifted the
         # top one above TAU_TINY
-        (8, np.ones(64), (1.0, 0.0, 0.0), 6),
+        (8, np.ones(64), (1.0, 0.0, 0.0), 6, False),
     ], ids=["cross12-biaxial", "solid8-uniaxial"])
-    def test_tension_roundoff_is_not_buckling(self, n, rho, sigma0, m):
+    def test_tension_roundoff_is_not_buckling(self, n, rho, sigma0, m,
+                                              certified):
         mesh = build_mesh(n)
         elem = element_matrices(NU, mesh.h)
         e_k, weights, _, _ = loaded_state(mesh, elem, rho, sigma0=sigma0)
-        out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=m)
+        with (pytest.warns(RuntimeWarning, match="certified stable")
+              if certified else nullcontext()):
+            out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=m)
         assert not out.buckled
         assert out.sigma_c == np.inf
         limits = [s for s in out.samples if s.direction is not None]

@@ -9,7 +9,7 @@ from cellmat.design import enforce_symmetry
 from cellmat.element import element_matrices
 from cellmat.errors import ConfigError, SolverError
 from cellmat.fem import PINS, PinnedSolver, assemble_k0, assemble_loads, pin
-from cellmat.mesh import CLASSES, build_mesh
+from cellmat.mesh import CLASSES, build_mesh, mirror_order
 
 NU = 1.0 / 3.0
 
@@ -80,6 +80,19 @@ def test_mirror_order_keeps_each_node_next_to_its_image(axis):
         assert c[i + 1] == n - c[i]
         assert nodes[i + 1] - nodes[i] == (n - 2 * c[i]) * (1, n)[axis]
         i += 2
+
+
+def test_dissection_orders_are_built_once_per_n_and_read_only():
+    a, b = build_mesh(12), build_mesh(12)
+    assert a.node_order is b.node_order
+    shared = [a.node_order] + [mirror_order(12, axis) for axis in (0, 1)]
+    for axis in (0, 1):
+        assert mirror_order(12, axis) is shared[1 + axis]
+    for order in shared:
+        assert not order.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            order[0] = 1
+    assert_array_equal(a.mirror_orders[0], b.mirror_orders[0])
 
 
 def test_torus_order_cuts_columns_0_and_half_last():
