@@ -60,12 +60,12 @@ U(k) after T(k) and keeps the real symmetric part, so such a sample is
 solved in real arithmetic, with real modes that T(k) U(k) takes back to
 the full node set.  Such a pencil couples each node with its mirror
 image, so it comes in the order of the mirror quotient.
-buckling_strength takes this basis on a mirror line only when both
-full-node operators are mirror_symmetric about its axis within
-MIRROR_TOL (cellmat.mesh), tested once per sweep on the first such
-sample; an asymmetric cell keeps the complex pencils everywhere.  Symmetric
-designs under the uniaxial load, the optimizer's and the committed ones,
-are mirror-symmetric about both axes.
+buckling_strength takes this basis on a mirror line only when the cell's
+element fields, its moduli and stress weights, are mirror-symmetric
+about its axis (mesh.mirror_axes, tested once per sweep); then M K M = K
+holds for both operators.  An asymmetric cell keeps the complex pencils
+everywhere.  Symmetric designs under the uniaxial load, the optimizer's
+and the committed ones, are mirror-symmetric about both axes.
 
 Only the largest tau matters for sigma_c.  K0(k) is positive definite
 (pinned at k = 0), so the number of bands above a floor tau0 equals the
@@ -105,11 +105,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh, norm
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import AnalysisError, ConfigError
 from .fem import PINS, assemble, assemble_k0, pin, symmetric_lu
-from .mesh import MIRROR_TOL, dissection, mirror_map, node_dofs
+from .mesh import dissection, mirror_axes, mirror_map, node_dofs
 
 # the directions of the zone-center limit samples of every sweep
 LIMIT_DIRECTIONS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -210,19 +210,6 @@ def mirror_axis(k):
     return 0 if real[1] else 1
 
 
-def mirror_symmetric(mesh, ops, axis):
-    """True when every full-node operator A in ops has
-    |M A M - A|_F <= MIRROR_TOL |A|_F for the mirror M about axis: node
-    coordinate c -> n - c, the axis component of each displacement
-    negated."""
-    image, _ = mirror_map(mesh.n, mesh.n + 1, axis)
-    dof = np.arange(mesh.ndof_full)
-    m = sp.csr_matrix((np.where(dof % 2 == axis, -1.0, 1.0),
-                       (dof, 2 * image.repeat(2) + dof % 2)),
-                      shape=(mesh.ndof_full, mesh.ndof_full))
-    return all(norm(m @ a @ m - a) <= MIRROR_TOL * norm(a) for a in ops)
-
-
 def mirror_basis(mesh, k, axis):
     """Sparse unitary U(k) whose columns are fixed by conj o R_k.
 
@@ -235,7 +222,7 @@ def mirror_basis(mesh, k, axis):
     gives exp(i arg(conj f) / 2) e_d.  For a mirror-symmetric K_full,
     U^H K(k) U is then real (module doc).
     """
-    image, c = mirror_map(mesh.n, mesh.n, axis)
+    image, c = mirror_map(mesh.n, axis)
     d = np.arange(mesh.ndof)
     img = 2 * image.repeat(2) + d % 2
     f = np.where(d % 2 == axis, -1.0, 1.0) * np.where(
@@ -282,7 +269,8 @@ def band_pencil(mesh, k0_full, ks_full, k, axis=None, direction=None):
     T(k), that with U(k) = mirror_basis(mesh, k, axis), and its real part
     is kept, a real symmetric pencil with real modes, and the transform is
     T(k) U(k).  The caller vouches that k lies on that mirror line
-    (mirror_axis) and that both operators are mirror_symmetric about it.
+    (mirror_axis) and that the cell is mirror-symmetric about it
+    (mesh.mirror_axes).
     The transform's columns come in the mesh's order for the factor of
     K0(k) (cellmat.mesh): the torus order, or in the mirror basis the
     order of the mirror quotient, so the pencil comes ordered.
@@ -394,16 +382,16 @@ class _CutScreen:
         return 0.5 * (n0 + n0.T), [(np.array(d), a + a.T, a - a.T)
                                    for d, a in n.items() if d > (0, 0)]
 
-    def schur(self, k, h, direction=None, terms=None):
+    def schur(self, k, h, terms, direction=None):
         """S(k) = T_B^H H T_B, with T_B the cut rows and cut_red columns
-        of T(k), from H's expansion (terms, else expand(h)), or those of
-        T_d when direction is given."""
+        of T(k), from H's expansion terms = expand(h), or those of T_d
+        when direction is given."""
         if direction is not None:
             tb = limit_transform(self.mesh, direction).tocsr()[
                 self.cut][:, self.cut_red]
             s = tb.T @ (tb.T @ h).T             # H is symmetric
             return 0.5 * (s + s.T)
-        n0, parts = self.expand(h) if terms is None else terms
+        n0, parts = terms
         real = np.all(_real_phase(k))
         a, b = n0.copy(), 0.0
         for d, sym, asym in parts:
@@ -424,7 +412,7 @@ class _CutScreen:
             self.terms = None if self.h is None else self.expand(self.h)
         if self.h is None:
             return False
-        s = self.schur(k, self.h, direction, self.terms)
+        s = self.schur(k, self.h, self.terms, direction)
         if direction is None and not np.any(k):
             s = s[2:, 2:]
         try:
@@ -542,13 +530,12 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     k_points overrides the path when given as (pts, arclength).
 
     A sample on a mirror line of the zone, one component of k 0 or +-pi
-    and the other not, is solved as a real symmetric pencil when both
-    operators are mirror-symmetric about that line's axis (module doc);
-    each axis is tested once, when its first such sample is about to be
-    solved, so a sweep whose mirror-line samples are all screened tests
-    nothing.  store_modes keeps each sample's modes with the transform
-    that takes them to the full node set: T(k) or T_d, or T(k) U(k) in the
-    real basis, its columns in the order of the pencil (band_pencil).
+    and the other not, is solved as a real symmetric pencil when moduli_k
+    and stress_weights are mirror-symmetric about that line's axis
+    (mesh.mirror_axes, module doc).  store_modes keeps each sample's modes
+    with the transform that takes them to the full node set: T(k) or T_d,
+    or T(k) U(k) in the real basis, its columns in the order of the pencil
+    (band_pencil).
 
     critical_only is for callers that need only tau_max, sigma_c and the
     critical sample, not every band.  Samples are taken in path order, and
@@ -575,6 +562,7 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     """
     k0_full = assemble_k0(mesh, elem, moduli_k, reduced=False)
     ks_full = stress_stiffness(mesh, elem, stress_weights)
+    axes = mirror_axes(mesh, moduli_k, stress_weights)
 
     pts, arc = ibz_path(n_seg) if k_points is None else k_points
     jobs = []           # (k, limit direction or None, arclength)
@@ -588,7 +576,6 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     m_eff = int(min(m, mesh.ndof - 2))
     screen = _CutScreen(mesh, k0_full, ks_full) if critical_only else None
     certify_first = False   # set once the cut has proven a sample stable
-    mirrored = {}       # axis -> mirror_symmetric, tested on first use
     samples = []
     tau_max = -np.inf
     crit = (0, 0)
@@ -604,11 +591,8 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
                   and screen.below(kvec, TAU_TINY, d))
         if not stable:
             axis = mirror_axis(kvec)
-            if axis is not None and axis not in mirrored:
-                mirrored[axis] = mirror_symmetric(mesh, (k0_full, ks_full),
-                                                  axis)
             t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec,
-                                      axis if mirrored.get(axis) else None, d)
+                                      axis if axis in axes else None, d)
             tau, phi = solve_band(k0k, ksk, m)
             if tau.size < m_eff:
                 if screen is None:

@@ -14,7 +14,7 @@ Dbar can be cross-checked against the global energy identity.
 
 The periodic stiffness is factored per call (fem.PinnedSolver) and kept
 for the adjoint solves of the gradients.  A cell whose modulus field is
-mirror-symmetric about both axes, within MIRROR_TOL, has it factored in
+mirror-symmetric about both axes (mesh.mirror_axes) has it factored in
 the two-mirror class basis of the mesh (cellmat.mesh), where it splits
 into four blocks on the quarter grid with about half the fill of the
 torus order.  class_stiffness and class_loads assemble the stiffness and
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem import PinnedSolver, assemble, assemble_k0, assemble_loads
-from .mesh import CLASSES, MIRROR_TOL, build_mesh, class_basis, node_dofs
+from .mesh import CLASSES, build_mesh, class_basis, mirror_axes, node_dofs
 
 # the class of the load of each unit macro strain (module doc of
 # cellmat.mesh): the normal strains are even under both mirrors, the
@@ -49,14 +49,6 @@ class HomogResult:
     ebar: float            # effective Young's modulus along x
     q_tensors: np.ndarray  # (ne, 3, 3) unit-modulus element energy tensors
     solver: PinnedSolver   # factorized stiffness, reused by adjoint solves
-
-
-def two_mirror_symmetric(mesh, moduli):
-    """True when the element field (ne,) maps to itself under both axis
-    mirrors within MIRROR_TOL, relative in the 2-norm."""
-    e = moduli.reshape(mesh.n, mesh.n)                    # [row, column]
-    tol = MIRROR_TOL * np.linalg.norm(e)
-    return all(np.linalg.norm(m - e) <= tol for m in (e[:, ::-1], e[::-1]))
 
 
 @dataclass(frozen=True)
@@ -215,7 +207,7 @@ def torus_gather(n):
 
 def homogenize(mesh, elem, moduli):
     """Effective properties for an element modulus field (ne,)."""
-    if two_mirror_symmetric(mesh, moduli):
+    if mirror_axes(mesh, moduli) == (0, 1):
         basis = mesh.classes.q
         solver = PinnedSolver(class_stiffness(mesh, elem, moduli), basis,
                               mesh.classes.split)

@@ -13,10 +13,13 @@ also holds the order of the mirror quotient, half the torus: a grid of
 n/2 + 1 lines along the axis, periodic across it, cut at rows 0 and n/2
 across it, with every node next to its mirror image.
 
-A cell whose element field is mirror-symmetric about both axes, as every
-design of the optimizer is, has a periodic stiffness that commutes with
-the two mirrors Mx and My of the reduced dofs (mirror_map: coordinate
-c -> (n - c) mod n along the axis, that displacement component negated).
+Whether a cell is mirror-symmetric is asked of its element fields, in
+one place (mirror_axes): the moduli, and the stress weights of a loaded
+cell, must map to themselves under the mirror.  A cell whose moduli are
+mirror-symmetric about both axes, as every design of the optimizer is,
+has a periodic stiffness that commutes with the two mirrors Mx and My of
+the reduced dofs (mirror_map: coordinate c -> (n - c) mod n along the
+axis, that displacement component negated).
 The stiffness then block-diagonalizes into the four parity classes
 (sx, sy) of the two mirrors, Mx v = sx v and My v = sy v (the symmetry
 reduction of Healey 1988, CMAME 67:257).  Mesh.classes holds the
@@ -42,20 +45,35 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 
-# relative bound on |M a - a|, M a mirror and a an element field or (in
-# cellmat.bloch) a full-node operator, under which a counts as
-# mirror-symmetric.  A path that relies on the symmetry, the class basis
-# of homogenize or a real mirror-line pencil of bloch, drops the
-# asymmetric part, a perturbation of that relative size: three orders
-# below the ARPACK tolerance of 1e-9.  A mirror-symmetric design misses
-# exact symmetry only by roundoff: by 4e-16 for the moduli of an
+# relative bound, in the 2-norm, on |M a - a| for an element field a and
+# its image M a under an axis mirror, under which a counts as
+# mirror-symmetric (mirror_axes).  A path that relies on the symmetry,
+# the class basis of homogenize or a real mirror-line pencil of bloch,
+# drops the asymmetric part, a perturbation of that relative size: three
+# orders below the ARPACK tolerance of 1e-9.  A mirror-symmetric design
+# misses exact symmetry only by roundoff: by 4e-16 for the moduli of an
 # optimizer iterate at n = 64 (the density filter's), and on the
-# committed designs by 0 for their moduli, below 1e-15 for K0 and 1e-14
-# to 2.4e-14 for K_sigma under the uniaxial load.
+# committed designs by 0 for their moduli and 5.5e-15 to 1.0e-14 for
+# their stress weights under the uniaxial load.
 MIRROR_TOL = 1e-12
 # the parity classes (sx, sy) of the two axis mirrors, in the order of
 # ClassBasis's columns: the corrector pair, then the translation pair
 CLASSES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+def mirror_axes(mesh, moduli, stresses=None):
+    """The axes (0: x -> 1 - x, 1: y -> 1 - y) about which the element
+    fields map to themselves within MIRROR_TOL: the moduli (ne,) and, when
+    given, the stress weights (ne, 3), whose normal components are even
+    under a mirror and whose shear component is odd.  Both operators of a
+    loaded cell, its stiffness and its geometric stiffness, then commute
+    with the mirror."""
+    fields = [(moduli.reshape(mesh.n, mesh.n, 1), 1.0)]  # [row, column, :]
+    if stresses is not None:            # xx and yy even, xy odd
+        fields.append((stresses.reshape(mesh.n, mesh.n, 3), (1, 1, -1)))
+    return tuple(axis for axis in (0, 1) if all(
+        np.linalg.norm(parity * np.flip(a, 1 - axis) - a)
+        <= MIRROR_TOL * np.linalg.norm(a) for a, parity in fields))
 
 
 @dataclass(frozen=True)
@@ -180,14 +198,14 @@ def mirror_order(n, axis):
     return nodes
 
 
-def mirror_map(n, size, axis):
-    """(image, c) for every node of a size x size grid numbered row by row:
-    c is its coordinate along axis and image the node the mirror about
-    axis maps it to, coordinate (n - c) mod size."""
-    node = np.arange(size * size)
-    c = (node % size, node // size)[axis]
-    stride = 1 if axis == 0 else size
-    return node + ((n - c) % size - c) * stride, c
+def mirror_map(n, axis):
+    """(image, c) for every node of the periodic n x n grid numbered row by
+    row: c is its coordinate along axis and image the node the mirror about
+    axis maps it to, coordinate (n - c) mod n."""
+    node = np.arange(n * n)
+    c = (node % n, node // n)[axis]
+    stride = 1 if axis == 0 else n
+    return node + ((n - c) % n - c) * stride, c
 
 
 def order_basis(order):
@@ -211,8 +229,8 @@ def class_basis(n):
     the mirrors g; its entry in that column is the product of the t of
     the mirrors in g over sqrt(orbit size)."""
     h, ndof = n // 2, 2 * n * n
-    image_x, cx = mirror_map(n, n, 0)
-    image_y, cy = mirror_map(n, n, 1)
+    image_x, cx = mirror_map(n, 0)
+    image_y, cy = mirror_map(n, 1)
     rep = np.where(cx > h, image_x, np.arange(n * n))
     rep = np.where(cy > h, image_y[rep], rep)
     rep_dof = node_dofs(rep)

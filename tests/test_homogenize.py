@@ -216,8 +216,8 @@ def test_the_translation_pair_is_factored_on_first_use(mesh8, elem8, rng,
 
 
 def torus_only(monkeypatch):
-    monkeypatch.setattr(cellmat.homogenize, "two_mirror_symmetric",
-                        lambda mesh, moduli: False)
+    monkeypatch.setattr(cellmat.homogenize, "mirror_axes",
+                        lambda mesh, moduli: ())
 
 
 def test_class_basis_matches_the_torus_order(mesh8, elem8, rng, monkeypatch):
