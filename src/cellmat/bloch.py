@@ -544,12 +544,13 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     SCREEN_MARGIN: a sample proven to have no band above that floor cannot
     be critical, keeps an empty tau and no modes, and its pencil is never
     built.  H is formed again only when a solved sample raises the floor.
-    The pinned k = 0 sample is never screened: its pencil carries the zero
-    cluster, so a proof there would not show that the value the full sweep
-    computes loses.  The limit samples are screened like any other, with
-    the cut rows of T_d.  Nothing is screened until some tau exceeds
-    TAU_TINY.  The reported tau_max, sigma_c and critical sample and band
-    are those of the full sweep.
+    A limit is screened with the cut rows of T_d, the pinned k = 0 with
+    S(0) less reduced node 0.  Pinning deletes the two columns that T_d
+    replaces by ramps, so less its two dummy zeros the pinned pencil is a
+    limit's compressed to codimension 2, and by Cauchy interlacing (Parlett
+    1998, section 10.1) tau_j(limit) >= tau_j(pinned) >= tau_j+2(limit).
+    Nothing is screened until a tau exceeds TAU_TINY; tau_max, sigma_c and
+    the critical sample and band are the full sweep's.
 
     A sample where ARPACK converges fewer than m bands (solve_band) is put
     to the cut at TAU_TINY, with the sweep's screen or one built then, so a
@@ -582,9 +583,9 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     for i, (kvec, d, a) in enumerate(jobs):
         pinned = d is None and not np.any(kvec)
         screening = critical_only and tau_max > TAU_TINY
-        if (screening and not pinned
+        if (screening
                 and screen.below(kvec, tau_max * (1.0 - SCREEN_MARGIN), d)):
-            samples.append(BandSample(k=kvec, arclength=a, pinned=False,
+            samples.append(BandSample(k=kvec, arclength=a, pinned=pinned,
                                       tau=np.empty(0), direction=d))
             continue
         stable = (certify_first and not screening

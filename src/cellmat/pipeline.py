@@ -90,11 +90,10 @@ def evaluate_design(rho_phys, n, sigma1_rel, material=None, with_bands=True,
 
     material is an optional BaseMaterial used only for unit conversion
     and naming; sigma1_rel always sets the yield normalization.  The
-    report needs only tau_max, sigma_c and the critical wavevector, so
-    the band sweep runs with critical_only: a sample proven on the Bloch
-    cut to lie below the largest tau so far skips its pencil and
-    eigen-solve, while the zone-center samples are always solved (see
-    cellmat.bloch.buckling_strength).
+    report needs only tau_max, sigma_c and k_critical, so its sweep runs
+    with critical_only: every sample, the zone center's too, that the
+    Bloch cut proves below the largest tau so far skips its eigen-solve
+    (cellmat.bloch.buckling_strength).
     """
     rho_phys = np.asarray(rho_phys, dtype=float)
     if rho_phys.size != n * n:

@@ -5,7 +5,9 @@ compression: at wavevector (k, 0) its critical load must approach the
 classical sinusoidal-column value P = E I k^2 with I = w^3 / 12.
 """
 
+import json
 from contextlib import nullcontext
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,14 +38,17 @@ from cellmat.bloch import (
 from cellmat.design import interpolate
 from cellmat.element import element_matrices
 from cellmat.errors import AnalysisError, ConfigError
-from cellmat.fem import assemble, assemble_k0, pin, symmetric_lu
+from cellmat.fem import PINS, assemble, assemble_k0, pin, symmetric_lu
+from cellmat.gridio import read_grid
 from cellmat.homogenize import homogenize
+from cellmat.materials import get_material
 from cellmat.mesh import MIRROR_TOL, build_mesh, mirror_axes
-from cellmat.pipeline import analyze_cell
+from cellmat.pipeline import analyze_cell, evaluate_design
 from cellmat.sensitivity import stability_grad
 from cellmat.stress import element_stresses
 
 NU = 1.0 / 3.0
+RUNS = Path(__file__).resolve().parents[1] / "runs"
 
 
 def loaded_state(mesh, elem, rho, sigma0=(-1.0, 0.0, 0.0)):
@@ -422,9 +427,10 @@ class TestScreen:
             # nothing exceeds TAU_TINY, so nothing is screened
             assert sizes == [3] * len(full.samples)
 
-    def test_pinned_center_keeps_its_bands(self, cross8, monkeypatch):
+    def test_pinned_center_is_screened(self, cross8, monkeypatch):
         # (pi, 0) tops every zone-center sample of the compressed cross and
-        # comes first, so the two limits are screened like any sample
+        # comes first, so the two limits and the pinned k = 0, through S(0)
+        # less reduced node 0, are screened like any sample
         mesh, elem, rho = cross8
         e_k, weights, _, _ = loaded_state(mesh, elem, rho)
         kpt = (np.array([[np.pi, 0.0], [0.0, 0.0]]), np.arange(2.0))
@@ -435,14 +441,35 @@ class TestScreen:
             out = buckling_strength(mesh, elem, e_k, weights, m=3,
                                     k_points=kpt, critical_only=True)
             assert out.samples[3].pinned
+            for key in ("tau_max", "critical_sample", "critical_band"):
+                assert getattr(out, key) == getattr(full, key), key
             return [s.tau.size for s in out.samples]
 
-        assert sizes() == [3, 0, 0, 3]
-        # the cut test cannot prove the singular k = 0 pencil below a floor
-        # anyway; with a screen that proves every sample, only the pinned
-        # rule keeps it solved
-        monkeypatch.setattr(_CutScreen, "below", lambda *args: True)
-        assert sizes() == [3, 0, 0, 3]
+        assert sizes() == [3, 0, 0, 0]
+        # a sample the cut does not prove below the floor is solved
+        monkeypatch.setattr(_CutScreen, "below", lambda *args: False)
+        assert sizes() == [3, 3, 3, 3]
+
+    @pytest.mark.parametrize("name", ["c2_stiff_f020_n64",
+                                      "b1_buckling_f020_n64",
+                                      "c4_codesign_f020_n64"])
+    def test_report_solves_one_sample(self, name, monkeypatch):
+        # the x limit comes first and is critical on every committed
+        # blueprint; the cut proves each of the other 41 samples below it
+        out = RUNS / name
+        committed = json.loads((out / "report.json").read_text())
+        rho, n = read_grid(out / "design_int.grid")
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_band(*args)
+
+        monkeypatch.setattr(bloch, "solve_band", counted)
+        report = evaluate_design(
+            rho, n, get_material(committed["material"]).sigma1_rel)
+        assert len(calls) == 1
+        assert_allclose(report.tau_max, committed["tau_max"], rtol=1e-12)
 
     @pytest.mark.parametrize("ratio", [1.0 + 1e-4, 1.0 - 1e-3])
     def test_floor_is_sharp(self, cross8, ratio):
@@ -1026,6 +1053,42 @@ class TestZoneCenterLimit:
             assert_array_equal(t[1 - c::2, c], 0.0)
         # the corner at the origin is fixed: the limit's gauge
         assert_array_equal(t[:2], 0.0)
+
+    @pytest.mark.parametrize("load", ["compression", "shear", "biaxial"])
+    @pytest.mark.parametrize("cell", ["cross8", "d4"])
+    def test_pinned_bands_interlace_the_limits(self, cross8, cell, load):
+        # pinning deletes the PINS columns of T(0), the two that T_d
+        # replaces by ramps, so less its two dummy zeros the pinned pencil
+        # is each limit's compressed to codimension 2 (Cauchy interlacing)
+        mesh, elem, rho = cross8
+        if cell == "d4":
+            rho = cross_density(8, 0.35)
+        sigma0 = {**LOADS, "biaxial": (-1.0, -1.0, 0.0)}[load]
+        k0_full, ks_full = loaded_operators(mesh, elem, rho, sigma0)
+        _, k0p, ksp = band_pencil(mesh, k0_full, ks_full, np.zeros(2))
+        pins = np.argsort(mesh.order)[PINS]
+        free = np.setdiff1d(np.arange(mesh.ndof), pins)
+        # the pinned dofs are uncoupled dummies, K0 = 1 and K_sigma = 0
+        assert_array_equal(k0p[pins].toarray(), np.eye(mesh.ndof)[pins])
+        assert ksp[pins].nnz == 0
+        ff = np.ix_(free, free)
+        pinned = sla.eigh(-ksp.toarray()[ff], k0p.toarray()[ff],
+                          eigvals_only=True)[::-1]
+        t0 = np.delete(bloch_transform(mesh, np.zeros(2)).toarray(), PINS,
+                       axis=1)
+        for d in LIMIT_DIRECTIONS + (np.array([0.6, -0.8]),):
+            t = limit_transform(mesh, d).toarray()
+            assert_array_equal(np.delete(t, PINS, axis=1), t0)
+            _, k0l, ksl = band_pencil(mesh, k0_full, ks_full, np.zeros(2),
+                                      direction=d)
+            k0l, ksl = k0l.toarray(), ksl.toarray()
+            limit = sla.eigh(-ksl, k0l, eigvals_only=True)[::-1]
+            # roundoff of the dense solve, eps ||K_sigma|| ||K0^-1||: the
+            # voids of the d4 cell leave K0 ill conditioned
+            tol = (np.finfo(float).eps * np.linalg.norm(ksl, 2)
+                   / np.linalg.eigvalsh(k0l)[0])
+            assert np.all(limit[:-2] >= pinned - tol)
+            assert np.all(pinned >= limit[2:] - tol)
 
     def test_k0_part_is_positive_definite(self, cross8):
         mesh, elem, rho = cross8
