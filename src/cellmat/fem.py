@@ -4,15 +4,15 @@ The periodic solve factors the pinned stiffness in a basis of the mesh
 (cellmat.mesh), whose columns carry the factor's order, and maps every
 right-hand side into that basis and every solution back: the torus-order
 permutation, factored whole, or, for a cell mirror-symmetric about both
-axes, the two-mirror class basis, in which the stiffness is block
-diagonal and each of its two pairs of classes has a factor of its own,
-the translation pair's made only when a load reaches it
-(cellmat.homogenize picks the basis).
+axes, the two-mirror class basis, in which the stiffness comes as its
+two diagonal blocks, the two pairs of classes, each with a factor of its
+own, the translation pair's made only when a load reaches it
+(cellmat.homogenize picks the basis and builds the blocks).
 """
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+import scipy.sparse.linalg as spla
 
 from .errors import SolverError
 
@@ -20,17 +20,13 @@ RESIDUAL_TOL = 1e-9
 PINS = [0, 1]        # the two dofs of reduced node 0
 
 
-def _scatter_pattern(edofs, ndof):
-    rows = np.repeat(edofs, edofs.shape[1], axis=1).ravel()
-    cols = np.tile(edofs, (1, edofs.shape[1])).ravel()
-    return rows, cols, (ndof, ndof)
-
-
 def assemble(edofs, ndof, ke_all):
     """Assemble per-element dense blocks ke_all (ne, 8, 8) into CSC."""
-    rows, cols, shape = _scatter_pattern(edofs, ndof)
-    k = sp.coo_matrix((ke_all.ravel(), (rows, cols)), shape=shape)
-    return k.tocsc()
+    rows = np.repeat(edofs, edofs.shape[1], axis=1).ravel()
+    cols = np.tile(edofs, (1, edofs.shape[1])).ravel()
+    return sp.coo_matrix((ke_all.ravel(), (rows, cols)),
+                         shape=(ndof, ndof)).tocsc()
+
 
 def assemble_k0(mesh, elem, moduli, reduced=True):
     """Elastic stiffness for an element modulus field (ne,)."""
@@ -42,16 +38,13 @@ def assemble_k0(mesh, elem, moduli, reduced=True):
 
 def assemble_loads(mesh, elem, moduli):
     """Consistent unit-macro-strain load vectors, (ndof, 3)."""
-    f = np.zeros((mesh.ndof, 3))
-    fe = moduli[:, None, None] * elem.f_unit[None, :, :]
-    for j in range(8):
-        np.add.at(f, mesh.edofs[:, j], fe[:, j, :])
-    return f
+    return scatter_vec(mesh, moduli[:, None, None] * elem.f_unit[None, :, :])
 
 
 def scatter_vec(mesh, fe):
-    """Accumulate per-element 8-vectors into a global reduced vector."""
-    out = np.zeros(mesh.ndof, dtype=fe.dtype)
+    """Accumulate per-element values fe (ne, 8, ...), one per element dof,
+    into a global reduced array (ndof, ...)."""
+    out = np.zeros((mesh.ndof,) + fe.shape[2:], dtype=fe.dtype)
     for j in range(8):
         np.add.at(out, mesh.edofs[:, j], fe[:, j])
     return out
@@ -81,8 +74,8 @@ def symmetric_lu(a):
     against 1.37M in L+U for the stiffness of c2, and 0.60M in the class
     basis.
     """
-    return splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
+    return spla.splu(a, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 def pin(a, value, dofs=PINS):
@@ -111,20 +104,6 @@ def pin(a, value, dofs=PINS):
     return sp.csc_matrix((data, indices, indptr), shape=a.shape)
 
 
-def _diagonal_blocks(k, split):
-    """The two diagonal blocks of the CSC matrix k, split after its first
-    split rows and columns, as CSC matrices that share k's arrays.  k must
-    have no entry outside them."""
-    p = k.indptr[split]
-    if np.any(k.indices[:p] >= split) or np.any(k.indices[p:] < split):
-        raise SolverError("the stiffness couples the two class pairs")
-    rest = k.shape[0] - split
-    return (sp.csc_matrix((k.data[:p], k.indices[:p], k.indptr[:split + 1]),
-                          shape=(split, split)),
-            sp.csc_matrix((k.data[p:], k.indices[p:] - split,
-                           k.indptr[split:] - p), shape=(rest, rest)))
-
-
 class PinnedSolver:
     """LU-factorized periodic stiffness with the two dofs of reduced node 0
     pinned to remove the translation null space.
@@ -135,35 +114,28 @@ class PinnedSolver:
     vanishes identically.
 
     The stiffness is factored in an orthogonal basis Q that the mesh owns
-    (cellmat.mesh): k is Q^T K Q, and Q keeps the unit vectors of PINS as
-    two of its columns, so pinning them in the basis is the pin of K.  Q
-    is the torus-order permutation (Mesh.torus_basis), factored whole, or,
-    for a cell mirror-symmetric about both axes, the two-mirror class
-    basis (Mesh.classes).  There k is block diagonal, and the caller
-    passes split, the number of columns of the corrector pair of classes:
-    each pair is factored on its own.  The corrector pair holds no pin and
-    is factored here.  The translation pair holds both pins and is
-    factored on the first solve whose right-hand side, in the basis, has a
-    nonzero entry there: the corrector loads, which homogenize assembles
-    in the class basis, are exactly zero there, so a stiffness-only design
-    iteration never factors it, while the adjoint loads of the stress and
-    stability gradients factor it once per analysis.  lu is the factor
-    made here: of the whole stiffness, or of the corrector pair.
+    (cellmat.mesh), as the diagonal blocks of Q^T K Q in the order of Q's
+    columns; Q^T K Q has no entry outside them.  Q keeps the unit vectors
+    of PINS as two of its columns, so pinning them in the basis is the pin
+    of K.  Q is the torus-order permutation (Mesh.torus_basis), with one
+    block, or the two-mirror class basis (Mesh.classes) of a cell
+    mirror-symmetric about both axes, with the corrector pair of classes
+    and then the translation pair, which holds both pins.  blocks[0] is
+    factored here, as lu; a later block is factored on the first solve
+    whose right-hand side, in the basis, has a nonzero entry in it.  The
+    corrector loads are exactly zero in the translation pair, so a
+    stiffness-only design iteration never factors it, while the adjoint
+    loads of the stress and stability gradients factor it once per
+    analysis.
 
     solve takes and returns vectors in the reduced numbering and maps them
     through Q; solve_basis takes and returns them in the basis.
     """
 
-    def __init__(self, k, basis, split=None):
+    def __init__(self, blocks, basis):
         self.basis = basis
         self._pins = basis[PINS].indices
-        k = sp.csc_matrix(k)
-        size = k.shape[0]
-        if split is None:
-            bounds, blocks = [0, size], [k]
-        else:
-            bounds, blocks = [0, split, size], _diagonal_blocks(k, split)
-        self._bounds = bounds
+        self._bounds = np.cumsum([0] + [b.shape[0] for b in blocks])
         self._blocks = list(blocks)            # each pinned when factored
         self._lus = [None] * len(blocks)
         self.lu = self._factor(0)

@@ -17,13 +17,14 @@ for the adjoint solves of the gradients.  A cell whose modulus field is
 mirror-symmetric about both axes (mesh.mirror_axes) has it factored in
 the two-mirror class basis of the mesh (cellmat.mesh), where it splits
 into four blocks on the quarter grid with about half the fill of the
-torus order.  class_stiffness and class_loads assemble the stiffness and
-the loads there directly from the quarter cell, through a scatter built
-once per n (class_scatter).  The loads lie in the corrector pair of
-classes, exactly, so the correctors never make the solver factor the
-translation pair; only an adjoint load does.  Any other cell is factored
-whole in the torus order, its stiffness assembled on the reduced dofs
-and permuted into that order.
+torus order.  class_stiffness and class_loads assemble the stiffness, as
+its two diagonal blocks, and the loads there directly from the quarter
+cell, each as one product with a sparse map built once per n
+(class_maps).  The loads lie in the corrector pair of classes, exactly,
+so the correctors never make the solver factor the translation pair;
+only an adjoint load does.  Any other cell is factored whole in the
+torus order, its stiffness assembled on the reduced dofs and permuted
+into that order.
 """
 
 from dataclasses import dataclass
@@ -52,88 +53,63 @@ class HomogResult:
 
 
 @dataclass(frozen=True)
-class Scatter:
-    """Where the terms of a class assembly go.  A term is the modulus of a
-    quarter-cell element's orbit times a factor, a product of class
-    coefficients and an entry of an element matrix, looked up in a table
-    of every such product; it is summed into its slot of the output.
-    Read-only arrays."""
-    counts: np.ndarray       # (ne/4,) terms of each element; they come
-                             # element by element
-    factor: np.ndarray       # (terms,) index of each term's factor
-    slot: np.ndarray         # (terms,) where it is summed
-
-    def sum(self, orbit, table, size):
-        terms = np.repeat(orbit, self.counts) * np.take(table, self.factor)
-        return np.bincount(self.slot, weights=terms, minlength=size)
-
-
-@dataclass(frozen=True)
-class ClassScatter:
-    """The class assembly of an n x n cell (class_scatter).  A stiffness
-    term takes the class coefficients of an element's dofs i and j in a
-    class and k0[i, j], and it is summed into the data of a fixed CSC
-    pattern, which holds every entry with a term and no other.  A load
-    term takes the class coefficient of dof j in the class of load a and
-    f_unit[j, a], and it is summed into row (class column, a) of the
-    (ndof, 3) loads."""
-    coefs: np.ndarray        # the distinct class coefficients
-    stiffness: Scatter       # factor (c_i * len(coefs) + c_j) * 64 + 8i + j
-    loads: Scatter           # factor c_j * 24 + 3j + a
-    indices: np.ndarray      # the CSC pattern of the class stiffness
+class ClassMaps:
+    """The class assembly of an n x n cell (class_maps): two linear maps
+    from the orbit moduli of the quarter-cell elements times an element
+    matrix.  Read-only arrays."""
+    stiffness: sp.csr_matrix  # outer(orbit moduli, k0).ravel() -> the data
+                              # of the class stiffness
+    loads: sp.csr_matrix      # outer(orbit moduli, f_unit).ravel() -> the
+                              # (ndof, 3) loads, raveled
+    indices: np.ndarray       # the CSC pattern of the class stiffness:
+                              # the entries with a term and no other
     indptr: np.ndarray
 
 
 @cache
-def class_scatter(n):
-    """The ClassScatter of the n x n cell, built once per n."""
+def class_maps(n):
+    """The ClassMaps of the n x n cell, built once per n.  A stiffness term
+    of an element's dofs i and j in a class, with class coefficients c_i
+    and c_j, sums c_i c_j times the orbit modulus times k0[i, j] into the
+    entry of their class columns.  A term of load a sums c_j times the
+    orbit modulus times f_unit[j, a] into row (class column of j, a), for
+    each dof j with a column in the class of that load (LOAD_CLASSES)."""
     h, ndof = n // 2, 2 * n * n
     basis = class_basis(n)
     ey, ex = np.divmod(np.arange(h * h), h)
     bl = ey * n + ex                    # quarter-cell elements need no wrap
     dofs = node_dofs(np.stack([bl, bl + 1, bl + n + 1, bl + n], axis=1))
     col = basis.col[:, dofs].transpose(1, 0, 2)           # (h*h, 4, 8)
-    coefs, code = np.unique(basis.coef[:, dofs].transpose(1, 0, 2),
-                            return_inverse=True)
-    code = code.reshape(col.shape)
+    coef = basis.coef[:, dofs].transpose(1, 0, 2)
 
-    # every term, element by element, class by class, in k0's order
+    # the stiffness terms [element, class, i, j]
     shape = col.shape + (8,)
     rows = np.broadcast_to(col[..., :, None], shape)
     cols = np.broadcast_to(col[..., None, :], shape)
     live = (rows >= 0) & (cols >= 0)
-    key = cols[live].astype(np.int64) * ndof + rows[live]
-    # the pattern in CSC order and each term's slot in it, from one sort
-    # of the keys with the term numbers in their low bits
-    bits = key.size.bit_length()
-    ranked = np.sort((key << bits) | np.arange(key.size))
-    pattern = ranked >> bits
-    first = np.concatenate([[True], pattern[1:] != pattern[:-1]])
-    slot = np.empty(key.size, dtype=np.int32)
-    slot[ranked & ((1 << bits) - 1)] = np.cumsum(first) - 1
-    pattern = pattern[first]
-    factor = (code[..., :, None] * coefs.size + code[..., None, :]) * 64 \
-        + np.arange(64).reshape(8, 8)
-    stiffness = Scatter(counts=live.sum(axis=(1, 2, 3)),
-                        factor=factor[live].astype(np.uint16), slot=slot)
+    pattern, slot = np.unique(cols[live].astype(np.int64) * ndof + rows[live],
+                              return_inverse=True)
+    source = np.arange(64 * h * h).reshape(h * h, 1, 8, 8)
+    stiffness = sp.csr_matrix(
+        ((coef[..., :, None] * coef[..., None, :])[live],
+         (slot, np.broadcast_to(source, shape)[live])),
+        shape=(pattern.size, source.size))
 
-    # the load terms, element by element, load by load, dof by dof
-    col, code = col[:, LOAD_CLASSES], code[:, LOAD_CLASSES]  # (h*h, 3, 8)
+    # the load terms [element, load, j]
+    col, coef = col[:, LOAD_CLASSES], coef[:, LOAD_CLASSES]  # (h*h, 3, 8)
     live = col >= 0
-    load = np.arange(3)[:, None]
-    loads = Scatter(
-        counts=live.sum(axis=(1, 2)),
-        factor=(code * 24 + 3 * np.arange(8) + load)[live].astype(np.uint16),
-        slot=(3 * col + load)[live].astype(np.int32))
+    rows = 3 * col + np.arange(3)[:, None]
+    source = np.arange(24 * h * h).reshape(h * h, 8, 3).transpose(0, 2, 1)
+    loads = sp.csr_matrix((coef[live], (rows[live], source[live])),
+                          shape=(3 * ndof, source.size))
 
-    out = ClassScatter(
-        coefs=coefs, stiffness=stiffness, loads=loads,
-        indices=(pattern % ndof).astype(np.int32),
-        indptr=np.searchsorted(pattern, np.arange(ndof + 1)
-                               * ndof).astype(np.int32))
-    for arr in (coefs, out.indices, out.indptr, *vars(stiffness).values(),
-                *vars(loads).values()):
-        arr.flags.writeable = False
+    out = ClassMaps(stiffness=stiffness, loads=loads,
+                    indices=(pattern % ndof).astype(np.int32),
+                    indptr=np.searchsorted(pattern, np.arange(ndof + 1)
+                                           * ndof).astype(np.int32))
+    for a in (stiffness.data, stiffness.indices, stiffness.indptr, loads.data,
+              loads.indices, loads.indptr, out.indices, out.indptr):
+        a.flags.writeable = False
     return out
 
 
@@ -148,7 +124,9 @@ def _orbit_moduli(mesh, moduli):
 
 def class_stiffness(mesh, elem, moduli):
     """Q^T K Q for the class basis Q = mesh.classes.q of a field that is
-    mirror-symmetric about both axes, assembled without K.
+    mirror-symmetric about both axes, assembled without K, as its two
+    diagonal blocks in CSC: the corrector pair of classes and then the
+    translation pair (mesh.classes.split).  It has no entry outside them.
 
     For even n no element lies on a mirror line, so every element orbit
     has four members, and a class column, a unit class vector, takes the
@@ -156,18 +134,20 @@ def class_stiffness(mesh, elem, moduli):
     the elements of the quarter cell 0 <= x, y < 1/2, the modulus summed
     over the element's orbit times its k0, scaled on both sides by the
     coefficients of its dofs (all of them orbit representatives) and
-    scattered to their class columns (class_scatter).  A dof without a
-    column in a class has no term there.  The result is block diagonal
-    with the corrector pair and the translation pair of classes as its
-    blocks.  A sparse Q^T K Q costs several times as much.
+    placed at their class columns (class_maps).  A sparse Q^T K Q costs
+    several times as much.
     """
-    sc = class_scatter(mesh.n)
-    table = np.multiply.outer(np.multiply.outer(sc.coefs, sc.coefs),
-                              elem.k0).ravel()
-    data = sc.stiffness.sum(_orbit_moduli(mesh, moduli), table,
-                            sc.indices.size)
-    return sp.csc_matrix((data, sc.indices, sc.indptr),
-                         shape=(mesh.ndof, mesh.ndof))
+    maps = class_maps(mesh.n)
+    data = maps.stiffness @ np.multiply.outer(_orbit_moduli(mesh, moduli),
+                                              elem.k0).ravel()
+    blocks = []
+    for start, stop in ((0, mesh.classes.split), (mesh.classes.split,
+                                                  mesh.ndof)):
+        a, b = maps.indptr[start], maps.indptr[stop]
+        blocks.append(sp.csc_matrix(
+            (data[a:b], maps.indices[a:b] - start,
+             maps.indptr[start:stop + 1] - a), shape=(stop - start,) * 2))
+    return blocks
 
 
 def class_loads(mesh, elem, moduli):
@@ -177,22 +157,20 @@ def class_loads(mesh, elem, moduli):
     class_stiffness is.  The load of a normal strain lies in class (+, +),
     that of the shear strain in (-, -) (LOAD_CLASSES); every other entry
     is exactly zero, so the loads never reach the translation pair."""
-    sc = class_scatter(mesh.n)
-    table = np.multiply.outer(sc.coefs, elem.f_unit).ravel()
-    return sc.loads.sum(_orbit_moduli(mesh, moduli), table,
-                        3 * mesh.ndof).reshape(mesh.ndof, 3)
+    x = np.multiply.outer(_orbit_moduli(mesh, moduli), elem.f_unit).ravel()
+    return (class_maps(mesh.n).loads @ x).reshape(mesh.ndof, 3)
 
 
 def homogenize(mesh, elem, moduli):
     """Effective properties for an element modulus field (ne,)."""
     if mirror_axes(mesh, moduli) == (0, 1):
         basis = mesh.classes.q
-        solver = PinnedSolver(class_stiffness(mesh, elem, moduli), basis,
-                              mesh.classes.split)
+        solver = PinnedSolver(class_stiffness(mesh, elem, moduli), basis)
         f = class_loads(mesh, elem, moduli)
     else:
         basis, o = mesh.torus_basis, mesh.order
-        solver = PinnedSolver(assemble_k0(mesh, elem, moduli)[o][:, o], basis)
+        solver = PinnedSolver([assemble_k0(mesh, elem, moduli)[o][:, o]],
+                              basis)
         f = basis.T @ assemble_loads(mesh, elem, moduli)
     chi = basis @ np.column_stack([solver.solve_basis(f[:, a])
                                    for a in range(3)])

@@ -69,6 +69,8 @@ def fit_scaling(points):
     pts = sorted((float(d), float(s)) for d, s in points)
     if len(pts) < 2:
         raise ConfigError("scaling fit needs at least two points")
+    if not np.isfinite(pts).all():
+        raise ConfigError("scaling fit needs finite densities and strengths")
     (d0, s0), (d1, s1) = pts[0], pts[1]
     if d0 <= 0.0 or s0 <= 0.0 or s1 <= 0.0:
         raise ConfigError("scaling fit needs positive densities and strengths")

@@ -45,11 +45,14 @@ def _integer(value):
 
 
 def _require(params, rules):
-    """Raise a ConfigError naming the first field whose bound fails."""
+    """Raise a ConfigError naming the first field that is not finite (json
+    reads Infinity and NaN) or whose bound fails."""
     for name, holds, bound in rules:
+        value = getattr(params, name)
+        if not (_integer(value) or np.isfinite(value)):
+            raise ConfigError(f"{name} must be finite, got {value}")
         if not holds:
-            raise ConfigError(f"{name} must be {bound}, "
-                              f"got {getattr(params, name)}")
+            raise ConfigError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -350,6 +353,8 @@ def optimize(problem, rho0=None, out_dir=None):
         np.asarray(rho0, dtype=float).copy()
     if rho.size != mesh.ne:
         raise ConfigError(f"seed has {rho.size} values, mesh wants {mesh.ne}")
+    if not rho.any():
+        raise ConfigError("seed has no material: every density is 0")
     orbits = d4_orbits(p.n)
     x = enforce_symmetry(rho, p.n)[orbits.reps]
     rho = x[orbits.index]
@@ -415,7 +420,7 @@ def build_run(problem, out_dir, material, seed_grid, seed_from):
 
     meta.json appears only once optimize returns: it marks a run to report.
     """
-    # optimize rejects a seed of the wrong size with a ConfigError
+    # optimize rejects a seed of the wrong size or with no material
     rho0 = None if seed_grid is None else read_grid(seed_grid)[0]
     t0 = time.time()
     res = optimize(problem, rho0=rho0, out_dir=out_dir)

@@ -99,6 +99,8 @@ def evaluate_design(rho_phys, n, sigma1_rel, material=None, with_bands=True,
     if rho_phys.size != n * n:
         raise ConfigError(f"field has {rho_phys.size} values, mesh wants {n * n}")
     check_density(rho_phys, "density field")
+    if not rho_phys.any():
+        raise ConfigError("density field has no material: every density is 0")
     if not 0.0 < sigma1_rel < 1.0:
         raise ConfigError(f"sigma1_rel must be in (0,1), got {sigma1_rel}")
 

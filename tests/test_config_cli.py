@@ -4,12 +4,13 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cellmat import cli, optimize
+from cellmat import cli, optimize, pipeline
 from cellmat.cli import main
 from cellmat.config import load_config, parse_config
 from cellmat.errors import ConfigError
@@ -90,6 +91,37 @@ class TestConfig:
     def test_load_rejects_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize("field", [
+        "f_star", "gamma1", "sigma_star", "e_star", "sigma1_rel", "radius",
+        "delta_eta", "beta_max", "beta_every", "max_iter", "move",
+        "tol_change", "checkpoint_every", "ks/zeta", "ks/kappa1",
+        "ks/kappa2", "ks/n_seg", "ks/m_bands"])
+    def test_non_finite_numbers_are_rejected(self, tmp_path, field,
+                                             literal):
+        # json reads the literals; validate() rejects them in the problem
+        # that parse_config builds and in one built directly
+        value = json.loads(literal)
+        problem, _ = parse_config(base_cfg())
+        name = field.split("/")[-1]
+        if field.startswith("ks/"):
+            owner = problem.ks
+            bad = replace(problem, ks=replace(owner, **{name: value}))
+        else:
+            owner, bad = problem, replace(problem, **{name: value})
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, "):
+            bad.validate()
+        if type(getattr(owner, name)) is float:
+            entry = f'"{name}": {literal}'
+            if field.startswith("ks/"):
+                entry = f'"ks": {{{entry}}}'
+            p = tmp_path / "c.json"
+            p.write_text('{"n": 8, "f_star": 0.3, "gamma1": 0.0, '
+                         f"{entry}}}")
+            with pytest.raises(ConfigError,
+                               match=f"^{name} must be finite, "):
+                load_config(p)
 
 
 class TestCli:
@@ -285,6 +317,18 @@ class TestCli:
         assert err["error"] == "ConfigError"
         assert "line 2" in err["message"]
 
+    @pytest.mark.parametrize("body", ["nan 1\n0.2 4\n", "0.1 inf\n0.2 4\n",
+                                      "0.1 1\n-inf 4\n0.2 4\n"])
+    def test_fit_rejects_non_finite_points(self, tmp_path, capsys, body):
+        pts = tmp_path / "p.txt"
+        pts.write_text(body)
+        assert main(["fit", "--points", str(pts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert "finite" in err["message"]
+
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--material", "PC", "--grid"],
         ["fit", "--points"],
@@ -357,6 +401,29 @@ class TestCli:
         assert meta["iterations"] == 3
         assert meta["material"] == "PC"
         assert meta["seed_from"] is None
+
+    @pytest.mark.parametrize("command", ["evaluate", "optimize"])
+    def test_a_void_design_fails_before_the_analysis(
+            self, tmp_path, capsys, monkeypatch, command):
+        def analysis(*args, **kwargs):
+            raise AssertionError("the analysis ran")
+        monkeypatch.setattr(pipeline, "analyze_cell", analysis)
+        monkeypatch.setattr(optimize, "evaluate_problem", analysis)
+        void = tmp_path / "void.grid"
+        write_grid(void, np.zeros(64), 8)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(base_cfg(max_iter=2)))
+        argv = {"evaluate": ["--grid", str(void), "--sigma1-rel", "0.044",
+                             "--no-bands"],
+                "optimize": ["--config", str(cfg), "--out",
+                             str(tmp_path / "run"), "--seed-grid",
+                             str(void)]}[command]
+        assert main([command] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert "no material" in err["message"]
 
     def test_optimize_seed_grid_mismatch(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

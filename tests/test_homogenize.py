@@ -15,7 +15,8 @@ import cellmat.homogenize
 from cellmat.design import enforce_symmetry
 from cellmat.element import elastic_matrix, element_matrices
 from cellmat.fem import PINS, PinnedSolver, assemble_k0, assemble_loads, pin
-from cellmat.homogenize import class_loads, class_stiffness, homogenize
+from cellmat.homogenize import class_loads, class_maps, class_stiffness, \
+    homogenize
 from cellmat.mesh import CLASSES, build_mesh
 
 NU = 1.0 / 3.0
@@ -149,8 +150,24 @@ def test_class_stiffness_is_the_pinned_stiffness_in_the_class_basis(n):
     block = cls[ref.row] == cls[ref.col]
     ref = sp.csr_matrix((ref.data[block], (ref.row[block], ref.col[block])),
                         shape=ref.shape)
-    got = pin(class_stiffness(mesh, elem, rho), 1.0, q[PINS].indices)
+    blocks = class_stiffness(mesh, elem, rho)
+    split = mesh.classes.split
+    assert [b.shape for b in blocks] == [(split, split), (mesh.ndof - split,
+                                                          mesh.ndof - split)]
+    assert all(b.format == "csc" for b in blocks)
+    got = pin(sp.block_diag(blocks, format="csc"), 1.0, q[PINS].indices)
     assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
+
+
+def test_class_maps_are_built_once_per_n_and_read_only():
+    maps = class_maps(8)
+    assert class_maps(8) is maps and class_maps(4) is not maps
+    for a in (maps.stiffness.data, maps.stiffness.indices,
+              maps.stiffness.indptr, maps.loads.data, maps.loads.indices,
+              maps.loads.indptr, maps.indices, maps.indptr):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
 
 
 def column_classes(mesh):
@@ -245,7 +262,7 @@ def test_the_torus_path_solves_the_permuted_stiffness_bit_for_bit(rng):
     res = homogenize(mesh, elem, rho)
     assert res.solver.basis is mesh.torus_basis
     o = mesh.order
-    ref = PinnedSolver(assemble_k0(mesh, elem, rho)[o][:, o],
+    ref = PinnedSolver([assemble_k0(mesh, elem, rho)[o][:, o]],
                        mesh.torus_basis)
     f = assemble_loads(mesh, elem, rho)
     chi = np.column_stack([ref.solve(f[:, a]) for a in range(3)])

@@ -1,10 +1,14 @@
 """Mesh bookkeeping, periodic assembly and the pinned solve."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
+import cellmat
 from cellmat.bloch import mirror_basis
 from cellmat.design import enforce_symmetry
 from cellmat.element import element_matrices
@@ -220,7 +224,7 @@ class TestPinnedSolve:
         k = assemble_k0(mesh, elem, rho)
         f = assemble_loads(mesh, elem, rho)
         o = mesh.order
-        s = PinnedSolver(k[o][:, o], mesh.torus_basis)
+        s = PinnedSolver([k[o][:, o]], mesh.torus_basis)
         u = np.column_stack([s.solve(f[:, j]) for j in range(3)])
 
         kd = k.toarray()
@@ -268,7 +272,8 @@ class TestPinnedSolve:
 
     def test_singular_operator_raises(self):
         with pytest.raises(SolverError):
-            PinnedSolver(sp.csc_matrix((8, 8)), sp.identity(8, format="csr"))
+            PinnedSolver([sp.csc_matrix((8, 8))],
+                         sp.identity(8, format="csr"))
 
     def test_solver_reuse_multiple_rhs(self, mesh8, elem8):
         rho = np.ones(mesh8.ne)
@@ -276,8 +281,33 @@ class TestPinnedSolve:
         f = assemble_loads(mesh8, elem8, rho)
         o = mesh8.order
         k = k[o][:, o]
-        s = PinnedSolver(k, mesh8.torus_basis)
+        s = PinnedSolver([k], mesh8.torus_basis)
         u = np.column_stack([s.solve(f[:, j]) for j in range(3)])
-        fresh = np.column_stack([PinnedSolver(k, mesh8.torus_basis).solve(
+        fresh = np.column_stack([PinnedSolver([k], mesh8.torus_basis).solve(
             f[:, j]) for j in range(3)])
         assert_allclose(u, fresh, rtol=0, atol=0)
+
+
+# the SuperLU entry points of scipy.sparse.linalg that make a sparse factor
+SUPERLU = {"splu", "spilu", "factorized", "spsolve"}
+
+
+def test_every_sparse_factor_is_symmetric_lu():
+    # the package names SuperLU in fem.symmetric_lu and nowhere else: no
+    # other function imports, calls or binds splu or its relatives
+    found = []
+    for path in sorted(Path(cellmat.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        if path.name == "fem.py":
+            home, = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                     and f.name == "symmetric_lu"]
+            inside = {id(node) for node in ast.walk(home)}
+        for node in ast.walk(tree):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {part for alias in node.names
+                         for part in alias.name.split(".")}
+            if names & SUPERLU and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
