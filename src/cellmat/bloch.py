@@ -36,39 +36,28 @@ it is solved, screened and differentiated like any other sample.
 
 band_pencil builds the pencil at one k, pinned exactly when k = 0, or in
 the limit along d, and solve_band solves it; every solved sample of every
-sweep, at every mesh size, takes this one path.  Where every component
-of k is 0 or +-pi the phases are exactly +-1, so T(k), the folded pencil
-and its modes are real and the band solve runs in real symmetric
-arithmetic; elsewhere they are complex.  solve_band factors K0(k)
+sweep, at every mesh size, takes this one path.  solve_band factors K0(k)
 itself, by fem.symmetric_lu, in the order band_pencil hands it over:
 band_pencil composes the transform with one basis of the reduced dofs,
 whose columns come in one of the mesh's nested-dissection orders
 (cellmat.mesh), and folds each operator with that product once, so the
 pencil comes ordered and its modes still map to the full node set.
-The basis is the torus-order permutation, or the mirror basis below.
 Every eigenvalue is then the same, within the solver tolerance,
 whatever the factor order.
 
-Every other sample of the path lies on a mirror line of the zone, where
-one component of k is 0 or +-pi, and on a mirror line of a
-mirror-symmetric cell the complex pencil is a real one in disguise.  Let
-M be the mirror about axis x of the full node set (column c -> n - c,
-u_x negated; axis y likewise with rows), with M K M = K for both
-operators, and let ky be 0 or +-pi.  Then M T(k) = conj(T(k)) R_k, where
-R_k is the reduced image of the mirror, so K(k) = R_k^H conj(K(k)) R_k:
-the antiunitary conj o R_k commutes with the pencil and squares to 1.
-The columns of the unitary U(k) = mirror_basis(mesh, k, axis) are fixed
-by it, which makes U^H K(k) U real.  band_pencil folds each operator
-with T(k) U(k) and keeps the real symmetric part, so such a sample is
-solved in real arithmetic, with real modes that T(k) U(k) takes back to
-the full node set.  Such a pencil couples each node with its mirror
-image, so the columns of U(k) come in the order of the mirror quotient.
-buckling_strength takes this basis on a mirror line only when the cell's
-element fields, its moduli and stress weights, are mirror-symmetric
-about its axis (mesh.mirror_axes, tested once per sweep); then M K M = K
-holds for both operators.  An asymmetric cell keeps the complex pencils
-everywhere.  Symmetric designs under the uniaxial load, the optimizer's
-and the committed ones, are mirror-symmetric about both axes.
+The basis is the class basis Q(k) of the mesh when the cell's element
+fields, its moduli and stress weights, are mirror-symmetric about both
+axes (mesh.mirror_axes, tested once per sweep), as the optimizer's and
+the committed designs under the uniaxial load are, and a component of k
+is 0 or +-pi, as at every sample of the path but the zone-center limits.
+Both operators then commute with each axis mirror, linear or
+antiunitary at k (cellmat.mesh), so Q(k)^H K(k) Q(k) is real and block
+diagonal by class, and the sample is solved in real symmetric
+arithmetic with real modes.  band_pencil keeps the real part of the
+diagonal blocks; the rest is roundoff of the symmetry.  Every other
+sample and cell takes the torus-order permutation: its pencil is real
+where every component of k is 0 or +-pi, the phases then exactly +-1,
+and complex elsewhere.
 
 Only the largest tau matters for sigma_c.  K0(k) is positive definite
 (pinned at k = 0), so the number of bands above a floor tau0 equals the
@@ -112,8 +101,8 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import AnalysisError, ConfigError
 from .fem import PINS, assemble, assemble_k0, pin, symmetric_lu
-from .mesh import dissection, mirror_axes, mirror_map, mirror_order, \
-    node_dofs
+from .mesh import class_basis, dissection, mirror_axes, node_dofs, \
+    real_phase
 
 # the directions of the zone-center limit samples of every sweep
 LIMIT_DIRECTIONS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -155,7 +144,7 @@ def bloch_transform(mesh, k):
     if not np.all(np.abs(k) <= np.pi + 1e-12):
         raise ConfigError(f"wavevector {k} outside the first zone [-pi, pi]^2")
     phase = np.exp(1j * (_wraps(mesh, np.arange(mesh.nn_full)) @ k))
-    if np.all(_real_phase(k)):
+    if np.all(real_phase(k)):
         # exp(i pi) carries a roundoff imaginary part; drop it so the
         # folded pencil stays real and eigsh runs the symmetric solver
         phase = np.rint(phase.real)
@@ -166,11 +155,6 @@ def bloch_transform(mesh, k):
     vals = np.repeat(phase, 2)
     return sp.coo_matrix((vals, (rows, cols)),
                          shape=(mesh.ndof_full, mesh.ndof)).tocsc()
-
-
-def _real_phase(k):
-    """Per component of k: is it 0 or +-pi, where the phase is +-1?"""
-    return (k == 0.0) | (np.abs(np.abs(k) - np.pi) < 1e-12)
 
 
 def _wraps(mesh, nodes):
@@ -205,87 +189,55 @@ def limit_transform(mesh, direction):
         shape=t.shape).tocsc()
 
 
-def mirror_axis(k):
-    """The axis whose mirror makes the pencil at k real (module doc): 0 when
-    only ky is 0 or +-pi, 1 when only kx is, None otherwise."""
-    real = _real_phase(np.asarray(k, dtype=float))
-    if real[0] == real[1]:
-        return None
-    return 0 if real[1] else 1
-
-
-def mirror_basis(mesh, k, axis):
-    """Sparse unitary U(k) whose columns are fixed by conj o R_k.
-
-    R_k is the reduced image of the mirror about axis at a k whose other
-    component is 0 or +-pi: it maps node coordinate c to (n - c) mod n and
-    negates the axis component, and a node at c = 0, its own image, takes
-    the phase exp(i k[axis]).  A pair d < d' with R_k e_d = f e_d' gives
-    the columns (e_d + conj(f) e_d') / sqrt(2) at d and
-    i (e_d - conj(f) e_d') / sqrt(2) at d'; a dof that is its own image
-    gives exp(i arg(conj f) / 2) e_d.  For a mirror-symmetric K_full,
-    U^H K(k) U is then real (module doc).  The columns come in the order
-    of the mirror quotient (mesh.mirror_order), which the real pencil's
-    factor takes.
-    """
-    image, c = mirror_map(mesh.n, axis)
-    d = np.arange(mesh.ndof)
-    img = 2 * image.repeat(2) + d % 2
-    f = np.where(d % 2 == axis, -1.0, 1.0) * np.where(
-        c.repeat(2) == 0, np.exp(1j * k[axis]), 1.0)
-    fc = f.conj()
-    r = np.sqrt(0.5)
-    lo, own = d < img, d == img
-    dl, il = d[lo], img[lo]
-    rows = np.concatenate([d[own], dl, il, dl, il])
-    cols = np.concatenate([d[own], dl, dl, il, il])
-    vals = np.concatenate([np.exp(0.5j * np.angle(fc[own])),
-                           np.full(dl.size, r), r * fc[lo],
-                           np.full(dl.size, 1j * r), -1j * r * fc[lo]])
-    u = sp.csc_matrix((vals, (rows, cols)), shape=(mesh.ndof, mesh.ndof))
-    return u[:, node_dofs(mirror_order(mesh.n, axis))]
-
-
-def fold(k_full, t, real=False):
-    """T^H K T, Hermitized against roundoff.  real is for T(k) U(k) in the
-    mirror basis, where the fold is real up to roundoff (module doc): the
-    real part is taken first, which keeps the complex temporaries to two,
-    and the exact zeros are dropped (there the two mirror classes
-    decouple wherever no Bloch phase enters)."""
-    a = t.conj().T @ (k_full @ t)
-    if not real:
+def fold(k_full, t, bounds=None):
+    """T^H K T, Hermitized against roundoff.  bounds are for T(k) Q(k) in
+    the class basis (band_pencil), whose class c spans the columns
+    bounds[c]:bounds[c + 1]: the fold is then real and block diagonal by
+    class up to roundoff, so only the real part of its diagonal blocks is
+    formed, in real arithmetic: Re(T^H K T) = Re(T)^T K Re(T) +
+    Im(T)^T K Im(T) for a real K."""
+    if bounds is None:
+        a = t.conj().T @ (k_full @ t)
         return 0.5 * (a + a.conj().T)
-    a = a.real
-    a = 0.5 * (a + a.T)
+    parts = [t]
+    if t.dtype.kind == "c":     # copied, as .real views the data of t
+        parts = [t.real.copy(), t.imag.copy()]
+        for p in parts:         # each is 0 where t is imaginary or real
+            p.eliminate_zeros()
+    a = sp.block_diag([sum(p[:, i:j].T @ (k_full @ p[:, i:j]) for p in parts)
+                       for i, j in zip(bounds, bounds[1:])], format="csc")
     a.eliminate_zeros()
-    return a
+    return 0.5 * (a + a.T)
 
 
-def band_pencil(mesh, k0_full, ks_full, k, axis=None, direction=None):
+def band_pencil(mesh, k0_full, ks_full, k, axes=(), direction=None):
     """(transform, K0(k), K_sigma(k)) from the full-node-set operators, both
     pinned (fem.pin) exactly at k = 0, the only k with a singular K0(k),
     unless direction names the zone-center limit along it (k = 0, module
     doc).
 
     The transform takes the pencil's modes to the full node set, and each
-    operator is folded with it once.  It is T(k), or T_d =
-    limit_transform(mesh, direction), in the torus order of the mesh,
-    unless axis names a mirror of the cell (module doc): then it is
-    T(k) U(k), U(k) = mirror_basis(mesh, k, axis), whose columns come in
-    the order of the mirror quotient, and the fold keeps the real part, a
-    real symmetric pencil with real modes.  The caller vouches that k lies
-    on that mirror line (mirror_axis) and that the cell is
-    mirror-symmetric about it (mesh.mirror_axes).  Either way the
+    operator is folded with it once.  It is T(k) Q(k), Q(k) =
+    mesh.class_basis(n, k), when the cell is mirror-symmetric about both
+    of axes (mesh.mirror_axes) and a component of k is 0 or +-pi: then
+    the fold is real symmetric and block diagonal by class, with real
+    modes.  Otherwise it is T(k), or T_d = limit_transform(mesh,
+    direction), in the torus order of the mesh.  Either way the
     transform's columns come in the mesh's order for the factor of K0(k)
-    (cellmat.mesh), so the pencil comes ordered.
+    (cellmat.mesh), so the pencil comes ordered, and the pins are the
+    columns of reduced node 0.
     """
     t = bloch_transform(mesh, k) if direction is None else \
         limit_transform(mesh, direction)
-    real = axis is not None
-    t = t @ mirror_basis(mesh, k, axis) if real else t[:, mesh.order]
-    k0k, ksk = fold(k0_full, t, real), fold(ks_full, t, real)
+    if axes == (0, 1) and direction is None and real_phase(
+            np.asarray(k, dtype=float)).any():
+        basis = class_basis(mesh.n, k)
+        t, q, bounds = t @ basis.q, basis.q, basis.bounds
+    else:
+        t, q, bounds = t[:, mesh.order], mesh.torus_basis, None
+    k0k, ksk = fold(k0_full, t, bounds), fold(ks_full, t, bounds)
     if direction is None and not np.any(k):
-        pins = np.argsort(mesh.order)[PINS]
+        pins = q[PINS].indices
         k0k, ksk = pin(k0k, 1.0, pins), pin(ksk, 0.0, pins)
     return t, k0k, ksk
 
@@ -389,7 +341,7 @@ class _CutScreen:
             s = tb.T @ (tb.T @ h).T             # H is symmetric
             return 0.5 * (s + s.T)
         n0, parts = terms
-        real = np.all(_real_phase(k))
+        real = np.all(real_phase(k))
         a, b = n0.copy(), 0.0
         for d, sym, asym in parts:
             x = k @ d
@@ -424,8 +376,8 @@ def solve_band(k0k, ksk, m):
 
     Returns (tau, phi) for the pencil band_pencil builds, with tau sorted
     descending and the columns of phi normalized to phi^H K0 phi = 1.
-    phi is real when the pencil is (the real-phase wavevectors, k = 0 and
-    the mirror lines of a mirror-symmetric cell); eigsh then runs the
+    phi is real when the pencil is (the real-phase wavevectors, and every
+    class-basis pencil of a two-mirror cell); eigsh then runs the
     symmetric real Lanczos solver, while a complex pencil goes through its
     non-Hermitian Arnoldi path.  Every pencil, of any size, goes to ARPACK
     shifted by +1 * K0, which moves the (often hugely degenerate) zero
@@ -434,8 +386,9 @@ def solve_band(k0k, ksk, m):
     again and changes nothing else.
 
     K0(k) is factored here, once, by fem.symmetric_lu (stable because
-    K0(k), pinned at k = 0, is Hermitian positive definite), and the
-    factor is passed to eigsh as Minv.  ARPACK's tolerance is 1e-9 at
+    K0(k), pinned at k = 0, is Hermitian positive definite; block
+    diagonal in the class basis, and so is its factor), and the factor
+    is passed to eigsh as Minv.  ARPACK's tolerance is 1e-9 at
     every sample.
 
     When ARPACK fails, the bands it did converge are returned: fewer than
@@ -526,13 +479,13 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     critical sample when the long-wavelength (macroscopic) mode governs.
     k_points overrides the path when given as (pts, arclength).
 
-    A sample on a mirror line of the zone, one component of k 0 or +-pi
-    and the other not, is solved as a real symmetric pencil when moduli_k
-    and stress_weights are mirror-symmetric about that line's axis
-    (mesh.mirror_axes, module doc).  store_modes keeps each sample's modes
-    with the transform that takes them to the full node set: T(k) or T_d,
-    or T(k) U(k) in the real basis, its columns in the order of the pencil
-    (band_pencil).
+    Every sample but the limits is solved in the class basis, as a real
+    symmetric pencil, when moduli_k and stress_weights are
+    mirror-symmetric about both axes (mesh.mirror_axes, module doc) and
+    a component of its k is 0 or +-pi.  store_modes keeps each sample's
+    modes with the transform that takes them to the full node set: T(k)
+    or T_d, or T(k) Q(k) in the class basis, its columns in the order of
+    the pencil (band_pencil).
 
     critical_only is for callers that need only tau_max, sigma_c and the
     critical sample, not every band.  Samples are taken in path order, and
@@ -588,9 +541,7 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
         stable = (certify_first and not screening
                   and screen.below(kvec, TAU_TINY, d))
         if not stable:
-            axis = mirror_axis(kvec)
-            t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec,
-                                      axis if axis in axes else None, d)
+            t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec, axes, d)
             tau, phi = solve_band(k0k, ksk, m)
             if tau.size < m_eff:
                 if screen is None:

@@ -18,7 +18,7 @@ from .bloch import buckling_strength
 from .config import load_config
 from .element import element_matrices
 from .errors import CellmatError, ConfigError, SolverError
-from .gridio import read_grid, write_json
+from .gridio import check_material, read_grid, write_json
 from .materials import fit_scaling, get_material
 from .mesh import build_mesh
 from .optimize import build_run
@@ -73,6 +73,7 @@ def cmd_evaluate(args):
 
 def _band_setup(args):
     rho, n = read_grid(args.grid)
+    check_material(rho, "density field")
     mesh = build_mesh(n)
     elem = element_matrices(NU, mesh.h)
     cell = analyze_cell(mesh, elem, rho)

@@ -59,9 +59,9 @@ def symmetric_lu(a):
     screen of bloch, its one inertia test.  Each caller hands a already
     in a nested-dissection order of the grid (cellmat.mesh).  The
     periodic stiffness and the Bloch pencils come through a basis whose
-    columns carry the order: the torus permutation, the mirror basis of a
-    mirror-line pencil, or the class basis, class by class in the
-    dissection order of the quarter grid.  The filter numbers its nodes
+    columns carry the order: the torus permutation, or the class basis,
+    class by class in the dissection order of the quarter grid, which
+    hands over a block-diagonal matrix.  The filter numbers its nodes
     in the torus order, the screen its interior by dissection and the
     cell boundary last.  So SuperLU orders nothing (NATURAL) and runs in
     its symmetric mode, with the small diagonal pivot threshold that mode
@@ -118,7 +118,7 @@ class PinnedSolver:
     columns; Q^T K Q has no entry outside them.  Q keeps the unit vectors
     of PINS as two of its columns, so pinning them in the basis is the pin
     of K.  Q is the torus-order permutation (Mesh.torus_basis), with one
-    block, or the two-mirror class basis (Mesh.classes) of a cell
+    block, or the class basis at k = 0 (Mesh.classes) of a cell
     mirror-symmetric about both axes, with the corrector pair of classes
     and then the translation pair, which holds both pins.  blocks[0] is
     factored here, as lu; a later block is factored on the first solve

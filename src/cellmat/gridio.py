@@ -23,6 +23,13 @@ def check_density(rho, source):
                           "not a density in [0, 1]")
 
 
+def check_material(rho, source):
+    """Raise ConfigError when no element of rho holds material: a void
+    cell has no stiffness to analyze."""
+    if not np.any(rho):
+        raise ConfigError(f"{source} has no material: every density is 0")
+
+
 def write_grid(path, rho, n):
     rho = np.asarray(rho, dtype=float)
     if rho.size != n * n:

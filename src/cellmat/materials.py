@@ -76,5 +76,10 @@ def fit_scaling(points):
         raise ConfigError("scaling fit needs positive densities and strengths")
     if d0 == d1:
         raise ConfigError(f"duplicate density {d0} in scaling fit")
-    n0 = np.log(s1 / s0) / np.log(d1 / d0)
-    return ScalingFit(c0=s0 / d0 ** n0, n0=n0)
+    with np.errstate(all="ignore"):     # a non-finite fit raises below
+        n0 = np.log(s1 / s0) / np.log(d1 / d0)
+        c0 = s0 / d0 ** n0
+    if not np.isfinite([c0, n0]).all():
+        raise ConfigError(f"scaling fit of {pts[:2]} is not finite: "
+                          f"c0 = {c0}, n0 = {n0}")
+    return ScalingFit(c0=c0, n0=n0)

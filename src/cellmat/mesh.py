@@ -7,42 +7,52 @@ J. Numer. Anal. 10:345): each eliminates the blocks of the grid first and
 the lines that separate them last.  The periodic stiffness and every
 Bloch pencil enter their factor through one basis of the reduced dofs,
 whose columns carry the order: the torus permutation (Mesh.torus_basis,
-Mesh.order), the mirror basis of a mirror-line pencil
-(bloch.mirror_basis) or the two-mirror class basis (Mesh.classes).  On
-the periodic n x n grid, a torus, the order cuts columns 0 and n/2,
-which leaves two strips, cuts rows 0 and n/2 of each strip, which leaves
-four blocks, and orders each block by dissection.  The real pencils of a
-mirror line couple a node with its mirror image, so their basis takes,
-for its mirror axis, the order of the mirror quotient (mirror_order),
-half the torus: a grid of n/2 + 1 lines along the axis, periodic across
-it, cut at rows 0 and n/2 across it, with every node next to its mirror
-image.
+Mesh.order) or the class basis (class_basis, Mesh.classes).  On the
+periodic n x n grid, a torus, the order cuts columns 0 and n/2, which
+leaves two strips, cuts rows 0 and n/2 of each strip, which leaves four
+blocks, and orders each block by dissection.
 
 Whether a cell is mirror-symmetric is asked of its element fields, in
 one place (mirror_axes): the moduli, and the stress weights of a loaded
-cell, must map to themselves under the mirror.  A cell whose moduli are
+cell, must map to themselves under the mirror.  The operators of a cell
 mirror-symmetric about both axes, as every design of the optimizer is,
-has a periodic stiffness that commutes with the two mirrors Mx and My of
-the reduced dofs (mirror_map: coordinate c -> (n - c) mod n along the
-axis, that displacement component negated).
-The stiffness then block-diagonalizes into the four parity classes
-(sx, sy) of the two mirrors, Mx v = sx v and My v = sy v (the symmetry
-reduction of Healey 1988, CMAME 67:257).  Mesh.classes holds the
-orthogonal basis Q of that split (ClassBasis): the orbit of a dof under
-{1, Mx, My, MxMy} gives one unit column to each class its stabilizer
-allows, so every class lives on the (n/2 + 1)^2 quarter grid of orbit
-representatives.  That grid is planar, so each class is ordered by plain
-dissection, without the wrap separators of the torus order.  The
-columns of reduced node 0, fem.PINS, are those two dofs themselves: x in
-class (-, +) with the x translation, y in (+, -) with the y translation.
-The correctors of the normal macro strains lie in (+, +), that of the
-shear strain in (-, -).  So the columns come in two pairs of classes:
-first the corrector pair (+, +) and (-, -), then the translation pair
-(+, -) and (-, +), which holds the pins.  The basis depends on n alone
-and is built once per n.
+commute with the two mirrors of the node set (mirror_map: coordinate
+c -> (n - c) mod n along the axis, that displacement component negated),
+and the class basis Q(k) splits them by both: the symmetry reduction of
+Healey 1988 (CMAME 67:257), the one symmetry basis of the package.
+
+At k = 0, for the periodic stiffness and the pinned Bloch pencil, Q is
+real and orthogonal.  The stiffness block-diagonalizes into the four
+parity classes (sx, sy) of the mirrors Mx and My, Mx v = sx v and
+My v = sy v: the orbit of a dof under {1, Mx, My, MxMy} gives one unit
+column to each class its stabilizer allows, so every class lives on the
+(n/2 + 1)^2 quarter grid of orbit representatives.  That grid is planar,
+so each class is ordered by plain dissection, without the wrap
+separators of the torus order.  The columns of reduced node 0, fem.PINS,
+are those two dofs themselves: x in class (-, +) with the x translation,
+y in (+, -) with the y translation.  The correctors of the normal macro
+strains lie in (+, +), that of the shear strain in (-, -).  So the
+columns come in two pairs of classes: first the corrector pair (+, +)
+and (-, -), then the translation pair (+, -) and (-, +), which holds the
+pins.
+
+A Bloch pencil at k (cellmat.bloch) sees the mirror about axis a through
+its reduced image R_k, which maps the line c = 0 to itself with the
+phase exp(i k[a]).  The mirror is linear, M T(k) = T(k) R_k, when k[a] is
+0 or +-pi, a phase of +-1: it splits the columns into its parity
+classes as at k = 0, the phase entering the test of the dofs that are
+their own image.  It is antiunitary, M T(k) = conj(T(k)) R_k, when the
+other component is 0 or +-pi: conj o R_k commutes with the pencil, and
+Q(k) takes the class vectors a and a' of a quarter-grid dof and of its
+image, R_k a = f a', to the two columns (a + conj(f) a') / sqrt(2) and
+i (a - conj(f) a') / sqrt(2), side by side, which it fixes; a dof that
+is its own image gets exp(i arg(conj f) / 2) a.  So the pencil in Q(k)
+is real and block diagonal by the classes of the linear mirrors: four at
+the corners (0, 0), (pi, 0), (pi, pi) and (0, pi) of the quarter zone,
+where both mirrors are linear, and two on its edges.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
 import numpy as np
@@ -53,8 +63,8 @@ from .errors import ConfigError
 # relative bound, in the 2-norm, on |M a - a| for an element field a and
 # its image M a under an axis mirror, under which a counts as
 # mirror-symmetric (mirror_axes).  A path that relies on the symmetry,
-# the class basis of homogenize or a real mirror-line pencil of bloch,
-# drops the asymmetric part, a perturbation of that relative size: three
+# the class basis of homogenize and of the band pencils of bloch, drops
+# the asymmetric part, a perturbation of that relative size: three
 # orders below the ARPACK tolerance of 1e-9.  A mirror-symmetric design
 # misses exact symmetry only by roundoff: by 4e-16 for the moduli of an
 # optimizer iterate at n = 64 (the density filter's), and on the
@@ -62,7 +72,8 @@ from .errors import ConfigError
 # their stress weights under the uniaxial load.
 MIRROR_TOL = 1e-12
 # the parity classes (sx, sy) of the two axis mirrors, in the order of
-# ClassBasis's columns: the corrector pair, then the translation pair
+# the columns of the class basis at k = 0: the corrector pair, then the
+# translation pair
 CLASSES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
 
 
@@ -81,17 +92,27 @@ def mirror_axes(mesh, moduli, stresses=None):
         <= MIRROR_TOL * np.linalg.norm(a) for a, parity in fields))
 
 
+def real_phase(k):
+    """Per component of k: is it 0 or +-pi, where the Bloch phase is +-1?"""
+    return (k == 0.0) | (np.abs(np.abs(k) - np.pi) < 1e-12)
+
+
 @dataclass(frozen=True)
 class ClassBasis:
-    """The orthogonal basis Q of the two-mirror classes of the reduced
-    dofs (module doc), its columns class by class in CLASSES order and
-    each class in the dissection order of the quarter grid.  Shared by
+    """The unitary class basis Q(k) of the reduced dofs (module doc), its
+    columns class by class and each class in the dissection order of the
+    quarter grid.  The basis at k = 0, real and orthogonal, is shared by
     every mesh of its n: its arrays are read-only."""
-    q: sp.csr_matrix         # (ndof, ndof) orthogonal, <= 4 entries a row
+    q: sp.csr_matrix         # (ndof, ndof) unitary, <= 4 entries a row
     col: np.ndarray          # (4, ndof) the column of each dof's orbit in
-                             # each class, -1 where the orbit has none
+                             # each of CLASSES, -1 where the orbit has none
     coef: np.ndarray         # (4, ndof) Q[dof, col], 0 where none
-    split: int               # columns of the corrector pair, the first
+    bounds: tuple            # class c spans columns bounds[c]:bounds[c + 1]
+
+    @property
+    def split(self):
+        """The columns of the corrector pair at k = 0, the first."""
+        return self.bounds[2]
 
 
 @dataclass
@@ -108,7 +129,7 @@ class Mesh:
 
     @cached_property
     def classes(self):
-        """The two-mirror class basis (ClassBasis) of n, shared by every
+        """The class basis (ClassBasis) of n at k = 0, shared by every
         mesh of that n."""
         return class_basis(self.n)
 
@@ -176,31 +197,6 @@ def torus_order(n):
     return order
 
 
-@cache
-def mirror_order(n, axis):
-    """The reduced node ids of the periodic n x n grid in the
-    nested-dissection order of its quotient by the mirror about axis
-    (coordinate c -> (n - c) mod n along it), each node followed by its
-    image.  The quotient keeps the lines c = 0 ... n/2 along the axis and
-    is periodic across it, so it is cut at rows 0 and n/2 across it.
-    Built once per n and axis, read-only."""
-    ids = np.arange(n * n).reshape(n, n)
-    if axis == 1:
-        ids = ids.T                             # [other coordinate, c]
-    h = n // 2
-    c = np.arange(h + 1)
-    pairs = np.stack([ids[:, c], ids[:, (n - c) % n]], axis=-1)
-    q = np.arange(n * (h + 1)).reshape(n, h + 1)
-    order = np.concatenate([dissection(q[1:h]), dissection(q[h + 1:]),
-                            q[[0, h]].ravel()])
-    seq = pairs.reshape(-1, 2)[order]
-    keep = np.ones(seq.shape, dtype=bool)
-    keep[:, 1] = seq[:, 1] != seq[:, 0]         # c = 0, n/2: its own image
-    nodes = seq[keep]
-    nodes.flags.writeable = False
-    return nodes
-
-
 def mirror_map(n, axis):
     """(image, c) for every node of the periodic n x n grid numbered row by
     row: c is its coordinate along axis and image the node the mirror about
@@ -219,18 +215,46 @@ def order_basis(order):
                          shape=(size, size))
 
 
+def class_basis(n, k=(0.0, 0.0)):
+    """The class basis Q(k) of the reduced dofs of the n x n grid at a
+    wavevector k with a component 0 or +-pi (module doc).  Its structure
+    is built once per n and set of linear phases (_class_basis).  Where
+    the mirror about axis a is antiunitary, k enters only as the factor
+    exp(-i k[a] / 2) of the rows on its line c = 0, which are their own
+    image: exp(i arg(conj f) / 2) of the module doc, up to sign and the
+    factor i that the structure carries."""
+    k = np.asarray(k, dtype=float)
+    real = real_phase(k)
+    if not real.any():
+        raise ConfigError(f"no axis mirror acts linearly at k = {k}")
+    basis = _class_basis(n, *(int(np.rint(np.cos(c))) if r else None
+                              for c, r in zip(k, real)))
+    if real.all():
+        return basis
+    axis = int(np.argmin(real))
+    d = np.where(mirror_map(n, axis)[1].repeat(2) == 0,
+                 np.exp(-0.5j * k[axis]), 1.0)
+    return replace(basis, q=(sp.diags(d) @ basis.q).tocsr(),
+                   coef=basis.coef * d)
+
+
 @cache
-def class_basis(n):
-    """The two-mirror class basis of the reduced dofs of the n x n grid
-    (module doc), built once per n.
+def _class_basis(n, px, py):
+    """class_basis at the phases px and py, +-1, of the linear mirrors
+    about x and y, None for the antiunitary one, at phase 1 on its line
+    c = 0.
 
     In class (sx, sy) a mirror acts on a dof by the factor t: the class
     sign of that mirror, negated when the mirror flips the dof's
-    component.  A dof has a column in the class when t = +1 for every
-    mirror that fixes its node (coordinate 0 or n/2 along the axis).
-    Each dof reaches its orbit's representative in the quarter grid by
-    the mirrors g; its entry in that column is the product of the t of
-    the mirrors in g over sqrt(orbit size)."""
+    component.  A dof has a column in the class when t times the phase is
+    +1 for every mirror that fixes its node (coordinate 0 or n/2 along the
+    axis; the phase is 1 except on the line c = 0).  Each dof reaches its
+    orbit's representative in the quarter grid by the mirrors g; its entry
+    in that column is the product of the t of the mirrors in g over
+    sqrt(orbit size), times i in a class of sign -1 under the
+    antiunitary mirror.  Each class of the linear mirrors takes its
+    columns in the order of the quarter grid, the two of a quarter-grid
+    dof under the antiunitary mirror side by side."""
     h, ndof = n // 2, 2 * n * n
     image_x, cx = mirror_map(n, 0)
     image_y, cy = mirror_map(n, 1)
@@ -239,31 +263,39 @@ def class_basis(n):
     rep_dof = node_dofs(rep)
     gx, gy = (cx > h).repeat(2), (cy > h).repeat(2)
     fx, fy = (cx % h == 0).repeat(2), (cy % h == 0).repeat(2)
+    phx = np.where(cx == 0, px or 1, 1).repeat(2)
+    phy = np.where(cy == 0, py or 1, 1).repeat(2)
     size = np.where(fx, 1, 2) * np.where(fy, 1, 2)
     comp = np.arange(ndof) % 2
+    anti = (px, py).index(None) if None in (px, py) else None
 
-    quarter = dissection(np.arange((h + 1) ** 2).reshape(h + 1, h + 1))
-    quarter_dofs = node_dofs((quarter // (h + 1)) * n + quarter % (h + 1))
-    col = np.full((4, ndof), -1, dtype=np.int32)
-    coef = np.zeros((4, ndof))
-    start = 0
+    live = np.empty((4, ndof), dtype=bool)
+    coef = np.zeros((4, ndof), dtype=float if anti is None else complex)
     for i, (sx, sy) in enumerate(CLASSES):
         tx = np.where(comp == 0, -sx, sx)
         ty = np.where(comp == 1, -sy, sy)
-        live = (~fx | (tx == 1)) & (~fy | (ty == 1))
-        cols = quarter_dofs[live[quarter_dofs]]
-        ids = np.full(ndof, -1)
-        ids[cols] = start + np.arange(cols.size)
-        start += cols.size
-        col[i] = np.where(live, ids[rep_dof], -1)
+        live[i] = (~fx | (tx * phx == 1)) & (~fy | (ty * phy == 1))
         sign = np.where(gx, tx, 1) * np.where(gy, ty, 1)
-        coef[i] = np.where(live, sign / np.sqrt(size), 0.0)
-    live = col >= 0
+        unit = 1j if anti is not None and (sx, sy)[anti] == -1 else 1
+        coef[i] = np.where(live[i], sign / np.sqrt(size), 0.0) * unit
+
+    # number the columns by (class of the linear mirrors, quarter-grid
+    # position, class): each representative takes its own column
+    group = np.array([i if anti is None else (1 - c[1 - anti]) // 2
+                      for i, c in enumerate(CLASSES)])
+    quarter = dissection(np.arange((h + 1) ** 2).reshape(h + 1, h + 1))
+    quarter_dofs = node_dofs((quarter // (h + 1)) * n + quarter % (h + 1))
+    cls, pos = np.nonzero(live[:, quarter_dofs])
+    order = np.lexsort((cls, pos, group[cls]))
+    ids = np.full((4, ndof), -1, dtype=np.int32)
+    ids[cls[order], quarter_dofs[pos[order]]] = np.arange(cls.size)
+    col = ids[:, rep_dof]               # a dof lives where its rep does
     q = sp.csr_matrix((coef[live], (np.nonzero(live)[1], col[live])),
                       shape=(ndof, ndof))
     for a in (q.data, q.indices, q.indptr, col, coef):
         a.flags.writeable = False
-    return ClassBasis(q=q, col=col, coef=coef, split=int(col[1].max()) + 1)
+    return ClassBasis(q=q, col=col, coef=coef, bounds=(0, *np.cumsum(
+        np.bincount(group[cls])).tolist()))
 
 
 def build_mesh(n):

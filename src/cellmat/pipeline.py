@@ -17,7 +17,7 @@ from .bloch import buckling_strength
 from .design import interpolate
 from .element import element_matrices
 from .errors import ConfigError
-from .gridio import check_density
+from .gridio import check_density, check_material
 from .homogenize import HomogResult, homogenize
 from .materials import classify_failure
 from .mesh import build_mesh
@@ -99,8 +99,7 @@ def evaluate_design(rho_phys, n, sigma1_rel, material=None, with_bands=True,
     if rho_phys.size != n * n:
         raise ConfigError(f"field has {rho_phys.size} values, mesh wants {n * n}")
     check_density(rho_phys, "density field")
-    if not rho_phys.any():
-        raise ConfigError("density field has no material: every density is 0")
+    check_material(rho_phys, "density field")
     if not 0.0 < sigma1_rel < 1.0:
         raise ConfigError(f"sigma1_rel must be in (0,1), got {sigma1_rel}")
 

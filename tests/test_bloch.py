@@ -6,7 +6,7 @@ classical sinusoidal-column value P = E I k^2 with I = w^3 / 12.
 """
 
 import json
-from contextlib import nullcontext
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +19,7 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, eigsh,
                                  norm, splu)
 
 from conftest import cross_density
-from cellmat import bloch
+from cellmat import bloch, cli
 from cellmat.bloch import (
     LIMIT_DIRECTIONS,
     TAU_TINY,
@@ -30,8 +30,6 @@ from cellmat.bloch import (
     fold,
     ibz_path,
     limit_transform,
-    mirror_axis,
-    mirror_basis,
     solve_band,
     stress_stiffness,
 )
@@ -39,10 +37,10 @@ from cellmat.design import interpolate
 from cellmat.element import element_matrices
 from cellmat.errors import AnalysisError, ConfigError
 from cellmat.fem import PINS, assemble, assemble_k0, pin, symmetric_lu
-from cellmat.gridio import read_grid
+from cellmat.gridio import read_grid, write_grid
 from cellmat.homogenize import homogenize
 from cellmat.materials import get_material
-from cellmat.mesh import MIRROR_TOL, build_mesh, mirror_axes
+from cellmat.mesh import MIRROR_TOL, build_mesh, class_basis, mirror_axes
 from cellmat.pipeline import analyze_cell, evaluate_design
 from cellmat.sensitivity import stability_grad
 from cellmat.stress import element_stresses
@@ -520,10 +518,10 @@ def gray_cell(n):
     return mesh, element_matrices(NU, mesh.h), rho
 
 
-def dense_bands(mesh, k0_full, ks_full, k, axis=None, direction=None):
+def dense_bands(mesh, k0_full, ks_full, k, axes=(), direction=None):
     """Every tau of the sweep's pencil at k, descending, from sla.eigh."""
     _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, np.asarray(k, float),
-                              axis, direction)
+                              axes, direction)
     return sla.eigh(-ksk.toarray(), k0k.toarray(), eigvals_only=True)[::-1]
 
 
@@ -766,6 +764,8 @@ def complex_sweep(monkeypatch, cell, pts):
 
 MIRROR_EDGES = [(np.pi / 2, 0.0), (np.pi, np.pi / 2), (np.pi / 2, np.pi),
                 (0.0, np.pi / 2)]
+# the corners of the quarter zone, the pinned zone center first
+CORNERS = [(0.0, 0.0), (np.pi, 0.0), (np.pi, np.pi), (0.0, np.pi)]
 
 
 def richardson(taus):
@@ -785,63 +785,76 @@ RICHARDSON_EPS = (0.04, 0.02, 0.01, 0.005)
 class TestMirrorBasis:
     @pytest.mark.parametrize("n", [8, 16])
     @pytest.mark.parametrize(
-        "k, direction", [(k, None) for k in MIRROR_EDGES]
+        "k, direction", [(k, None) for k in MIRROR_EDGES + CORNERS]
         + [((0.0, 0.0), d) for d in LIMIT_DIRECTIONS],
-        ids=["GX", "XM", "MY", "YG", "X0", "Y0"])
+        ids=["GX", "XM", "MY", "YG", "G", "X", "M", "Y", "X0", "Y0"])
     def test_mirror_line_pencil_is_real(self, n, k, direction):
         cell = mirrored_cell(n, (0, 1))
         mesh, elem, rho = cell
         k0_full, ks_full = loaded_operators(mesh, elem, rho,
                                             LOADS["compression"])
         if direction is not None:
-            # the zone-center limit ends the GX (YG) mirror line: its real
-            # pencil's bands are the limits of the line's real-basis bands
-            axis = mirror_axis(direction)
+            # the zone-center limit ends the GX (YG) mirror line: its
+            # pencil's bands are the limits of the line's class-basis bands
             out = sweep(cell, [k])
-            smp = out.samples[axis]
+            smp = out.samples[int(direction[1])]
             assert_array_equal(smp.direction, direction)
             assert smp.modes.dtype == np.float64
             taus = [dense_bands(mesh, k0_full, ks_full, eps * direction,
-                                axis)[:4] for eps in RICHARDSON_EPS]
+                                (0, 1))[:4] for eps in RICHARDSON_EPS]
             assert_allclose(smp.tau, richardson(taus), rtol=1e-8)
             return
-        axis = mirror_axis(k)
-        assert axis in cell_axes(cell)
-        _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, np.array(k), axis)
+        assert cell_axes(cell) == (0, 1)
+        k = np.array(k)
+        _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, k, (0, 1))
         assert k0k.dtype == ksk.dtype == np.float64
-        # U is unitary and takes the complex pencil to a real one
-        t = bloch_transform(mesh, np.array(k))
-        k0c, ksc = fold(k0_full, t), fold(ks_full, t)
-        u = mirror_basis(mesh, np.array(k), axis).toarray()
-        assert_allclose(u.conj().T @ u, np.eye(mesh.ndof), atol=1e-14)
-        for a in (k0c, ksc):
-            b = u.conj().T @ a.toarray() @ u
+        # Q(k) is unitary and takes the complex pencil to a real one,
+        # block diagonal by class before band_pencil drops the rest
+        basis = class_basis(n, k)
+        q = basis.q.toarray()
+        assert_allclose(q.conj().T @ q, np.eye(mesh.ndof), atol=1e-14)
+        cls = np.repeat(np.arange(len(basis.bounds) - 1),
+                        np.diff(basis.bounds))
+        off = cls[:, None] != cls[None, :]
+        t = bloch_transform(mesh, k)
+        for a in (k0_full, ks_full):
+            b = q.conj().T @ fold(a, t).toarray() @ q
             assert np.abs(b.imag).max() <= 1e-13 * np.abs(b).max()
-        tau_c, _ = solve_band(k0c, ksc, 4)
+            assert np.abs(b[off]).max() <= 1e-13 * np.abs(b).max()
+        # the complex torus pencil, pinned at k = 0 as the sweep pins it
+        ref = band_pencil(mesh, k0_full, ks_full, k)[1:]
+        tau_c, _ = solve_band(*(a.astype(complex) for a in ref), 4)
         out = sweep(cell, [k])
-        assert out.samples[0].modes.dtype == np.float64
-        assert_allclose(out.samples[0].tau, tau_c, rtol=1e-10)
+        smp = out.samples[-1]
+        assert smp.pinned == (not k.any())
+        assert smp.modes.dtype == np.float64
+        assert_allclose(smp.tau, tau_c, rtol=1e-10)
 
     @pytest.mark.parametrize("k", MIRROR_EDGES, ids=["GX", "XM", "MY", "YG"])
     def test_one_fold_matches_the_two_stage_fold(self, k):
-        # folding once with T(k) U(k) equals the complex fold with T(k)
-        # followed by Re(U^H . U), up to the roundoff of the product order
+        # folding once with T(k) Q(k) equals the complex fold with T(k)
+        # followed by the real diagonal blocks of Q^H . Q, up to the
+        # roundoff of the product order
         mesh, elem, rho = cell = mirrored_cell(16, (0, 1))
         k0_full, ks_full = loaded_operators(mesh, elem, rho,
                                             LOADS["compression"])
         k = np.array(k)
-        axis = mirror_axis(k)
-        assert axis in cell_axes(cell)
-        t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, k, axis)
-        tk, u = bloch_transform(mesh, k), mirror_basis(mesh, k, axis)
-        assert abs(t - tk @ u).max() == 0.0
+        assert cell_axes(cell) == (0, 1)
+        t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, k, (0, 1))
+        tk, basis = bloch_transform(mesh, k), class_basis(mesh.n, k)
+        assert abs(t - tk @ basis.q).max() == 0.0
+        cls = np.repeat(np.arange(len(basis.bounds) - 1),
+                        np.diff(basis.bounds))
         for a, a_full in ((k0k, k0_full), (ksk, ks_full)):
-            b = (u.conj().T @ fold(a_full, tk) @ u).real.toarray()
+            b = (basis.q.conj().T @ fold(a_full, tk) @ basis.q).real
+            b = b.toarray() * (cls[:, None] == cls[None, :])
             ref = 0.5 * (b + b.T)
             assert np.abs(a.toarray() - ref).max() \
                 <= 1e-15 * np.abs(ref).max()
 
-    def test_one_mirror_realifies_only_its_edges(self, monkeypatch):
+    def test_one_mirror_cell_keeps_the_complex_pencils(self, monkeypatch):
+        # the class basis needs both mirrors: a cell with one keeps the
+        # torus-order pencils, complex off the corners of the quarter zone
         cell = mirrored_cell(8, (0,))
         assert cell_axes(cell) == (0,)
         pts, _ = ibz_path(4)
@@ -849,13 +862,37 @@ class TestMirrorBasis:
         out = sweep(cell, pts)
         for s, r in zip(out.samples, ref.samples):
             kx, ky = np.abs(s.k)
-            on_x_mirror = ky in (0.0, np.pi) and kx > 0.0
             real = kx in (0.0, np.pi) and ky in (0.0, np.pi)
-            assert (s.modes.dtype == np.float64) == (real or on_x_mirror), s.k
-            if on_x_mirror and not real:
-                assert_allclose(s.tau, r.tau, rtol=1e-10)
-            else:
-                assert_array_equal(s.tau, r.tau)
+            assert (s.modes.dtype == np.float64) == real, s.k
+            assert_array_equal(s.tau, r.tau)
+
+    def test_negative_wavevectors_through_the_cli(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # cellmat band at k with negative components takes the class
+        # basis and matches the torus-order pencil
+        mesh, _, rho = mirrored_cell(8, (0, 1))
+        grid = tmp_path / "d4.grid"
+        write_grid(grid, rho, 8)
+        built = []
+        monkeypatch.setattr(bloch, "class_basis", lambda n, k: built.append(
+            tuple(k)) or class_basis(n, k))
+
+        def band(k):
+            assert cli.main(["band", "--grid", str(grid), f"--k={k}",
+                             "--m-bands", "4"]) == 0
+            return json.loads(capsys.readouterr().out)["samples"][0]["tau"]
+
+        for k, kvec in (("-1.1,0", (-1.1, 0.0)), ("0.7,-3.141592653589793",
+                                                  (0.7, -np.pi)),
+                        ("-3.141592653589793,-3.141592653589793",
+                         (-np.pi, -np.pi))):
+            tau = band(k)
+            assert built.pop() == kvec
+            with monkeypatch.context() as mp:
+                mp.setattr(bloch, "mirror_axes", lambda *args: ())
+                ref = band(k)
+            assert built == []
+            assert_allclose(tau, ref, rtol=1e-10)
 
     def test_asymmetric_cell_keeps_the_complex_pencils(self):
         mesh, elem, rho = cell = gray_cell(8)
@@ -998,23 +1035,24 @@ class TestBucklingStrength:
         assert out.buckled
         assert all(s.tau.size == 3 for s in out.samples)
 
-    @pytest.mark.parametrize("n, rho, sigma0, m, certified", [
+    @pytest.mark.parametrize("n, rho, sigma0, m", [
         # the dense pinned k = 0 pencil tops out at a few 1e-9 here, which
-        # is roundoff of the zero cluster, not a critical load of ~3e8;
-        # ARPACK cannot converge there and the cut proves the sample
-        (12, cross_density(12, 0.5), (1.0, 1.0, 0.0), 2, True),
+        # is roundoff of the zero cluster, not a critical load of ~3e8.
+        # ARPACK could not converge on it in the torus order, and the cut
+        # proved the sample stable; split by class, every pencil of this
+        # D4 cell converges to its roundoff
+        (12, cross_density(12, 0.5), (1.0, 1.0, 0.0), 2),
         # every tau of a solid cell in tension is <= 0, the zone-center
         # limits' too; near k = 0 (offsets of 1e-4) roundoff had lifted the
         # top one above TAU_TINY
-        (8, np.ones(64), (1.0, 0.0, 0.0), 6, False),
+        (8, np.ones(64), (1.0, 0.0, 0.0), 6),
     ], ids=["cross12-biaxial", "solid8-uniaxial"])
-    def test_tension_roundoff_is_not_buckling(self, n, rho, sigma0, m,
-                                              certified):
+    def test_tension_roundoff_is_not_buckling(self, n, rho, sigma0, m):
         mesh = build_mesh(n)
         elem = element_matrices(NU, mesh.h)
         e_k, weights, _, _ = loaded_state(mesh, elem, rho, sigma0=sigma0)
-        with (pytest.warns(RuntimeWarning, match="certified stable")
-              if certified else nullcontext()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=m)
         assert not out.buckled
         assert out.sigma_c == np.inf

@@ -329,6 +329,18 @@ class TestCli:
         assert err["error"] == "ConfigError"
         assert "finite" in err["message"]
 
+    def test_fit_rejects_a_fit_that_is_not_finite(self, tmp_path, capsys):
+        # finite points whose c0 overflows: no "Infinity", which is not
+        # JSON, and no RuntimeWarning
+        pts = tmp_path / "p.txt"
+        pts.write_text("1e-300 1\n1e-299 1e300\n")
+        assert main(["fit", "--points", str(pts)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError"
+        assert "not finite" in err["message"]
+
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--material", "PC", "--grid"],
         ["fit", "--points"],
@@ -402,12 +414,14 @@ class TestCli:
         assert meta["material"] == "PC"
         assert meta["seed_from"] is None
 
-    @pytest.mark.parametrize("command", ["evaluate", "optimize"])
+    @pytest.mark.parametrize("command", ["evaluate", "optimize", "band",
+                                         "sweep"])
     def test_a_void_design_fails_before_the_analysis(
             self, tmp_path, capsys, monkeypatch, command):
         def analysis(*args, **kwargs):
             raise AssertionError("the analysis ran")
         monkeypatch.setattr(pipeline, "analyze_cell", analysis)
+        monkeypatch.setattr(cli, "analyze_cell", analysis)
         monkeypatch.setattr(optimize, "evaluate_problem", analysis)
         void = tmp_path / "void.grid"
         write_grid(void, np.zeros(64), 8)
@@ -417,7 +431,9 @@ class TestCli:
                              "--no-bands"],
                 "optimize": ["--config", str(cfg), "--out",
                              str(tmp_path / "run"), "--seed-grid",
-                             str(void)]}[command]
+                             str(void)],
+                "band": ["--grid", str(void), "--k", "1,0"],
+                "sweep": ["--grid", str(void)]}[command]
         assert main([command] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

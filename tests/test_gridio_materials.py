@@ -111,3 +111,14 @@ def test_fit_scaling_validation():
         fit_scaling([(0.1, 1.0), (0.1, 2.0)])
     with pytest.raises(ConfigError):
         fit_scaling([(0.1, -1.0), (0.2, 2.0)])
+
+
+@pytest.mark.parametrize("points", [
+    [(1e-300, 1.0), (1e-299, 1e300)],       # c0 = 1e300**300 overflows
+    [(1e-300, 1e300), (1e-299, 1e-300)],    # s1 / s0 underflows to 0
+])
+def test_fit_scaling_rejects_a_fit_that_is_not_finite(points):
+    # finite points whose fit overflows raise, with no RuntimeWarning
+    # (an error under this suite's filter)
+    with pytest.raises(ConfigError, match="not finite"):
+        fit_scaling(points)

@@ -1,6 +1,7 @@
 """Mesh bookkeeping, periodic assembly and the pinned solve."""
 
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,12 @@ import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
 import cellmat
-from cellmat.bloch import mirror_basis
 from cellmat.design import enforce_symmetry
 from cellmat.element import element_matrices
 from cellmat.errors import ConfigError, SolverError
 from cellmat.fem import PINS, PinnedSolver, assemble_k0, assemble_loads, pin
-from cellmat.mesh import CLASSES, build_mesh, mirror_map, mirror_order, \
-    node_dofs
+from cellmat.mesh import CLASSES, build_mesh, class_basis, dissection, \
+    mirror_map, node_dofs
 
 NU = 1.0 / 3.0
 
@@ -61,62 +61,124 @@ def test_periodic_master_map():
     assert set(m.master) == set(range(m.nn))
 
 
+# the corners of the quarter zone and a point on each of its edges
+PATH_KS = [(0.0, 0.0), (np.pi, 0.0), (np.pi, np.pi), (0.0, np.pi),
+           (0.7, 0.0), (np.pi, 0.7), (0.7, np.pi), (0.0, 0.7)]
+
+
 @pytest.mark.parametrize("n", [4, 6, 10, 64, 96])
 def test_grid_orders_are_permutations(n):
     m = build_mesh(n)
     assert_array_equal(np.sort(m.node_order), np.arange(m.nn))
     assert_array_equal(m.order.reshape(-1, 2) // 2,
                        np.repeat(m.node_order[:, None], 2, axis=1))
-    for axis in (0, 1):
-        order = node_dofs(mirror_order(n, axis))
-        assert_array_equal(np.sort(order), np.arange(m.ndof))
-        assert_array_equal(order[0::2] + 1, order[1::2])
+    for k in PATH_KS:
+        # every column of the class basis belongs to one orbit, in one
+        # class, and every orbit in every class it lives in has one
+        col = class_basis(n, k).col
+        assert_array_equal(np.unique(col[col >= 0]), np.arange(m.ndof))
 
 
-def assert_each_node_next_to_its_image(nodes, n, axis):
-    c = (nodes % n, nodes // n)[axis]
-    i = 0
-    while i < nodes.size:
-        if c[i] in (0, n // 2):         # its own image
-            i += 1
-            continue
-        assert c[i + 1] == n - c[i]
-        assert nodes[i + 1] - nodes[i] == (n - 2 * c[i]) * (1, n)[axis]
-        i += 2
-
-
-@pytest.mark.parametrize("axis", [0, 1])
-def test_mirror_order_keeps_each_node_next_to_its_image(axis):
-    assert_each_node_next_to_its_image(mirror_order(10, axis), 10, axis)
+def quarter_rep(n):
+    """The quarter-grid representative of every reduced dof's orbit."""
+    node = np.arange(n * n)
+    cx, cy = np.minimum(node % n, n - node % n), np.minimum(node // n,
+                                                           n - node // n)
+    return node_dofs(cy * n + cx)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
 def test_mirror_basis_columns_come_in_the_mirror_order(axis):
-    # column j of U holds the dof order[j] and at most its mirror image,
-    # so a pencil folded with U comes in the order of the mirror quotient
+    # on a mirror line of the zone, the mirror about axis is antiunitary:
+    # each class of the other mirror takes the quarter-grid dofs in
+    # dissection order, two columns side by side for a dof that is not
+    # its own image under the antiunitary mirror, one for a dof that is;
+    # each column holds one orbit only
     n = 10
-    mesh = build_mesh(n)
+    h = n // 2
     k = np.array([0.7, 0.0] if axis == 0 else [np.pi, 0.7])
-    u = mirror_basis(mesh, k, axis).tocsc()
-    order = node_dofs(mirror_order(n, axis))
-    image, _ = mirror_map(n, axis)
+    basis = class_basis(n, k)
+    assert len(basis.bounds) == 3
+    q = basis.q.tocsc()
+    rep = quarter_rep(n)
+    quarter = dissection(np.arange((h + 1) ** 2).reshape(h + 1, h + 1))
+    quarter_dofs = node_dofs((quarter // (h + 1)) * n + quarter % (h + 1))
+    position = np.empty(2 * n * n, dtype=int)
+    position[quarter_dofs] = np.arange(quarter_dofs.size)
+    c = (quarter_dofs // 2 % n, quarter_dofs // 2 // n)[axis]
+    own = c % h == 0
+    for start, stop in zip(basis.bounds, basis.bounds[1:]):
+        lead = []
+        for j in range(start, stop):
+            rows = q.indices[q.indptr[j]:q.indptr[j + 1]]
+            assert len(set(rep[rows])) == 1
+            lead.append(position[rep[rows[0]]])
+        lead = np.array(lead)
+        assert np.all(np.diff(lead) >= 0)
+        seen, count = np.unique(lead, return_counts=True)
+        assert_array_equal(count, np.where(own[seen], 1, 2))
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_mirror_order_keeps_each_node_next_to_its_image(axis):
+    # on a mirror line of the zone, a dof that the antiunitary mirror about
+    # axis moves has two columns side by side in each class of the other
+    # mirror; the two hold the dof and its image and are orthonormal, so
+    # together they span both, and a dof the mirror fixes has one column
+    n = 10
+    k = np.array([0.7, 0.0] if axis == 0 else [np.pi, 0.7])
+    basis = class_basis(n, k)
+    q = basis.q.tocsc()
+    rep = quarter_rep(n)
+    image, c = mirror_map(n, axis)
     image_dof = node_dofs(image)
-    for j, d in enumerate(order):
-        rows = set(u.indices[u.indptr[j]:u.indptr[j + 1]])
-        assert d in rows
-        assert rows <= {d, image_dof[d]}
+    lead = np.array([rep[q.indices[q.indptr[j]]] for j in range(n * n * 2)])
+    for start, stop in zip(basis.bounds, basis.bounds[1:]):
+        j = start
+        while j < stop:
+            d = lead[j]
+            rows = set(q.indices[q.indptr[j]:q.indptr[j + 1]])
+            assert {d, image_dof[d]} <= rows
+            if image_dof[d] == d:
+                assert c[d // 2] % (n // 2) == 0
+                assert j + 1 == stop or lead[j + 1] != d
+                j += 1
+                continue
+            assert j + 1 < stop and lead[j + 1] == d
+            assert set(q.indices[q.indptr[j + 1]:q.indptr[j + 2]]) == rows
+            pair = q[:, [j, j + 1]].toarray()
+            assert_allclose(pair.conj().T @ pair, np.eye(2), atol=1e-12)
+            j += 2
 
 
 def test_dissection_orders_are_built_once_per_n_and_read_only():
     a, b = build_mesh(12), build_mesh(12)
     assert a.node_order is b.node_order
-    shared = [a.node_order] + [mirror_order(12, axis) for axis in (0, 1)]
-    for axis in (0, 1):
-        assert mirror_order(12, axis) is shared[1 + axis]
-    for order in shared:
+    assert a.classes is b.classes is class_basis(12)
+    corner = class_basis(12, (np.pi, 0.0))
+    assert class_basis(12, (-np.pi, 0.0)) is corner
+    # on a mirror line the structure is shared and the phase applied per k
+    line = class_basis(12, (0.7, 0.0))
+    assert class_basis(12, (0.3, 0.0)).col is line.col
+    for order in (a.node_order, a.classes.q.data, a.classes.col,
+                  corner.coef, line.col):
         assert not order.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             order[0] = 1
+
+
+def test_the_basis_at_k0_is_unchanged():
+    # digests of the class basis at k = 0 as homogenize has factored in
+    # it since it was introduced: generalizing it to every k of the path
+    # left it bitwise as it was
+    for n, split, digest in ((8, 60, "1e4383f5b0b32405"),
+                             (64, 4092, "a79b325ef80cd585")):
+        basis = class_basis(n)
+        h = hashlib.sha256()
+        for a in (basis.q.data, basis.q.indices, basis.q.indptr, basis.col,
+                  basis.coef):
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert (basis.split, h.hexdigest()[:16]) == (split, digest)
 
 
 def test_torus_order_cuts_columns_0_and_half_last():
@@ -311,3 +373,33 @@ def test_every_sparse_factor_is_symmetric_lu():
             if names & SUPERLU and id(node) not in inside:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# the names that spell the mirrors of the node set and the basis they make
+SYMMETRY = {"mirror_map", "ClassBasis"}
+
+
+def symmetry_names(path):
+    """file:line of every use of a SYMMETRY name in the module at path,
+    and of every module function it defines that builds a basis
+    (*_basis)."""
+    tree = ast.parse(path.read_text(), str(path))
+    found = [f"{path.name}:{f.lineno}" for f in tree.body
+             if isinstance(f, ast.FunctionDef) and f.name.endswith("_basis")]
+    for node in ast.walk(tree):
+        names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name.split(".")[-1] for alias in node.names}
+        if names & SYMMETRY:
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_symmetry_lives_in_mesh():
+    # the mirrors of the node set and every symmetry basis are spelled in
+    # cellmat.mesh alone: no other module calls or imports mirror_map,
+    # makes a ClassBasis or defines a basis builder of its own
+    home = Path(cellmat.__file__).parent
+    assert symmetry_names(home / "mesh.py")
+    assert [f for path in sorted(home.glob("*.py")) if path.name != "mesh.py"
+            for f in symmetry_names(path)] == []
