@@ -38,11 +38,10 @@ band_pencil builds the pencil at one k, pinned exactly when k = 0, or in
 the limit along d, and solve_band solves it; every solved sample of every
 sweep, at every mesh size, takes this one path.  solve_band factors K0(k)
 itself, by fem.symmetric_lu, in the order band_pencil hands it over:
-band_pencil composes the transform with one basis of the reduced dofs,
-whose columns come in one of the mesh's nested-dissection orders
-(cellmat.mesh), and folds each operator with that product once, so the
-pencil comes ordered and its modes still map to the full node set.
-Every eigenvalue is then the same, within the solver tolerance,
+the pencil comes in one basis of the reduced dofs, whose columns carry
+one of the mesh's nested-dissection orders (cellmat.mesh), and its modes
+map to the full node set through the transform composed with that
+basis.  Every eigenvalue is then the same, within the solver tolerance,
 whatever the factor order.
 
 The basis is the class basis Q(k) of the mesh when the cell's element
@@ -53,11 +52,17 @@ is 0 or +-pi, as at every sample of the path but the zone-center limits.
 Both operators then commute with each axis mirror, linear or
 antiunitary at k (cellmat.mesh), so Q(k)^H K(k) Q(k) is real and block
 diagonal by class, and the sample is solved in real symmetric
-arithmetic with real modes.  band_pencil keeps the real part of the
-diagonal blocks; the rest is roundoff of the symmetry.  Every other
-sample and cell takes the torus-order permutation: its pencil is real
-where every component of k is 0 or +-pi, the phases then exactly +-1,
-and complex elsewhere.
+arithmetic with real modes.  band_pencil assembles those blocks from
+the two quarter-cell operators of the sweep (quarter_operators), with
+no fold and no T(k) (mesh.ClassBasis.assemble); T(k) Q(k) is formed
+only for a sample whose modes are kept.  The sweep of such a cell takes
+its fields as the means over each element's orbit (mesh.orbit_mean), so
+that every operator it builds, the class pencils, the limits and the
+cut, is of one cell, exactly mirror-symmetric.  Every other sample and
+cell takes the torus-order permutation T(k), and each operator is
+folded with it, T(k)^H K_full T(k): its pencil is real where every
+component of k is 0 or +-pi, the phases then exactly +-1, and complex
+elsewhere.
 
 Only the largest tau matters for sigma_c.  K0(k) is positive definite
 (pinned at k = 0), so the number of bands above a floor tau0 equals the
@@ -101,8 +106,8 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import AnalysisError, ConfigError
 from .fem import PINS, assemble, assemble_k0, pin, symmetric_lu
-from .mesh import class_basis, dissection, mirror_axes, node_dofs, \
-    real_phase
+from .mesh import STRESS_PARITY, class_basis, dissection, mirror_axes, \
+    node_dofs, orbit_mean, orbit_sum, quarter_cell, real_phase
 
 # the directions of the zone-center limit samples of every sweep
 LIMIT_DIRECTIONS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -131,18 +136,25 @@ def stress_stiffness(mesh, elem, stress_weights):
     return assemble(mesh.edofs_full, mesh.ndof_full, ke)
 
 
-def bloch_transform(mesh, k):
-    """Sparse T(k) mapping reduced periodic dofs to the full node set.
-
-    T(k) is real (float64) when every component of k is 0 or +-pi: the
-    Bloch phases are then exactly +-1.
-    """
+def wavevector(k):
+    """k as a float array, or a ConfigError unless it has two components
+    in the first zone [-pi, pi]^2."""
     k = np.asarray(k, dtype=float)
     if k.shape != (2,):
         raise ConfigError(f"wavevector must have two components, got {k!r}")
     # written so that NaN, which fails every comparison, is rejected too
     if not np.all(np.abs(k) <= np.pi + 1e-12):
         raise ConfigError(f"wavevector {k} outside the first zone [-pi, pi]^2")
+    return k
+
+
+def bloch_transform(mesh, k):
+    """Sparse T(k) mapping reduced periodic dofs to the full node set.
+
+    T(k) is real (float64) when every component of k is 0 or +-pi: the
+    Bloch phases are then exactly +-1.
+    """
+    k = wavevector(k)
     phase = np.exp(1j * (_wraps(mesh, np.arange(mesh.nn_full)) @ k))
     if np.all(real_phase(k)):
         # exp(i pi) carries a roundoff imaginary part; drop it so the
@@ -189,53 +201,49 @@ def limit_transform(mesh, direction):
         shape=t.shape).tocsc()
 
 
-def fold(k_full, t, bounds=None):
-    """T^H K T, Hermitized against roundoff.  bounds are for T(k) Q(k) in
-    the class basis (band_pencil), whose class c spans the columns
-    bounds[c]:bounds[c + 1]: the fold is then real and block diagonal by
-    class up to roundoff, so only the real part of its diagonal blocks is
-    formed, in real arithmetic: Re(T^H K T) = Re(T)^T K Re(T) +
-    Im(T)^T K Im(T) for a real K."""
-    if bounds is None:
-        a = t.conj().T @ (k_full @ t)
-        return 0.5 * (a + a.conj().T)
-    parts = [t]
-    if t.dtype.kind == "c":     # copied, as .real views the data of t
-        parts = [t.real.copy(), t.imag.copy()]
-        for p in parts:         # each is 0 where t is imaginary or real
-            p.eliminate_zeros()
-    a = sp.block_diag([sum(p[:, i:j].T @ (k_full @ p[:, i:j]) for p in parts)
-                       for i, j in zip(bounds, bounds[1:])], format="csc")
-    a.eliminate_zeros()
-    return 0.5 * (a + a.T)
+def fold(k_full, t):
+    """T^H K T, Hermitized against roundoff."""
+    a = t.conj().T @ (k_full @ t)
+    return 0.5 * (a + a.conj().T)
 
 
-def band_pencil(mesh, k0_full, ks_full, k, axes=(), direction=None):
-    """(transform, K0(k), K_sigma(k)) from the full-node-set operators, both
-    pinned (fem.pin) exactly at k = 0, the only k with a singular K0(k),
-    unless direction names the zone-center limit along it (k = 0, module
-    doc).
+def quarter_operators(mesh, elem, moduli, stress_weights):
+    """(K0, K_sigma) of the quarter cell (mesh.quarter_cell) of a cell
+    mirror-symmetric about both axes, each as the data of the quarter
+    pattern: from the moduli and the stress weights summed over the orbit
+    of each quarter-cell element (mesh.orbit_sum), the shear weight odd.
+    band_pencil assembles every class pencil of the sweep from them."""
+    n, quarter = mesh.n, quarter_cell(mesh.n)
+    weights = orbit_sum(n, stress_weights, STRESS_PARITY)
+    return (quarter.matrix(np.multiply.outer(orbit_sum(n, moduli), elem.k0)),
+            quarter.matrix(weights @ elem.g_stress.reshape(3, -1)))
 
-    The transform takes the pencil's modes to the full node set, and each
-    operator is folded with it once.  It is T(k) Q(k), Q(k) =
-    mesh.class_basis(n, k), when the cell is mirror-symmetric about both
-    of axes (mesh.mirror_axes) and a component of k is 0 or +-pi: then
-    the fold is real symmetric and block diagonal by class, with real
-    modes.  Otherwise it is T(k), or T_d = limit_transform(mesh,
-    direction), in the torus order of the mesh.  Either way the
-    transform's columns come in the mesh's order for the factor of K0(k)
-    (cellmat.mesh), so the pencil comes ordered, and the pins are the
-    columns of reduced node 0.
+
+def band_pencil(mesh, k0_full, ks_full, k, quarter=None, direction=None):
+    """(transform, K0(k), K_sigma(k)), both operators pinned (fem.pin)
+    exactly at k = 0, the only k with a singular K0(k), unless direction
+    names the zone-center limit along it (k = 0, module doc).
+
+    quarter holds the quarter_operators of a cell mirror-symmetric about
+    both axes (mesh.mirror_axes), None for any other cell.  With them, and
+    a component of k 0 or +-pi, the pencil is Q(k)^H K(k) Q(k) in the
+    class basis Q(k) = mesh.class_basis(n, k), real symmetric and block
+    diagonal by class, with real modes, assembled from the quarter cell
+    without a fold (ClassBasis.assemble); the transform, T(k) Q(k), is
+    then not formed and comes back None.  Otherwise the transform is T(k),
+    or T_d = limit_transform(mesh, direction), in the torus order of the
+    mesh, and each operator is folded with it once.  Either way the
+    pencil's columns come in the mesh's order for the factor of K0(k)
+    (cellmat.mesh), and the pins are the columns of reduced node 0.
     """
-    t = bloch_transform(mesh, k) if direction is None else \
-        limit_transform(mesh, direction)
-    if axes == (0, 1) and direction is None and real_phase(
-            np.asarray(k, dtype=float)).any():
+    if quarter is not None and direction is None and real_phase(k).any():
         basis = class_basis(mesh.n, k)
-        t, q, bounds = t @ basis.q, basis.q, basis.bounds
+        t, q, (k0k, ksk) = None, basis.q, basis.assemble(*quarter)
     else:
-        t, q, bounds = t[:, mesh.order], mesh.torus_basis, None
-    k0k, ksk = fold(k0_full, t, bounds), fold(ks_full, t, bounds)
+        t = bloch_transform(mesh, k) if direction is None else \
+            limit_transform(mesh, direction)
+        t, q = t[:, mesh.order], mesh.torus_basis
+        k0k, ksk = fold(k0_full, t), fold(ks_full, t)
     if direction is None and not np.any(k):
         pins = q[PINS].indices
         k0k, ksk = pin(k0k, 1.0, pins), pin(ksk, 0.0, pins)
@@ -482,10 +490,11 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     Every sample but the limits is solved in the class basis, as a real
     symmetric pencil, when moduli_k and stress_weights are
     mirror-symmetric about both axes (mesh.mirror_axes, module doc) and
-    a component of its k is 0 or +-pi.  store_modes keeps each sample's
-    modes with the transform that takes them to the full node set: T(k)
-    or T_d, or T(k) Q(k) in the class basis, its columns in the order of
-    the pencil (band_pencil).
+    a component of its k is 0 or +-pi; both fields are then taken as
+    their orbit means throughout.  store_modes keeps each sample's modes
+    with the transform that takes them to the full node set: T(k) or
+    T_d, or T(k) Q(k) in the class basis, its columns in the order of the
+    pencil (band_pencil), formed then and only then.
 
     critical_only is for callers that need only tau_max, sigma_c and the
     critical sample, not every band.  Samples are taken in path order, and
@@ -511,9 +520,15 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     runs, whose floor is higher.  Not proven, the converged bands stand
     with a RuntimeWarning, and a sample with none raises AnalysisError.
     """
+    quarter = None
+    if mirror_axes(mesh, moduli_k, stress_weights) == (0, 1):
+        # every operator of the sweep is of one cell, exactly symmetric:
+        # the class pencils see only the orbit sums of its fields
+        moduli_k = orbit_mean(mesh.n, moduli_k)
+        stress_weights = orbit_mean(mesh.n, stress_weights, STRESS_PARITY)
+        quarter = quarter_operators(mesh, elem, moduli_k, stress_weights)
     k0_full = assemble_k0(mesh, elem, moduli_k, reduced=False)
     ks_full = stress_stiffness(mesh, elem, stress_weights)
-    axes = mirror_axes(mesh, moduli_k, stress_weights)
 
     pts, arc = ibz_path(n_seg) if k_points is None else k_points
     jobs = []           # (k, limit direction or None, arclength)
@@ -522,7 +537,7 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
             jobs.extend((np.zeros(2), d, a) for d in LIMIT_DIRECTIONS)
             jobs.append((np.zeros(2), None, a))
         else:
-            jobs.append((np.asarray(kvec, dtype=float), None, a))
+            jobs.append((wavevector(kvec), None, a))
 
     m_eff = int(min(m, mesh.ndof - 2))
     screen = _CutScreen(mesh, k0_full, ks_full) if critical_only else None
@@ -541,7 +556,8 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
         stable = (certify_first and not screening
                   and screen.below(kvec, TAU_TINY, d))
         if not stable:
-            t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec, axes, d)
+            t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec, quarter,
+                                      d)
             tau, phi = solve_band(k0k, ksk, m)
             if tau.size < m_eff:
                 if screen is None:
@@ -561,6 +577,8 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
                           RuntimeWarning, stacklevel=2)
             tau, phi = np.zeros(m_eff), np.zeros((mesh.ndof, m_eff))
             t = sp.csc_matrix((mesh.ndof_full, mesh.ndof))
+        elif store_modes and t is None:
+            t = bloch_transform(mesh, kvec) @ class_basis(mesh.n, kvec).q
         samples.append(BandSample(
             k=kvec, arclength=a, pinned=pinned, tau=tau, direction=d,
             modes=phi if store_modes else None,

@@ -19,22 +19,23 @@ the two-mirror class basis of the mesh (cellmat.mesh), where it splits
 into four blocks on the quarter grid with about half the fill of the
 torus order.  class_stiffness and class_loads assemble the stiffness, as
 its two diagonal blocks, and the loads there directly from the quarter
-cell, each as one product with a sparse map built once per n
-(class_maps).  The loads lie in the corrector pair of classes, exactly,
-so the correctors never make the solver factor the translation pair;
-only an adjoint load does.  Any other cell is factored whole in the
+cell (mesh.quarter_cell), from the moduli summed over each element's
+orbit: the stiffness is the class assembly of cellmat.mesh at k = 0,
+the K0 that the pinned Bloch pencil takes too (bloch.band_pencil).  The
+loads lie in the corrector pair of classes, exactly, so the correctors
+never make the solver factor the translation pair; only an adjoint load
+does.  Any other cell is factored whole in the
 torus order, its stiffness assembled on the reduced dofs and permuted
 into that order.
 """
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fem import PinnedSolver, assemble_k0, assemble_loads
-from .mesh import CLASSES, class_basis, mirror_axes, node_dofs
+from .mesh import CLASSES, mirror_axes, orbit_sum, quarter_cell
 
 # the class of the load of each unit macro strain (module doc of
 # cellmat.mesh): the normal strains are even under both mirrors, the
@@ -52,113 +53,48 @@ class HomogResult:
     solver: PinnedSolver   # factorized stiffness, reused by adjoint solves
 
 
-@dataclass(frozen=True)
-class ClassMaps:
-    """The class assembly of an n x n cell (class_maps): two linear maps
-    from the orbit moduli of the quarter-cell elements times an element
-    matrix.  Read-only arrays."""
-    stiffness: sp.csr_matrix  # outer(orbit moduli, k0).ravel() -> the data
-                              # of the class stiffness
-    loads: sp.csr_matrix      # outer(orbit moduli, f_unit).ravel() -> the
-                              # (ndof, 3) loads, raveled
-    indices: np.ndarray       # the CSC pattern of the class stiffness:
-                              # the entries with a term and no other
-    indptr: np.ndarray
-
-
-@cache
-def class_maps(n):
-    """The ClassMaps of the n x n cell, built once per n.  A stiffness term
-    of an element's dofs i and j in a class, with class coefficients c_i
-    and c_j, sums c_i c_j times the orbit modulus times k0[i, j] into the
-    entry of their class columns.  A term of load a sums c_j times the
-    orbit modulus times f_unit[j, a] into row (class column of j, a), for
-    each dof j with a column in the class of that load (LOAD_CLASSES)."""
-    h, ndof = n // 2, 2 * n * n
-    basis = class_basis(n)
-    ey, ex = np.divmod(np.arange(h * h), h)
-    bl = ey * n + ex                    # quarter-cell elements need no wrap
-    dofs = node_dofs(np.stack([bl, bl + 1, bl + n + 1, bl + n], axis=1))
-    col = basis.col[:, dofs].transpose(1, 0, 2)           # (h*h, 4, 8)
-    coef = basis.coef[:, dofs].transpose(1, 0, 2)
-
-    # the stiffness terms [element, class, i, j]
-    shape = col.shape + (8,)
-    rows = np.broadcast_to(col[..., :, None], shape)
-    cols = np.broadcast_to(col[..., None, :], shape)
-    live = (rows >= 0) & (cols >= 0)
-    pattern, slot = np.unique(cols[live].astype(np.int64) * ndof + rows[live],
-                              return_inverse=True)
-    source = np.arange(64 * h * h).reshape(h * h, 1, 8, 8)
-    stiffness = sp.csr_matrix(
-        ((coef[..., :, None] * coef[..., None, :])[live],
-         (slot, np.broadcast_to(source, shape)[live])),
-        shape=(pattern.size, source.size))
-
-    # the load terms [element, load, j]
-    col, coef = col[:, LOAD_CLASSES], coef[:, LOAD_CLASSES]  # (h*h, 3, 8)
-    live = col >= 0
-    rows = 3 * col + np.arange(3)[:, None]
-    source = np.arange(24 * h * h).reshape(h * h, 8, 3).transpose(0, 2, 1)
-    loads = sp.csr_matrix((coef[live], (rows[live], source[live])),
-                          shape=(3 * ndof, source.size))
-
-    out = ClassMaps(stiffness=stiffness, loads=loads,
-                    indices=(pattern % ndof).astype(np.int32),
-                    indptr=np.searchsorted(pattern, np.arange(ndof + 1)
-                                           * ndof).astype(np.int32))
-    for a in (stiffness.data, stiffness.indices, stiffness.indptr, loads.data,
-              loads.indices, loads.indptr, out.indices, out.indptr):
-        a.flags.writeable = False
-    return out
-
-
-def _orbit_moduli(mesh, moduli):
-    """The modulus summed over the orbit of each quarter-cell element
-    under the two axis mirrors, (ne/4,).  It is four times the modulus of
-    a symmetric field and drops the roundoff asymmetry of a filtered one."""
-    n, h = mesh.n, mesh.n // 2
-    e = moduli.reshape(n, n)
-    return (e + e[:, ::-1] + e[::-1] + e[::-1, ::-1])[:h, :h].ravel()
-
-
 def class_stiffness(mesh, elem, moduli):
     """Q^T K Q for the class basis Q = mesh.classes.q of a field that is
     mirror-symmetric about both axes, assembled without K, as its two
     diagonal blocks in CSC: the corrector pair of classes and then the
     translation pair (mesh.classes.split).  It has no entry outside them.
 
-    For even n no element lies on a mirror line, so every element orbit
-    has four members, and a class column, a unit class vector, takes the
-    same share of the energy from each.  So each class block sums, over
-    the elements of the quarter cell 0 <= x, y < 1/2, the modulus summed
-    over the element's orbit times its k0, scaled on both sides by the
-    coefficients of its dofs (all of them orbit representatives) and
-    placed at their class columns (class_maps).  A sparse Q^T K Q costs
-    several times as much.
+    It is the class pencil's K0 at k = 0 (cellmat.bloch.band_pencil),
+    unpinned: one assembly from the quarter-cell stiffness K_q
+    (mesh.quarter_cell) of the moduli summed over the orbit of each
+    quarter-cell element (mesh.orbit_sum, ClassBasis.assemble).  A sparse
+    Q^T K Q costs several times as much.
     """
-    maps = class_maps(mesh.n)
-    data = maps.stiffness @ np.multiply.outer(_orbit_moduli(mesh, moduli),
-                                              elem.k0).ravel()
-    blocks = []
-    for start, stop in ((0, mesh.classes.split), (mesh.classes.split,
-                                                  mesh.ndof)):
-        a, b = maps.indptr[start], maps.indptr[stop]
-        blocks.append(sp.csc_matrix(
-            (data[a:b], maps.indices[a:b] - start,
-             maps.indptr[start:stop + 1] - a), shape=(stop - start,) * 2))
-    return blocks
+    n, split = mesh.n, mesh.classes.split
+    k = mesh.classes.assemble(quarter_cell(n).matrix(
+        np.multiply.outer(orbit_sum(n, moduli), elem.k0)))[0]
+    # the columns of either pair hold its rows alone, the diagonal too
+    a = k.indptr[split]
+    return [sp.csc_matrix((k.data[:a], k.indices[:a], k.indptr[:split + 1])),
+            sp.csc_matrix((k.data[a:], k.indices[a:] - split,
+                           k.indptr[split:] - a))]
 
 
 def class_loads(mesh, elem, moduli):
     """Q^T times the unit-macro-strain loads (fem.assemble_loads), (ndof,
     3), for the class basis Q = mesh.classes.q of a field that is
     mirror-symmetric about both axes, assembled from the quarter cell as
-    class_stiffness is.  The load of a normal strain lies in class (+, +),
-    that of the shear strain in (-, -) (LOAD_CLASSES); every other entry
-    is exactly zero, so the loads never reach the translation pair."""
-    x = np.multiply.outer(_orbit_moduli(mesh, moduli), elem.f_unit).ravel()
-    return (class_maps(mesh.n).loads @ x).reshape(mesh.ndof, 3)
+    class_stiffness is: the load of a quarter dof, summed over the
+    quarter-cell elements with their orbit moduli, times the coefficient
+    of its class column.  The load of a normal strain lies in class
+    (+, +), that of the shear strain in (-, -) (LOAD_CLASSES); every other
+    entry is exactly zero, so the loads never reach the translation
+    pair."""
+    quarter, basis = quarter_cell(mesh.n), mesh.classes
+    fe = np.multiply.outer(orbit_sum(mesh.n, moduli), elem.f_unit)
+    out = np.zeros((mesh.ndof, 3))
+    for a, cls in enumerate(LOAD_CLASSES):
+        f = np.bincount(quarter.edofs.ravel(), weights=fe[..., a].ravel(),
+                        minlength=quarter.dofs.size)
+        col = basis.col[cls, quarter.dofs]
+        live = col >= 0
+        out[col[live], a] = basis.coef[cls, quarter.dofs[live]] * f[live]
+    return out
 
 
 def homogenize(mesh, elem, moduli):

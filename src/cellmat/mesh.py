@@ -50,6 +50,33 @@ is its own image gets exp(i arg(conj f) / 2) a.  So the pencil in Q(k)
 is real and block diagonal by the classes of the linear mirrors: four at
 the corners (0, 0), (pi, 0), (pi, pi) and (0, pi) of the quarter zone,
 where both mirrors are linear, and two on its edges.
+
+Those blocks are assembled from the quarter cell, without the operator
+and without T(k) (ClassBasis.assemble).  For even n no element lies on a
+mirror line, so every element orbit has four members; the image of an
+element under a linear mirror gives a class column the same share of
+the energy as the element, under an antiunitary one its complex
+conjugate.  So the entry of Q(k)^H K(k) Q(k) at the class columns
+(a, i) and (b, j), i and j dofs of the quarter grid, is
+
+    K_q[i, j] Re(conj(coef[a, i]) coef[b, j]),
+
+where the quarter operator K_q (Quarter.matrix) sums the element
+matrices of the quarter cell 0 <= x, y < 1/2, no wrap and so no phase,
+each with its field summed over its orbit (orbit_sum: the moduli, or the
+stress weights with the shear component odd), on the (n/2 + 1)^2 quarter
+grid.  k enters only through the coefficients.  Each set of linear
+phases builds its pattern once, with per entry the entry of K_q and the
+class and quarter dof of its row (ClassAssembly), 0.6 MB in uint16 at
+n = 64; k = 0, which homogenize assembles every design iteration, keeps
+the row index and scale of each entry too (1.6 MB).  An assembly is
+then a few gathers, 2.6 to 3.5 ms for both operators of a Bloch pencil
+on the 64 x 64 c2, where the fold with T(k) Q(k) takes 42 to 53 ms.
+Products that are exactly zero are left out: at a corner each class is
+its own block; on an edge the two classes of the antiunitary mirror
+share one, and a product between them is real only between a dof on that
+mirror's line c = 0, where the phase of class_basis enters, and one off
+it.  At k = 0 the assembly gives the periodic stiffness of homogenize.
 """
 
 from dataclasses import dataclass, replace
@@ -71,6 +98,9 @@ from .errors import ConfigError
 # committed designs by 0 for their moduli and 5.5e-15 to 1.0e-14 for
 # their stress weights under the uniaxial load.
 MIRROR_TOL = 1e-12
+# the parity of the components xx, yy and xy of a stress field under an
+# axis mirror: the normal ones are even, the shear one is odd
+STRESS_PARITY = (1, 1, -1)
 # the parity classes (sx, sy) of the two axis mirrors, in the order of
 # the columns of the class basis at k = 0: the corrector pair, then the
 # translation pair
@@ -85,16 +115,77 @@ def mirror_axes(mesh, moduli, stresses=None):
     loaded cell, its stiffness and its geometric stiffness, then commute
     with the mirror."""
     fields = [(moduli.reshape(mesh.n, mesh.n, 1), 1.0)]  # [row, column, :]
-    if stresses is not None:            # xx and yy even, xy odd
-        fields.append((stresses.reshape(mesh.n, mesh.n, 3), (1, 1, -1)))
+    if stresses is not None:
+        fields.append((stresses.reshape(mesh.n, mesh.n, 3), STRESS_PARITY))
     return tuple(axis for axis in (0, 1) if all(
         np.linalg.norm(parity * np.flip(a, 1 - axis) - a)
         <= MIRROR_TOL * np.linalg.norm(a) for a, parity in fields))
 
 
+def orbit_sum(n, a, parity=1):
+    """The element field a, (ne,) or (ne, c), summed over the orbit of
+    each quarter-cell element 0 <= x, y < 1/2 under the two axis mirrors,
+    each image times parity once per mirror that makes it (STRESS_PARITY
+    for a stress field): (ne / 4, ...), the quarter-cell elements row by
+    row.  It is four times a mirror-symmetric field and drops the
+    roundoff asymmetry of a filtered one."""
+    h = n // 2
+    e = a.reshape(n, n, -1)             # [row, column, :]
+    p = np.asarray(parity)
+    return (e + p * e[:, ::-1] + p * e[::-1] + e[::-1, ::-1])[:h, :h] \
+        .reshape(h * h, *a.shape[1:])
+
+
+def orbit_mean(n, a, parity=1):
+    """The element field a, (ne,) or (ne, c), made mirror-symmetric about
+    both axes: each element takes the mean over its orbit (orbit_sum / 4),
+    times parity once per mirror that makes it from the quarter cell."""
+    q = (orbit_sum(n, a, parity) / 4.0).reshape(n // 2, n // 2, -1)
+    top = np.hstack([q, np.multiply(parity, q[:, ::-1])])   # rows are y
+    return np.vstack([top, np.multiply(parity, top[::-1])]).reshape(a.shape)
+
+
 def real_phase(k):
     """Per component of k: is it 0 or +-pi, where the Bloch phase is +-1?"""
     return (k == 0.0) | (np.abs(np.abs(k) - np.pi) < 1e-12)
+
+
+@dataclass(frozen=True)
+class Quarter:
+    """The quarter cell 0 <= x, y <= 1/2 of the n x n grid: its (n/2)^2
+    elements, which need no wrap, and its (n/2 + 1)^2 nodes, the orbit
+    representatives of the class basis, in the dissection order of the
+    grid they form.  A quarter operator K_q (matrix) sums the element
+    matrices of the quarter cell on those nodes, as the data of one
+    CSC pattern, row and col.  Read-only arrays."""
+    dofs: np.ndarray         # (nq,) the reduced dof of each quarter dof
+    edofs: np.ndarray        # (ne / 4, 8) quarter dofs of each element
+    slot: np.ndarray         # (ne / 4, 64) the entry of K_q that each
+                             # term [i, j] of an element matrix sums into
+    row: np.ndarray          # (nnz,) the quarter dofs of the row and the
+    col: np.ndarray          # column of each entry of K_q
+
+    def matrix(self, ke):
+        """The data of K_q for the element matrices ke (ne / 4, 8, 8) of
+        the quarter-cell elements, row by row."""
+        return np.bincount(self.slot.ravel(), weights=ke.ravel(),
+                           minlength=self.row.size)
+
+
+@dataclass(frozen=True)
+class ClassAssembly:
+    """Q(k)^H K Q(k), real, from a quarter operator K_q (module doc) for
+    every k of one set of linear phases: its CSC pattern, and per entry
+    the entry of K_q it takes and its row (a, i), class a and quarter dof
+    i, as a * nq + i, each in the smallest unsigned type that holds it.
+    Read-only arrays."""
+    quarter: Quarter
+    indptr: np.ndarray       # (ndof + 1,) int32
+    take: np.ndarray         # (nnz,) into the data of K_q, uint16 to n = 84
+    row: np.ndarray          # (nnz,) uint16 up to n = 178
+    # (indices, scale) of ClassBasis.pattern, kept at k = 0 alone, where
+    # homogenize assembles the stiffness every design iteration
+    fixed: tuple = None
 
 
 @dataclass(frozen=True)
@@ -108,11 +199,34 @@ class ClassBasis:
                              # each of CLASSES, -1 where the orbit has none
     coef: np.ndarray         # (4, ndof) Q[dof, col], 0 where none
     bounds: tuple            # class c spans columns bounds[c]:bounds[c + 1]
+    assembly: ClassAssembly  # shared by every k of its phases
 
     @property
     def split(self):
         """The columns of the corrector pair at k = 0, the first."""
         return self.bounds[2]
+
+    def assemble(self, *data):
+        """The real CSC Q^H K Q for the data of each quarter operator K_q
+        (Quarter.matrix) of a cell mirror-symmetric about both axes: the
+        entry of class columns (a, i) and (b, j), i and j quarter dofs, is
+        K_q[i, j] Re(conj(coef[a, i]) coef[b, j]) (module doc)."""
+        s, ndof = self.assembly, self.col.shape[1]
+        indices, scale = s.fixed or self.pattern()
+        return [sp.csc_matrix((d.take(s.take) * scale, indices, s.indptr),
+                              shape=(ndof, ndof)) for d in data]
+
+    def pattern(self):
+        """The row index and Re(conj(coef[a, i]) coef[b, j]) of each entry
+        of the assembly.  The row (a, i) of an entry is read from tables
+        of the quarter dofs, the coefficient of a column is that of its
+        own (b, j)."""
+        s, ndof = self.assembly, self.col.shape[1]
+        col, coef = self.col[:, s.quarter.dofs], self.coef[:, s.quarter.dofs]
+        column = np.zeros(ndof, dtype=coef.dtype)
+        column[col[col >= 0]] = coef[col >= 0]
+        scale = coef.take(s.row).conj() * np.repeat(column, np.diff(s.indptr))
+        return col.take(s.row), scale.real
 
 
 @dataclass
@@ -207,6 +321,28 @@ def mirror_map(n, axis):
     return node + ((n - c) % n - c) * stride, c
 
 
+@cache
+def quarter_cell(n):
+    """The Quarter of the n x n grid, built once per n."""
+    h = n // 2
+    local = dissection(np.arange((h + 1) ** 2).reshape(h + 1, h + 1))
+    bl = np.arange(h * (h + 1)).reshape(h, h + 1)[:, :h].ravel()
+    edofs = node_dofs(np.argsort(local)[np.stack(
+        [bl, bl + 1, bl + h + 2, bl + h + 1], axis=1)])
+    # term [e, i, j] of an element matrix: row edofs[e, i], column
+    # edofs[e, j]; CSC order sorts by column, then row
+    size = 2 * local.size
+    pattern, slot = np.unique(edofs[:, None, :] * size + edofs[:, :, None],
+                              return_inverse=True)
+    out = Quarter(dofs=node_dofs((local // (h + 1)) * n + local % (h + 1)),
+                  edofs=edofs, slot=slot.reshape(h * h, 64).astype(np.int32),
+                  row=(pattern % size).astype(np.int32),
+                  col=(pattern // size).astype(np.int32))
+    for a in (out.dofs, out.edofs, out.slot, out.row, out.col):
+        a.flags.writeable = False
+    return out
+
+
 def order_basis(order):
     """The permutation matrix P whose column j is the unit vector of dof
     order[j], so that P^T A P = A[order][:, order]."""
@@ -283,19 +419,45 @@ def _class_basis(n, px, py):
     # position, class): each representative takes its own column
     group = np.array([i if anti is None else (1 - c[1 - anti]) // 2
                       for i, c in enumerate(CLASSES)])
-    quarter = dissection(np.arange((h + 1) ** 2).reshape(h + 1, h + 1))
-    quarter_dofs = node_dofs((quarter // (h + 1)) * n + quarter % (h + 1))
-    cls, pos = np.nonzero(live[:, quarter_dofs])
+    quarter = quarter_cell(n)
+    cls, pos = np.nonzero(live[:, quarter.dofs])
     order = np.lexsort((cls, pos, group[cls]))
     ids = np.full((4, ndof), -1, dtype=np.int32)
-    ids[cls[order], quarter_dofs[pos[order]]] = np.arange(cls.size)
+    ids[cls[order], quarter.dofs[pos[order]]] = np.arange(cls.size)
     col = ids[:, rep_dof]               # a dof lives where its rep does
     q = sp.csr_matrix((coef[live], (np.nonzero(live)[1], col[live])),
                       shape=(ndof, ndof))
-    for a in (q.data, q.indices, q.indptr, col, coef):
-        a.flags.writeable = False
-    return ClassBasis(q=q, col=col, coef=coef, bounds=(0, *np.cumsum(
-        np.bincount(group[cls])).tolist()))
+
+    # the class assembly: each entry of K_q whose dofs i and j have
+    # columns in two classes a and b of one block gives an entry, unless
+    # conj(coef[a, i]) coef[b, j] is imaginary, one of the two holding the
+    # factor i, and stays so under the phase of class_basis: unless
+    # exactly one of i and j lies on the line c = 0 of the antiunitary
+    # mirror
+    line = ((cx, cy)[anti or 0] == 0).repeat(2) & (anti is not None)
+    a, b = (x[:, None] for x in np.nonzero(group[:, None] == group))
+    i, j = quarter.dofs[quarter.row], quarter.dofs[quarter.col]
+    rows, cols = col[a, i], col[b, j]           # [class pair, entry]
+    keep = (rows >= 0) & (cols >= 0) & (
+        ((coef[a, i].conj() * coef[b, j]).real != 0) | (line[i] != line[j]))
+    order = np.lexsort((rows[keep], cols[keep]))    # CSC: column, then row
+    assembly = ClassAssembly(
+        quarter=quarter,
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(
+            cols[keep], minlength=ndof))]).astype(np.int32),
+        take=(np.flatnonzero(keep) % i.size)[order].astype(
+            np.min_scalar_type(i.size)),
+        row=(a * quarter.dofs.size + quarter.row)[keep][order].astype(
+            np.min_scalar_type(4 * quarter.dofs.size)))
+    basis = ClassBasis(q=q, col=col, coef=coef, bounds=(0, *np.cumsum(
+        np.bincount(group[cls])).tolist()), assembly=assembly)
+    if (px, py) == (1, 1):
+        basis = replace(basis, assembly=replace(assembly,
+                                                fixed=basis.pattern()))
+    for x in (q.data, q.indices, q.indptr, col, coef, assembly.indptr,
+              assembly.take, assembly.row, *(basis.assembly.fixed or ())):
+        x.flags.writeable = False
+    return basis
 
 
 def build_mesh(n):

@@ -30,6 +30,7 @@ from cellmat.bloch import (
     fold,
     ibz_path,
     limit_transform,
+    quarter_operators,
     solve_band,
     stress_stiffness,
 )
@@ -38,7 +39,7 @@ from cellmat.element import element_matrices
 from cellmat.errors import AnalysisError, ConfigError
 from cellmat.fem import PINS, assemble, assemble_k0, pin, symmetric_lu
 from cellmat.gridio import read_grid, write_grid
-from cellmat.homogenize import homogenize
+from cellmat.homogenize import class_stiffness, homogenize
 from cellmat.materials import get_material
 from cellmat.mesh import MIRROR_TOL, build_mesh, class_basis, mirror_axes
 from cellmat.pipeline import analyze_cell, evaluate_design
@@ -89,6 +90,12 @@ def loaded_operators(mesh, elem, rho, sigma0):
     e_k, weights, _, _ = loaded_state(mesh, elem, rho, sigma0)
     return (assemble_k0(mesh, elem, e_k, reduced=False),
             stress_stiffness(mesh, elem, weights))
+
+
+def loaded_quarter(mesh, elem, rho, sigma0):
+    """The quarter_operators of a cell loaded by sigma0."""
+    e_k, weights, _, _ = loaded_state(mesh, elem, rho, sigma0)
+    return quarter_operators(mesh, elem, e_k, weights)
 
 
 def pencil(mesh, elem, e_k, weights, k):
@@ -518,10 +525,10 @@ def gray_cell(n):
     return mesh, element_matrices(NU, mesh.h), rho
 
 
-def dense_bands(mesh, k0_full, ks_full, k, axes=(), direction=None):
+def dense_bands(mesh, k0_full, ks_full, k, quarter=None, direction=None):
     """Every tau of the sweep's pencil at k, descending, from sla.eigh."""
     _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, np.asarray(k, float),
-                              axes, direction)
+                              quarter, direction)
     return sla.eigh(-ksk.toarray(), k0k.toarray(), eigvals_only=True)[::-1]
 
 
@@ -768,6 +775,26 @@ MIRROR_EDGES = [(np.pi / 2, 0.0), (np.pi, np.pi / 2), (np.pi / 2, np.pi),
 CORNERS = [(0.0, 0.0), (np.pi, 0.0), (np.pi, np.pi), (0.0, np.pi)]
 
 
+def assert_two_stage_fold(n, k):
+    """The class pencil at k of the loaded D4 cell of n, which comes with
+    no transform, equals the real diagonal blocks of Q^H fold(T(k)) Q
+    within 1e-15 of its largest entry."""
+    mesh, elem, rho = cell = mirrored_cell(n, (0, 1))
+    assert cell_axes(cell) == (0, 1)
+    k0_full, ks_full = loaded_operators(mesh, elem, rho, LOADS["compression"])
+    t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, k,
+                              loaded_quarter(mesh, elem, rho,
+                                             LOADS["compression"]))
+    assert t is None
+    tk, basis = bloch_transform(mesh, k), class_basis(mesh.n, k)
+    cls = np.repeat(np.arange(len(basis.bounds) - 1), np.diff(basis.bounds))
+    for a, a_full in ((k0k, k0_full), (ksk, ks_full)):
+        b = (basis.q.conj().T @ fold(a_full, tk) @ basis.q).real
+        b = b.toarray() * (cls[:, None] == cls[None, :])
+        ref = 0.5 * (b + b.T)
+        assert np.abs(a.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
 def richardson(taus):
     """The eps -> 0 limit of bands sampled at eps = 0.04, 0.02, 0.01 and
     0.005: they are even in eps (reciprocity), so three levels of
@@ -793,6 +820,7 @@ class TestMirrorBasis:
         mesh, elem, rho = cell
         k0_full, ks_full = loaded_operators(mesh, elem, rho,
                                             LOADS["compression"])
+        quarter = loaded_quarter(mesh, elem, rho, LOADS["compression"])
         if direction is not None:
             # the zone-center limit ends the GX (YG) mirror line: its
             # pencil's bands are the limits of the line's class-basis bands
@@ -801,15 +829,15 @@ class TestMirrorBasis:
             assert_array_equal(smp.direction, direction)
             assert smp.modes.dtype == np.float64
             taus = [dense_bands(mesh, k0_full, ks_full, eps * direction,
-                                (0, 1))[:4] for eps in RICHARDSON_EPS]
+                                quarter)[:4] for eps in RICHARDSON_EPS]
             assert_allclose(smp.tau, richardson(taus), rtol=1e-8)
             return
         assert cell_axes(cell) == (0, 1)
         k = np.array(k)
-        _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, k, (0, 1))
+        _, k0k, ksk = band_pencil(mesh, k0_full, ks_full, k, quarter)
         assert k0k.dtype == ksk.dtype == np.float64
         # Q(k) is unitary and takes the complex pencil to a real one,
-        # block diagonal by class before band_pencil drops the rest
+        # block diagonal by class: band_pencil assembles the blocks alone
         basis = class_basis(n, k)
         q = basis.q.toarray()
         assert_allclose(q.conj().T @ q, np.eye(mesh.ndof), atol=1e-14)
@@ -832,25 +860,37 @@ class TestMirrorBasis:
 
     @pytest.mark.parametrize("k", MIRROR_EDGES, ids=["GX", "XM", "MY", "YG"])
     def test_one_fold_matches_the_two_stage_fold(self, k):
-        # folding once with T(k) Q(k) equals the complex fold with T(k)
-        # followed by the real diagonal blocks of Q^H . Q, up to the
-        # roundoff of the product order
-        mesh, elem, rho = cell = mirrored_cell(16, (0, 1))
-        k0_full, ks_full = loaded_operators(mesh, elem, rho,
-                                            LOADS["compression"])
-        k = np.array(k)
-        assert cell_axes(cell) == (0, 1)
-        t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, k, (0, 1))
-        tk, basis = bloch_transform(mesh, k), class_basis(mesh.n, k)
-        assert abs(t - tk @ basis.q).max() == 0.0
-        cls = np.repeat(np.arange(len(basis.bounds) - 1),
-                        np.diff(basis.bounds))
-        for a, a_full in ((k0k, k0_full), (ksk, ks_full)):
-            b = (basis.q.conj().T @ fold(a_full, tk) @ basis.q).real
-            b = b.toarray() * (cls[:, None] == cls[None, :])
-            ref = 0.5 * (b + b.T)
-            assert np.abs(a.toarray() - ref).max() \
-                <= 1e-15 * np.abs(ref).max()
+        # the class pencil, assembled from the quarter cell, equals the
+        # complex fold with T(k) followed by the real diagonal blocks of
+        # Q^H . Q, up to the roundoff of the product order
+        assert_two_stage_fold(16, np.array(k))
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("k, other", [
+        ((1.1, 0.0), (2.9, 0.0)), ((np.pi, -0.7), (np.pi, 0.2)),
+        ((-0.3, np.pi), (1.4, -np.pi)), ((0.0, -2.9), (0.0, 0.4))],
+        ids=["GX", "XM", "MY", "YG"])
+    def test_any_edge_k_matches_the_two_stage_fold(self, n, k, other):
+        # the phase of k enters the quarter assembly per call; the
+        # structure is shared along the edge
+        assert_two_stage_fold(n, np.array(k))
+        assert class_basis(n, other).assembly \
+            is class_basis(n, k).assembly
+
+    def test_pinned_pencil_is_the_class_stiffness(self):
+        # one class assembly: the pinned k = 0 K0 of the sweep is the
+        # stiffness homogenize factors, pinned, bitwise
+        mesh, elem, rho = mirrored_cell(16, (0, 1))
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho)
+        _, k0k, _ = band_pencil(
+            mesh, assemble_k0(mesh, elem, e_k, reduced=False),
+            stress_stiffness(mesh, elem, weights), np.zeros(2),
+            quarter_operators(mesh, elem, e_k, weights))
+        ref = pin(sp.block_diag(class_stiffness(mesh, elem, e_k),
+                                format="csc"),
+                  1.0, mesh.classes.q[PINS].indices)
+        for a in ("data", "indices", "indptr"):
+            assert_array_equal(getattr(k0k, a), getattr(ref, a))
 
     def test_one_mirror_cell_keeps_the_complex_pencils(self, monkeypatch):
         # the class basis needs both mirrors: a cell with one keeps the

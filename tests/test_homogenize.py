@@ -15,8 +15,7 @@ import cellmat.homogenize
 from cellmat.design import enforce_symmetry
 from cellmat.element import elastic_matrix, element_matrices
 from cellmat.fem import PINS, PinnedSolver, assemble_k0, assemble_loads, pin
-from cellmat.homogenize import class_loads, class_maps, class_stiffness, \
-    homogenize
+from cellmat.homogenize import class_loads, class_stiffness, homogenize
 from cellmat.mesh import CLASSES, build_mesh
 
 NU = 1.0 / 3.0
@@ -157,17 +156,6 @@ def test_class_stiffness_is_the_pinned_stiffness_in_the_class_basis(n):
     assert all(b.format == "csc" for b in blocks)
     got = pin(sp.block_diag(blocks, format="csc"), 1.0, q[PINS].indices)
     assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
-
-
-def test_class_maps_are_built_once_per_n_and_read_only():
-    maps = class_maps(8)
-    assert class_maps(8) is maps and class_maps(4) is not maps
-    for a in (maps.stiffness.data, maps.stiffness.indices,
-              maps.stiffness.indptr, maps.loads.data, maps.loads.indices,
-              maps.loads.indptr, maps.indices, maps.indptr):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 1
 
 
 def column_classes(mesh):

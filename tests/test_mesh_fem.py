@@ -14,8 +14,8 @@ from cellmat.design import enforce_symmetry
 from cellmat.element import element_matrices
 from cellmat.errors import ConfigError, SolverError
 from cellmat.fem import PINS, PinnedSolver, assemble_k0, assemble_loads, pin
-from cellmat.mesh import CLASSES, build_mesh, class_basis, dissection, \
-    mirror_map, node_dofs
+from cellmat.mesh import CLASSES, STRESS_PARITY, build_mesh, class_basis, \
+    dissection, mirror_map, node_dofs, orbit_mean, orbit_sum, quarter_cell
 
 NU = 1.0 / 3.0
 
@@ -165,6 +165,53 @@ def test_dissection_orders_are_built_once_per_n_and_read_only():
         assert not order.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             order[0] = 1
+
+
+def test_class_assembly_is_cached_small_and_read_only():
+    # the quarter pattern is built once per n and the pencil structure
+    # once per n and set of linear phases, integer arrays but for the
+    # scales kept at k = 0: at n = 64 all of it stays below 8 MiB
+    quarter = quarter_cell(64)
+    assert quarter_cell(64) is quarter and quarter_cell(8) is not quarter
+    arrays = [quarter.dofs, quarter.edofs, quarter.slot, quarter.row,
+              quarter.col]
+    # the pinned k = 0, the three corners and a point of each quarter-zone
+    # edge: the eight sets of linear phases of the path
+    for k in ((0.0, 0.0), (np.pi, 0.0), (np.pi, np.pi), (0.0, np.pi),
+              (1.1, 0.0), (np.pi, 0.7), (1.1, np.pi), (0.0, 0.7)):
+        s = class_basis(64, k).assembly
+        assert s.quarter is quarter
+        assert s.take.dtype == s.row.dtype == np.uint16
+        arrays += [s.indptr, s.take, s.row, *(s.fixed or ())]
+    # k = 0 keeps its row indices and scales too
+    assert len({id(a) for a in arrays}) == 5 + 3 * 8 + 2
+    assert sum(a.nbytes for a in arrays) <= 8 * 2 ** 20
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+
+
+def test_orbit_mean_makes_a_field_exactly_symmetric():
+    # the mean over each orbit is mirror-symmetric to the last bit, keeps
+    # the orbit sums the class assembly takes, and keeps a field that is
+    # symmetric already
+    n = 8
+    rng = np.random.default_rng(3)
+    q = rng.uniform(0.1, 1.0, (n // 2, n // 2))
+    top = np.hstack([q, q[:, ::-1]])                # rows are y
+    moduli = np.vstack([top, top[::-1]]).ravel()
+    assert_array_equal(orbit_mean(n, moduli), moduli)
+    for a, parity in ((rng.uniform(0.1, 1.0, n * n), 1),
+                      (rng.standard_normal((n * n, 3)), STRESS_PARITY)):
+        mean = orbit_mean(n, a, parity)
+        assert mean.shape == a.shape
+        grid = mean.reshape(n, n, -1)           # [row, column, :]
+        for axis in (0, 1):
+            assert_array_equal(np.asarray(parity) * np.flip(grid, axis),
+                               grid)
+        assert_array_equal(orbit_sum(n, mean, parity),
+                           orbit_sum(n, a, parity))
 
 
 def test_the_basis_at_k0_is_unchanged():
