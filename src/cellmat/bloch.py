@@ -11,7 +11,10 @@ bands gives the critical load sigma_c = 1 / max tau.  K0(k) is positive
 definite for every k except the zone center, where the two rigid
 translations survive.  Both K0 and K_sigma annihilate translations, so at
 k = 0 pinning one node's dofs is exact: every eigenpair of the pinned
-pencil extends to the full one and vice versa.
+pencil extends to the full one and vice versa.  The pin is carried by the
+basis: the two bases at k = 0 have no column for the dofs of reduced
+node 0 (cellmat.mesh), so the pencil in either is the pinned one, with
+no row of its own for a pin.
 
 The zone center is also sampled in its long-wavelength limit along x and
 along y (LIMIT_DIRECTIONS), which holds the macroscopic branches that the
@@ -105,9 +108,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import AnalysisError, ConfigError
-from .fem import PINS, assemble, assemble_k0, pin, symmetric_lu
-from .mesh import STRESS_PARITY, class_basis, dissection, mirror_axes, \
-    node_dofs, orbit_mean, orbit_sum, quarter_cell, real_phase
+from .fem import assemble, assemble_k0, symmetric_lu
+from .mesh import PINS, STRESS_PARITY, class_basis, dissection, \
+    mirror_axes, node_dofs, orbit_mean, orbit_sum, quarter_cell, real_phase
 
 # the directions of the zone-center limit samples of every sweep
 LIMIT_DIRECTIONS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -179,7 +182,7 @@ def _wraps(mesh, nodes):
 
 def limit_transform(mesh, direction):
     """Sparse real T_d of the zone-center limit along direction d (module
-    doc): T(0) with the two columns of reduced node 0 (fem.PINS) replaced
+    doc): T(0) with the two columns of reduced node 0 (mesh.PINS) replaced
     by ramps.  Every full dof of component c on a wrapped node gets d.w in
     column PINS[c], w = (wrap_x, wrap_y), and the entries of T(0) that map
     to node 0 are dropped.  Scaling d scales the ramp columns only, which
@@ -220,9 +223,9 @@ def quarter_operators(mesh, elem, moduli, stress_weights):
 
 
 def band_pencil(mesh, k0_full, ks_full, k, quarter=None, direction=None):
-    """(transform, K0(k), K_sigma(k)), both operators pinned (fem.pin)
-    exactly at k = 0, the only k with a singular K0(k), unless direction
-    names the zone-center limit along it (k = 0, module doc).
+    """(transform, K0(k), K_sigma(k)), pinned exactly at k = 0, the only k
+    with a singular K0(k), unless direction names the zone-center limit
+    along it (k = 0, module doc).
 
     quarter holds the quarter_operators of a cell mirror-symmetric about
     both axes (mesh.mirror_axes), None for any other cell.  With them, and
@@ -234,20 +237,19 @@ def band_pencil(mesh, k0_full, ks_full, k, quarter=None, direction=None):
     or T_d = limit_transform(mesh, direction), in the torus order of the
     mesh, and each operator is folded with it once.  Either way the
     pencil's columns come in the mesh's order for the factor of K0(k)
-    (cellmat.mesh), and the pins are the columns of reduced node 0.
+    (cellmat.mesh).  At k = 0 both bases leave out the columns of reduced
+    node 0, so the pencil is the pinned one as assembled or folded, the
+    torus transform then T(0) Mesh.torus_basis: nothing is pinned here.
     """
     if quarter is not None and direction is None and real_phase(k).any():
-        basis = class_basis(mesh.n, k)
-        t, q, (k0k, ksk) = None, basis.q, basis.assemble(*quarter)
+        return None, *class_basis(mesh.n, k).assemble(*quarter)
+    if direction is not None:
+        t = limit_transform(mesh, direction)[:, mesh.order]
+    elif np.any(k):
+        t = bloch_transform(mesh, k)[:, mesh.order]
     else:
-        t = bloch_transform(mesh, k) if direction is None else \
-            limit_transform(mesh, direction)
-        t, q = t[:, mesh.order], mesh.torus_basis
-        k0k, ksk = fold(k0_full, t), fold(ks_full, t)
-    if direction is None and not np.any(k):
-        pins = q[PINS].indices
-        k0k, ksk = pin(k0k, 1.0, pins), pin(ksk, 0.0, pins)
-    return t, k0k, ksk
+        t = bloch_transform(mesh, k) @ mesh.torus_basis
+    return t, fold(k0_full, t), fold(ks_full, t)
 
 
 class _CutScreen:
@@ -505,20 +507,22 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     built.  H is formed again only when a solved sample raises the floor.
     A limit is screened with the cut rows of T_d, the pinned k = 0 with
     S(0) less reduced node 0.  Pinning deletes the two columns that T_d
-    replaces by ramps, so less its two dummy zeros the pinned pencil is a
-    limit's compressed to codimension 2, and by Cauchy interlacing (Parlett
-    1998, section 10.1) tau_j(limit) >= tau_j(pinned) >= tau_j+2(limit).
+    replaces by ramps, so the pinned pencil is a limit's compressed to
+    codimension 2, and by Cauchy interlacing (Parlett 1998, section 10.1)
+    tau_j(limit) >= tau_j(pinned) >= tau_j+2(limit).
     Nothing is screened until a tau exceeds TAU_TINY; tau_max, sigma_c and
     the critical sample and band are the full sweep's.
 
-    A sample where ARPACK converges fewer than m bands (solve_band) is put
-    to the cut at TAU_TINY, with the sweep's screen or one built then, so a
-    sweep whose samples all converge builds none.  Proven there, it is
-    certified stable: tau = 0 in every band, zero modes and transform, and
-    a RuntimeWarning.  From then on each sample, the pinned k = 0 too, is
-    tested so before its pencil is built, unless the critical_only screen
-    runs, whose floor is higher.  Not proven, the converged bands stand
-    with a RuntimeWarning, and a sample with none raises AnalysisError.
+    A sample where ARPACK converges fewer than the min(m, size - 2) bands
+    solve_band targets, size the rows of its pencil (ndof - 2 at the
+    pinned k = 0), is put to the cut at TAU_TINY, with the sweep's screen
+    or one built then, so a sweep whose samples all converge builds none.
+    Proven there, it is certified stable: tau = 0 in every band, zero
+    modes and transform, and a RuntimeWarning.  From then on each sample,
+    the pinned k = 0 too, is tested so before its pencil is built, unless
+    the critical_only screen runs, whose floor is higher.  Not proven, the
+    converged bands stand with a RuntimeWarning, and a sample with none
+    raises AnalysisError.
     """
     quarter = None
     if mirror_axes(mesh, moduli_k, stress_weights) == (0, 1):
@@ -539,7 +543,6 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
         else:
             jobs.append((wavevector(kvec), None, a))
 
-    m_eff = int(min(m, mesh.ndof - 2))
     screen = _CutScreen(mesh, k0_full, ks_full) if critical_only else None
     certify_first = False   # set once the cut has proven a sample stable
     samples = []
@@ -547,6 +550,8 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     crit = (0, 0)
     for i, (kvec, d, a) in enumerate(jobs):
         pinned = d is None and not np.any(kvec)
+        # the bands solve_band targets: the pinned pencil has two dofs less
+        m_eff = int(min(m, mesh.ndof - 2 * pinned - 2))
         screening = critical_only and tau_max > TAU_TINY
         if (screening
                 and screen.below(kvec, tau_max * (1.0 - SCREEN_MARGIN), d)):

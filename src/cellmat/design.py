@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError
-from .fem import symmetric_lu
+from .fem import assemble, symmetric_lu
 
 _D4_MAPS = (
     lambda a: a,
@@ -89,20 +89,16 @@ class PDEFilter:
         self.volume_e = mesh.volume_e
         length = radius / (2.0 * np.sqrt(3.0))
 
-        nn = mesh.nn
         # element nodes by their place in the torus order
         conn_red = np.argsort(mesh.node_order)[mesh.master[mesh.conn]]
-        rows = np.repeat(conn_red, 4, axis=1).ravel()
-        cols = np.tile(conn_red, (1, 4)).ravel()
         ae = length ** 2 * elem.k_filter + elem.m_filter
-        vals = np.tile(ae.ravel(), mesh.ne)
-        a = sp.coo_matrix((vals, (rows, cols)), shape=(nn, nn)).tocsc()
+        a = assemble(conn_red, mesh.nn, np.broadcast_to(ae, (mesh.ne, 4, 4)))
 
         t_rows = conn_red.ravel()
         t_cols = np.repeat(np.arange(mesh.ne), 4)
         t_vals = np.tile(elem.t_filter, mesh.ne)
         self.t_map = sp.coo_matrix(
-            (t_vals, (t_rows, t_cols)), shape=(nn, mesh.ne)).tocsc()
+            (t_vals, (t_rows, t_cols)), shape=(mesh.nn, mesh.ne)).tocsc()
         self.lu = symmetric_lu(a)
 
     def apply(self, rho):

@@ -1,13 +1,14 @@
 """Sparse assembly, the sparse factor and the periodic linear solve.
 
-The periodic solve factors the pinned stiffness in a basis of the mesh
-(cellmat.mesh), whose columns carry the factor's order, and maps every
-right-hand side into that basis and every solution back: the torus-order
-permutation, factored whole, or, for a cell mirror-symmetric about both
-axes, the two-mirror class basis, in which the stiffness comes as its
-two diagonal blocks, the two pairs of classes, each with a factor of its
-own, the translation pair's made only when a load reaches it
-(cellmat.homogenize picks the basis and builds the blocks).
+The periodic solve factors the stiffness in a basis of the mesh
+(cellmat.mesh), whose columns carry the factor's order and leave out the
+two dofs of reduced node 0, so that the stiffness in it is the pinned
+one, and maps every right-hand side into that basis and every solution
+back: the torus order, factored whole, or, for a cell mirror-symmetric
+about both axes, the two-mirror class basis, in which the stiffness
+comes as its two diagonal blocks, the two pairs of classes, each with a
+factor of its own, the translation pair's made only when a load reaches
+it (cellmat.homogenize picks the basis and builds the blocks).
 """
 
 import numpy as np
@@ -17,7 +18,6 @@ import scipy.sparse.linalg as spla
 from .errors import SolverError
 
 RESIDUAL_TOL = 1e-9
-PINS = [0, 1]        # the two dofs of reduced node 0
 
 
 def assemble(edofs, ndof, ke_all):
@@ -78,32 +78,6 @@ def symmetric_lu(a):
                      options={"SymmetricMode": True})
 
 
-def pin(a, value, dofs=PINS):
-    """a with the rows and columns of dofs zeroed and value on their
-    diagonal: 1 pins a stiffness K0, 0 a geometric stiffness K_sigma.
-    dofs are the two of reduced node 0 (PINS), or where an ordered matrix
-    keeps them.  The entries of a are kept through a row and a column
-    mask, and the diagonal entries are put into the emptied columns: the
-    result is CSC in canonical form and stores no zeros."""
-    a = sp.csc_matrix(a)
-    if not a.has_canonical_format:
-        a = a.copy()
-        a.sum_duplicates()
-    size = a.shape[1]
-    free = np.ones(size, dtype=bool)
-    free[dofs] = False
-    keep = free[a.indices] & np.repeat(free, np.diff(a.indptr)) \
-        & (a.data != 0)
-    indptr = np.concatenate([[0], np.cumsum(keep)])[a.indptr]
-    data, indices = a.data[keep], a.indices[keep]
-    if value != 0:
-        dofs = np.unique(dofs)
-        data = np.insert(data, indptr[dofs], value)
-        indices = np.insert(indices, indptr[dofs], dofs)
-        indptr = indptr + np.searchsorted(dofs, np.arange(size + 1))
-    return sp.csc_matrix((data, indices, indptr), shape=a.shape)
-
-
 class PinnedSolver:
     """LU-factorized periodic stiffness with the two dofs of reduced node 0
     pinned to remove the translation null space.
@@ -113,39 +87,35 @@ class PinnedSolver:
     periodic strain states), because the reaction at the pinned dofs then
     vanishes identically.
 
-    The stiffness is factored in an orthogonal basis Q that the mesh owns
-    (cellmat.mesh), as the diagonal blocks of Q^T K Q in the order of Q's
-    columns; Q^T K Q has no entry outside them.  Q keeps the unit vectors
-    of PINS as two of its columns, so pinning them in the basis is the pin
-    of K.  Q is the torus-order permutation (Mesh.torus_basis), with one
-    block, or the class basis at k = 0 (Mesh.classes) of a cell
-    mirror-symmetric about both axes, with the corrector pair of classes
-    and then the translation pair, which holds both pins.  blocks[0] is
-    factored here, as lu; a later block is factored on the first solve
-    whose right-hand side, in the basis, has a nonzero entry in it.  The
-    corrector loads are exactly zero in the translation pair, so a
-    stiffness-only design iteration never factors it, while the adjoint
-    loads of the stress and stability gradients factor it once per
-    analysis.
+    The stiffness is factored in a basis Q that the mesh owns
+    (cellmat.mesh), with orthonormal columns and none for the pins
+    (mesh.PINS), so Q^T K Q is the pinned stiffness, nonsingular.  It
+    comes as its diagonal blocks in the order of Q's columns, which are
+    factored as handed over; Q^T K Q has no entry outside them.  Q is the
+    torus order less the pins (Mesh.torus_basis), with one block, or the
+    class basis at k = 0 (Mesh.classes) of a cell mirror-symmetric about
+    both axes, with the corrector pair of classes and then the
+    translation pair.  blocks[0] is factored here, as lu; a later block is
+    factored on the first solve whose right-hand side, in the basis, has
+    a nonzero entry in it.  The corrector loads are exactly zero in the
+    translation pair, so a stiffness-only design iteration never factors
+    it, while the adjoint loads of the stress and stability gradients
+    factor it once per analysis.
 
     solve takes and returns vectors in the reduced numbering and maps them
-    through Q; solve_basis takes and returns them in the basis.
+    through Q, which drops a load's entries at the pins and returns zero
+    there; solve_basis takes and returns them in the basis.
     """
 
     def __init__(self, blocks, basis):
         self.basis = basis
-        self._pins = basis[PINS].indices
         self._bounds = np.cumsum([0] + [b.shape[0] for b in blocks])
-        self._blocks = list(blocks)            # each pinned when factored
+        self._blocks = blocks
         self._lus = [None] * len(blocks)
         self.lu = self._factor(0)
 
     def _factor(self, i):
-        """Pin block i where it holds pins, and factor it."""
-        start, stop = self._bounds[i:i + 2]
-        local = self._pins[(self._pins >= start) & (self._pins < stop)]
-        if local.size:
-            self._blocks[i] = pin(self._blocks[i], 1.0, local - start)
+        """Factor block i."""
         try:
             self._lus[i] = symmetric_lu(self._blocks[i])
         except RuntimeError as err:
@@ -159,10 +129,7 @@ class PinnedSolver:
             self.basis.T @ np.asarray(f, dtype=float))
 
     def solve_basis(self, b):
-        """The pinned solution for a load b, both in the basis; the entries
-        of b at the pins are dropped."""
-        b = np.array(b, dtype=float, copy=True)
-        b[self._pins] = 0.0
+        """The pinned solution for a load b, both in the basis."""
         y = np.zeros_like(b)
         r = np.zeros_like(b)
         for i, lu in enumerate(self._lus):

@@ -24,9 +24,9 @@ orbit: the stiffness is the class assembly of cellmat.mesh at k = 0,
 the K0 that the pinned Bloch pencil takes too (bloch.band_pencil).  The
 loads lie in the corrector pair of classes, exactly, so the correctors
 never make the solver factor the translation pair; only an adjoint load
-does.  Any other cell is factored whole in the
-torus order, its stiffness assembled on the reduced dofs and permuted
-into that order.
+does.  Any other cell is factored whole in the torus order less the
+pins (Mesh.torus_basis), its stiffness assembled on the reduced dofs and
+permuted into that order.
 """
 
 from dataclasses import dataclass
@@ -58,9 +58,11 @@ def class_stiffness(mesh, elem, moduli):
     mirror-symmetric about both axes, assembled without K, as its two
     diagonal blocks in CSC: the corrector pair of classes and then the
     translation pair (mesh.classes.split).  It has no entry outside them.
+    Q has no column for the pins (cellmat.mesh), so it is the pinned
+    stiffness.
 
-    It is the class pencil's K0 at k = 0 (cellmat.bloch.band_pencil),
-    unpinned: one assembly from the quarter-cell stiffness K_q
+    It is the pinned class pencil's K0 (cellmat.bloch.band_pencil), split:
+    one assembly from the quarter-cell stiffness K_q
     (mesh.quarter_cell) of the moduli summed over the orbit of each
     quarter-cell element (mesh.orbit_sum, ClassBasis.assemble).  A sparse
     Q^T K Q costs several times as much.
@@ -76,8 +78,8 @@ def class_stiffness(mesh, elem, moduli):
 
 
 def class_loads(mesh, elem, moduli):
-    """Q^T times the unit-macro-strain loads (fem.assemble_loads), (ndof,
-    3), for the class basis Q = mesh.classes.q of a field that is
+    """Q^T times the unit-macro-strain loads (fem.assemble_loads), (ndof -
+    2, 3), for the class basis Q = mesh.classes.q of a field that is
     mirror-symmetric about both axes, assembled from the quarter cell as
     class_stiffness is: the load of a quarter dof, summed over the
     quarter-cell elements with their orbit moduli, times the coefficient
@@ -87,7 +89,7 @@ def class_loads(mesh, elem, moduli):
     pair."""
     quarter, basis = quarter_cell(mesh.n), mesh.classes
     fe = np.multiply.outer(orbit_sum(mesh.n, moduli), elem.f_unit)
-    out = np.zeros((mesh.ndof, 3))
+    out = np.zeros((basis.q.shape[1], 3))
     for a, cls in enumerate(LOAD_CLASSES):
         f = np.bincount(quarter.edofs.ravel(), weights=fe[..., a].ravel(),
                         minlength=quarter.dofs.size)
@@ -104,9 +106,9 @@ def homogenize(mesh, elem, moduli):
         solver = PinnedSolver(class_stiffness(mesh, elem, moduli), basis)
         f = class_loads(mesh, elem, moduli)
     else:
-        basis, o = mesh.torus_basis, mesh.order
-        solver = PinnedSolver([assemble_k0(mesh, elem, moduli)[o][:, o]],
-                              basis)
+        basis = mesh.torus_basis
+        solver = PinnedSolver([basis.T @ assemble_k0(mesh, elem, moduli)
+                               @ basis], basis)
         f = basis.T @ assemble_loads(mesh, elem, moduli)
     chi = basis @ np.column_stack([solver.solve_basis(f[:, a])
                                    for a in range(3)])

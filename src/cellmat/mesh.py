@@ -6,11 +6,11 @@ given).  They are geometric nested-dissection orders (George 1973, SIAM
 J. Numer. Anal. 10:345): each eliminates the blocks of the grid first and
 the lines that separate them last.  The periodic stiffness and every
 Bloch pencil enter their factor through one basis of the reduced dofs,
-whose columns carry the order: the torus permutation (Mesh.torus_basis,
-Mesh.order) or the class basis (class_basis, Mesh.classes).  On the
-periodic n x n grid, a torus, the order cuts columns 0 and n/2, which
-leaves two strips, cuts rows 0 and n/2 of each strip, which leaves four
-blocks, and orders each block by dissection.
+whose columns carry the order: the torus permutation (Mesh.order, or
+Mesh.torus_basis at k = 0) or the class basis (class_basis,
+Mesh.classes).  On the periodic n x n grid, a torus, the order cuts
+columns 0 and n/2, which leaves two strips, cuts rows 0 and n/2 of each
+strip, which leaves four blocks, and orders each block by dissection.
 
 Whether a cell is mirror-symmetric is asked of its element fields, in
 one place (mirror_axes): the moduli, and the stress weights of a loaded
@@ -22,19 +22,22 @@ and the class basis Q(k) splits them by both: the symmetry reduction of
 Healey 1988 (CMAME 67:257), the one symmetry basis of the package.
 
 At k = 0, for the periodic stiffness and the pinned Bloch pencil, Q is
-real and orthogonal.  The stiffness block-diagonalizes into the four
-parity classes (sx, sy) of the mirrors Mx and My, Mx v = sx v and
-My v = sy v: the orbit of a dof under {1, Mx, My, MxMy} gives one unit
+real with orthonormal columns.  The stiffness block-diagonalizes into
+the four parity classes (sx, sy) of the mirrors Mx and My, Mx v = sx v
+and My v = sy v: the orbit of a dof under {1, Mx, My, MxMy} gives one unit
 column to each class its stabilizer allows, so every class lives on the
 (n/2 + 1)^2 quarter grid of orbit representatives.  That grid is planar,
 so each class is ordered by plain dissection, without the wrap
-separators of the torus order.  The columns of reduced node 0, fem.PINS,
-are those two dofs themselves: x in class (-, +) with the x translation,
-y in (+, -) with the y translation.  The correctors of the normal macro
-strains lie in (+, +), that of the shear strain in (-, -).  So the
-columns come in two pairs of classes: first the corrector pair (+, +)
-and (-, -), then the translation pair (+, -) and (-, +), which holds the
-pins.
+separators of the torus order.  The two dofs of reduced node 0, PINS,
+are an orbit of their own, x in class (-, +) with the x translation, y
+in (+, -) with the y translation, and Q has no column for them: it is
+ndof x (ndof - 2), empty in their rows, so Q^T K Q is the stiffness
+pinned at node 0, which removes the two translations, nonsingular with
+no row of its own for a pin.  So is the torus basis at k = 0
+(Mesh.torus_basis).  The correctors of the normal macro strains lie in
+(+, +), that of the shear strain in (-, -).  So the columns come in two
+pairs of classes: first the corrector pair (+, +) and (-, -), then the
+translation pair (+, -) and (-, +), which the pins would take.
 
 A Bloch pencil at k (cellmat.bloch) sees the mirror about axis a through
 its reduced image R_k, which maps the line c = 0 to itself with the
@@ -76,7 +79,8 @@ Products that are exactly zero are left out: at a corner each class is
 its own block; on an edge the two classes of the antiunitary mirror
 share one, and a product between them is real only between a dof on that
 mirror's line c = 0, where the phase of class_basis enters, and one off
-it.  At k = 0 the assembly gives the periodic stiffness of homogenize.
+it.  At k = 0 the assembly gives the pinned periodic stiffness of
+homogenize.
 """
 
 from dataclasses import dataclass, replace
@@ -105,6 +109,8 @@ STRESS_PARITY = (1, 1, -1)
 # the columns of the class basis at k = 0: the corrector pair, then the
 # translation pair
 CLASSES = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+# the two dofs of reduced node 0, which the bases at k = 0 leave out
+PINS = [0, 1]
 
 
 def mirror_axes(mesh, moduli, stresses=None):
@@ -180,7 +186,7 @@ class ClassAssembly:
     i, as a * nq + i, each in the smallest unsigned type that holds it.
     Read-only arrays."""
     quarter: Quarter
-    indptr: np.ndarray       # (ndof + 1,) int32
+    indptr: np.ndarray       # (size + 1,) int32, size columns of Q
     take: np.ndarray         # (nnz,) into the data of K_q, uint16 to n = 84
     row: np.ndarray          # (nnz,) uint16 up to n = 178
     # (indices, scale) of ClassBasis.pattern, kept at k = 0 alone, where
@@ -190,13 +196,16 @@ class ClassAssembly:
 
 @dataclass(frozen=True)
 class ClassBasis:
-    """The unitary class basis Q(k) of the reduced dofs (module doc), its
-    columns class by class and each class in the dissection order of the
-    quarter grid.  The basis at k = 0, real and orthogonal, is shared by
-    every mesh of its n: its arrays are read-only."""
-    q: sp.csr_matrix         # (ndof, ndof) unitary, <= 4 entries a row
+    """The class basis Q(k) of the reduced dofs (module doc), its
+    orthonormal columns class by class and each class in the dissection
+    order of the quarter grid: unitary, or at k = 0 real and less the
+    columns of the pins.  Shared by every mesh of its n: its arrays are
+    read-only."""
+    q: sp.csr_matrix         # (ndof, size) orthonormal columns, <= 4
+                             # entries a row; size is ndof - 2 at k = 0
     col: np.ndarray          # (4, ndof) the column of each dof's orbit in
                              # each of CLASSES, -1 where the orbit has none
+                             # and at the pins at k = 0
     coef: np.ndarray         # (4, ndof) Q[dof, col], 0 where none
     bounds: tuple            # class c spans columns bounds[c]:bounds[c + 1]
     assembly: ClassAssembly  # shared by every k of its phases
@@ -211,19 +220,19 @@ class ClassBasis:
         (Quarter.matrix) of a cell mirror-symmetric about both axes: the
         entry of class columns (a, i) and (b, j), i and j quarter dofs, is
         K_q[i, j] Re(conj(coef[a, i]) coef[b, j]) (module doc)."""
-        s, ndof = self.assembly, self.col.shape[1]
+        s, size = self.assembly, self.q.shape[1]
         indices, scale = s.fixed or self.pattern()
         return [sp.csc_matrix((d.take(s.take) * scale, indices, s.indptr),
-                              shape=(ndof, ndof)) for d in data]
+                              shape=(size, size)) for d in data]
 
     def pattern(self):
         """The row index and Re(conj(coef[a, i]) coef[b, j]) of each entry
         of the assembly.  The row (a, i) of an entry is read from tables
         of the quarter dofs, the coefficient of a column is that of its
         own (b, j)."""
-        s, ndof = self.assembly, self.col.shape[1]
+        s = self.assembly
         col, coef = self.col[:, s.quarter.dofs], self.coef[:, s.quarter.dofs]
-        column = np.zeros(ndof, dtype=coef.dtype)
+        column = np.zeros(self.q.shape[1], dtype=coef.dtype)
         column[col[col >= 0]] = coef[col >= 0]
         scale = coef.take(s.row).conj() * np.repeat(column, np.diff(s.indptr))
         return col.take(s.row), scale.real
@@ -249,9 +258,9 @@ class Mesh:
 
     @cached_property
     def torus_basis(self):
-        """The permutation that puts the reduced dofs in the torus order,
-        as a basis (order_basis), built on first use."""
-        return order_basis(self.order)
+        """The torus order less PINS, as a basis (order_basis): the basis
+        at k = 0 of a cell off the class basis, built on first use."""
+        return order_basis(self.order[~np.isin(self.order, PINS)], self.ndof)
 
     @property
     def ne(self):
@@ -343,12 +352,12 @@ def quarter_cell(n):
     return out
 
 
-def order_basis(order):
-    """The permutation matrix P whose column j is the unit vector of dof
-    order[j], so that P^T A P = A[order][:, order]."""
+def order_basis(order, ndof):
+    """The ndof x len(order) matrix P whose column j is the unit vector of
+    dof order[j], so that P^T A P = A[order][:, order]."""
     size = len(order)
     return sp.csr_matrix((np.ones(size), (order, np.arange(size))),
-                         shape=(size, size))
+                         shape=(ndof, size))
 
 
 def class_basis(n, k=(0.0, 0.0)):
@@ -404,13 +413,17 @@ def _class_basis(n, px, py):
     size = np.where(fx, 1, 2) * np.where(fy, 1, 2)
     comp = np.arange(ndof) % 2
     anti = (px, py).index(None) if None in (px, py) else None
+    # at k = 0 the two dofs of reduced node 0 get no column: the basis
+    # carries the pin
+    free = np.ones(ndof, dtype=bool)
+    free[PINS] = (px, py) != (1, 1)
 
     live = np.empty((4, ndof), dtype=bool)
     coef = np.zeros((4, ndof), dtype=float if anti is None else complex)
     for i, (sx, sy) in enumerate(CLASSES):
         tx = np.where(comp == 0, -sx, sx)
         ty = np.where(comp == 1, -sy, sy)
-        live[i] = (~fx | (tx * phx == 1)) & (~fy | (ty * phy == 1))
+        live[i] = free & (~fx | (tx * phx == 1)) & (~fy | (ty * phy == 1))
         sign = np.where(gx, tx, 1) * np.where(gy, ty, 1)
         unit = 1j if anti is not None and (sx, sy)[anti] == -1 else 1
         coef[i] = np.where(live[i], sign / np.sqrt(size), 0.0) * unit
@@ -426,7 +439,7 @@ def _class_basis(n, px, py):
     ids[cls[order], quarter.dofs[pos[order]]] = np.arange(cls.size)
     col = ids[:, rep_dof]               # a dof lives where its rep does
     q = sp.csr_matrix((coef[live], (np.nonzero(live)[1], col[live])),
-                      shape=(ndof, ndof))
+                      shape=(ndof, cls.size))
 
     # the class assembly: each entry of K_q whose dofs i and j have
     # columns in two classes a and b of one block gives an entry, unless
@@ -444,7 +457,7 @@ def _class_basis(n, px, py):
     assembly = ClassAssembly(
         quarter=quarter,
         indptr=np.concatenate([[0], np.cumsum(np.bincount(
-            cols[keep], minlength=ndof))]).astype(np.int32),
+            cols[keep], minlength=cls.size))]).astype(np.int32),
         take=(np.flatnonzero(keep) % i.size)[order].astype(
             np.min_scalar_type(i.size)),
         row=(a * quarter.dofs.size + quarter.row)[keep][order].astype(

@@ -28,8 +28,8 @@ from .bloch import buckling_strength
 from .design import PDEFilter, d4_orbits, enforce_symmetry, project
 from .element import element_matrices
 from .errors import CellmatError, ConfigError
-from .gridio import check_material, read_grid, write_grid, write_json, \
-    write_pgm
+from .gridio import check_density, check_material, read_grid, write_grid, \
+    write_json, write_pgm
 # not called here; bench/test_bench.py checks that the tracer wraps it here
 from .homogenize import homogenize  # noqa: F401
 from .mesh import build_mesh
@@ -354,6 +354,7 @@ def optimize(problem, rho0=None, out_dir=None):
         np.asarray(rho0, dtype=float).copy()
     if rho.size != mesh.ne:
         raise ConfigError(f"seed has {rho.size} values, mesh wants {mesh.ne}")
+    check_density(rho, "seed")
     check_material(rho, "seed")
     orbits = d4_orbits(p.n)
     x = enforce_symmetry(rho, p.n)[orbits.reps]

@@ -37,11 +37,12 @@ from cellmat.bloch import (
 from cellmat.design import interpolate
 from cellmat.element import element_matrices
 from cellmat.errors import AnalysisError, ConfigError
-from cellmat.fem import PINS, assemble, assemble_k0, pin, symmetric_lu
+from cellmat.fem import assemble, assemble_k0, symmetric_lu
 from cellmat.gridio import read_grid, write_grid
 from cellmat.homogenize import class_stiffness, homogenize
 from cellmat.materials import get_material
-from cellmat.mesh import MIRROR_TOL, build_mesh, class_basis, mirror_axes
+from cellmat.mesh import MIRROR_TOL, PINS, build_mesh, class_basis, \
+    mirror_axes
 from cellmat.pipeline import analyze_cell, evaluate_design
 from cellmat.sensitivity import stability_grad
 from cellmat.stress import element_stresses
@@ -840,7 +841,8 @@ class TestMirrorBasis:
         # block diagonal by class: band_pencil assembles the blocks alone
         basis = class_basis(n, k)
         q = basis.q.toarray()
-        assert_allclose(q.conj().T @ q, np.eye(mesh.ndof), atol=1e-14)
+        assert q.shape[1] == mesh.ndof - 2 * (not k.any())
+        assert_allclose(q.conj().T @ q, np.eye(q.shape[1]), atol=1e-14)
         cls = np.repeat(np.arange(len(basis.bounds) - 1),
                         np.diff(basis.bounds))
         off = cls[:, None] != cls[None, :]
@@ -849,7 +851,7 @@ class TestMirrorBasis:
             b = q.conj().T @ fold(a, t).toarray() @ q
             assert np.abs(b.imag).max() <= 1e-13 * np.abs(b).max()
             assert np.abs(b[off]).max() <= 1e-13 * np.abs(b).max()
-        # the complex torus pencil, pinned at k = 0 as the sweep pins it
+        # the complex torus pencil, in the basis less the pins at k = 0
         ref = band_pencil(mesh, k0_full, ks_full, k)[1:]
         tau_c, _ = solve_band(*(a.astype(complex) for a in ref), 4)
         out = sweep(cell, [k])
@@ -879,16 +881,15 @@ class TestMirrorBasis:
 
     def test_pinned_pencil_is_the_class_stiffness(self):
         # one class assembly: the pinned k = 0 K0 of the sweep is the
-        # stiffness homogenize factors, pinned, bitwise
+        # stiffness homogenize factors, bitwise: the class basis at k = 0
+        # has no columns for the pins
         mesh, elem, rho = mirrored_cell(16, (0, 1))
         e_k, weights, _, _ = loaded_state(mesh, elem, rho)
         _, k0k, _ = band_pencil(
             mesh, assemble_k0(mesh, elem, e_k, reduced=False),
             stress_stiffness(mesh, elem, weights), np.zeros(2),
             quarter_operators(mesh, elem, e_k, weights))
-        ref = pin(sp.block_diag(class_stiffness(mesh, elem, e_k),
-                                format="csc"),
-                  1.0, mesh.classes.q[PINS].indices)
+        ref = sp.block_diag(class_stiffness(mesh, elem, e_k), format="csc")
         for a in ("data", "indices", "indptr"):
             assert_array_equal(getattr(k0k, a), getattr(ref, a))
 
@@ -1028,6 +1029,21 @@ class TestBucklingStrength:
         # zone center contributes three samples: 8 path points + 2 extras
         assert len(out.samples) == 10
 
+    def test_each_sample_is_held_to_its_own_band_count(self):
+        # asking for more bands than a 4 x 4 cell has: each pencil gives
+        # the min(m, size - 2) that solve_band targets, the pinned one,
+        # two dofs smaller, two fewer, and no sample is put to the cut
+        mesh = build_mesh(4)
+        elem = element_matrices(NU, mesh.h)
+        e_k, weights, _, _ = loaded_state(mesh, elem, cross_density(4, 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = buckling_strength(mesh, elem, e_k, weights, n_seg=2,
+                                    m=mesh.ndof)
+        assert [s.tau.size for s in out.samples] == \
+            [mesh.ndof - 4 if s.pinned else mesh.ndof - 2
+             for s in out.samples]
+
     def test_tension_reports_no_buckling(self, bar32):
         # a bar in pure tension sheds no stability anywhere in the zone
         mesh, elem, rho = bar32
@@ -1106,12 +1122,14 @@ class TestBucklingStrength:
         out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=4)
         pinned = [s for s in out.samples if s.pinned]
         assert len(pinned) == 1
-        # direct real assembly on the reduced dofs, same pinning
-        k_red = assemble_k0(mesh, elem, e_k, reduced=True)
+        # direct real assembly on the reduced dofs, less the rows and
+        # columns of the pins
+        free = np.setdiff1d(np.arange(mesh.ndof), PINS)
+        k_red = assemble_k0(mesh, elem, e_k, reduced=True)[free][:, free]
         ks_red = assemble(mesh.edofs, mesh.ndof, np.einsum(
-            "ec,cij->eij", weights, elem.g_stress))
-        tau_ref, _ = solve_band(pin(k_red.astype(complex), 1.0),
-                                pin(ks_red.astype(complex), 0.0), 4)
+            "ec,cij->eij", weights, elem.g_stress))[free][:, free]
+        tau_ref, _ = solve_band(k_red.astype(complex),
+                                ks_red.astype(complex), 4)
         assert_allclose(pinned[0].tau, tau_ref, rtol=1e-10, atol=1e-12)
 
 
@@ -1155,21 +1173,15 @@ class TestZoneCenterLimit:
     @pytest.mark.parametrize("cell", ["cross8", "d4"])
     def test_pinned_bands_interlace_the_limits(self, cross8, cell, load):
         # pinning deletes the PINS columns of T(0), the two that T_d
-        # replaces by ramps, so less its two dummy zeros the pinned pencil
-        # is each limit's compressed to codimension 2 (Cauchy interlacing)
+        # replaces by ramps, so the pinned pencil is each limit's
+        # compressed to codimension 2 (Cauchy interlacing)
         mesh, elem, rho = cross8
         if cell == "d4":
             rho = cross_density(8, 0.35)
         sigma0 = {**LOADS, "biaxial": (-1.0, -1.0, 0.0)}[load]
         k0_full, ks_full = loaded_operators(mesh, elem, rho, sigma0)
         _, k0p, ksp = band_pencil(mesh, k0_full, ks_full, np.zeros(2))
-        pins = np.argsort(mesh.order)[PINS]
-        free = np.setdiff1d(np.arange(mesh.ndof), pins)
-        # the pinned dofs are uncoupled dummies, K0 = 1 and K_sigma = 0
-        assert_array_equal(k0p[pins].toarray(), np.eye(mesh.ndof)[pins])
-        assert ksp[pins].nnz == 0
-        ff = np.ix_(free, free)
-        pinned = sla.eigh(-ksp.toarray()[ff], k0p.toarray()[ff],
+        pinned = sla.eigh(-ksp.toarray(), k0p.toarray(),
                           eigvals_only=True)[::-1]
         t0 = np.delete(bloch_transform(mesh, np.zeros(2)).toarray(), PINS,
                        axis=1)

@@ -14,9 +14,9 @@ import cellmat.fem
 import cellmat.homogenize
 from cellmat.design import enforce_symmetry
 from cellmat.element import elastic_matrix, element_matrices
-from cellmat.fem import PINS, PinnedSolver, assemble_k0, assemble_loads, pin
+from cellmat.fem import PinnedSolver, assemble_k0, assemble_loads
 from cellmat.homogenize import class_loads, class_stiffness, homogenize
-from cellmat.mesh import CLASSES, build_mesh
+from cellmat.mesh import CLASSES, PINS, build_mesh
 
 NU = 1.0 / 3.0
 
@@ -136,25 +136,28 @@ def d4_field(n, seed):
     return enforce_symmetry(rng.uniform(0.1, 1.0, n * n), n)
 
 
+def unpinned(mesh):
+    """The reduced dofs but the two of reduced node 0 (PINS)."""
+    return np.setdiff1d(np.arange(mesh.ndof), PINS)
+
+
 @pytest.mark.parametrize("n", [4, 8, 64])
 def test_class_stiffness_is_the_pinned_stiffness_in_the_class_basis(n):
     mesh = build_mesh(n)
     elem = element_matrices(NU, mesh.h)
     rho = d4_field(n, n)
-    q, col = mesh.classes.q, mesh.classes.col
-    cls = np.empty(mesh.ndof, dtype=int)
-    for i in range(4):
-        cls[col[i][col[i] >= 0]] = i
-    ref = (q.T @ pin(assemble_k0(mesh, elem, rho), 1.0) @ q).tocoo()
+    # the pinned stiffness: K less the rows and columns of the pins
+    free = unpinned(mesh)
+    q, cls = mesh.classes.q[free], column_classes(mesh)
+    ref = (q.T @ assemble_k0(mesh, elem, rho)[free][:, free] @ q).tocoo()
     block = cls[ref.row] == cls[ref.col]
     ref = sp.csr_matrix((ref.data[block], (ref.row[block], ref.col[block])),
                         shape=ref.shape)
     blocks = class_stiffness(mesh, elem, rho)
-    split = mesh.classes.split
-    assert [b.shape for b in blocks] == [(split, split), (mesh.ndof - split,
-                                                          mesh.ndof - split)]
+    split, rest = mesh.classes.split, mesh.ndof - 2 - mesh.classes.split
+    assert [b.shape for b in blocks] == [(split, split), (rest, rest)]
     assert all(b.format == "csc" for b in blocks)
-    got = pin(sp.block_diag(blocks, format="csc"), 1.0, q[PINS].indices)
+    got = sp.block_diag(blocks, format="csc")
     assert abs(got - ref).max() <= 1e-14 * abs(ref).max()
 
 
@@ -162,7 +165,7 @@ def column_classes(mesh):
     """The class (an index into CLASSES) of every column of the class
     basis."""
     col = mesh.classes.col
-    cls = np.empty(mesh.ndof, dtype=int)
+    cls = np.empty(mesh.classes.q.shape[1], dtype=int)
     for i in range(4):
         cls[col[i][col[i] >= 0]] = i
     return cls
@@ -174,7 +177,9 @@ def test_class_loads_are_the_loads_in_the_class_basis(n):
     elem = element_matrices(NU, mesh.h)
     rho = d4_field(n, n + 1)
     got = class_loads(mesh, elem, rho)
-    ref = mesh.classes.q.T @ assemble_loads(mesh, elem, rho)
+    free = unpinned(mesh)
+    ref = mesh.classes.q[free].T @ assemble_loads(mesh, elem, rho)[free]
+    assert got.shape == (mesh.ndof - 2, 3)
     # the loads are below 0.06 at every n here
     assert np.abs(got - ref).max() <= 1e-15
     # the normal strains load (+, +) alone, the shear strain (-, -) alone
@@ -208,16 +213,17 @@ def test_the_translation_pair_is_factored_on_first_use(mesh8, elem8, rng,
     assert made == [split]
     assert np.all(column_classes(mesh8)[:split] < 2)
 
-    # a general load builds the translation pair once, pinned, and
-    # solves the pinned system
-    k = pin(assemble_k0(mesh8, elem8, rho), 1.0).toarray()
+    # a general load builds the translation pair once and solves the
+    # pinned system: K less the rows and columns of the pins
+    free = unpinned(mesh8)
+    k = assemble_k0(mesh8, elem8, rho).toarray()[np.ix_(free, free)]
     for _ in range(2):
         b = rng.standard_normal(mesh8.ndof)
         u = res.solver.solve(b)
-        b[PINS] = 0.0
-        ref = np.linalg.solve(k, b)
+        ref = np.zeros_like(b)
+        ref[free] = np.linalg.solve(k, b[free])
         assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
-    assert made == [split, mesh8.ndof - split]
+    assert made == [split, mesh8.ndof - 2 - split]
 
 
 def torus_only(monkeypatch):
@@ -243,13 +249,14 @@ def test_class_basis_matches_the_torus_order(mesh8, elem8, rng, monkeypatch):
 
 def test_the_torus_path_solves_the_permuted_stiffness_bit_for_bit(rng):
     # the torus path factors the assembled stiffness permuted into the
-    # torus order, K[o][:, o], so its correctors are those of that matrix
+    # torus order less the pins, K[o][:, o], so its correctors are those
+    # of that matrix
     mesh = build_mesh(16)
     elem = element_matrices(NU, mesh.h)
     rho = rng.uniform(0.05, 1.0, mesh.ne)
     res = homogenize(mesh, elem, rho)
     assert res.solver.basis is mesh.torus_basis
-    o = mesh.order
+    o = mesh.order[~np.isin(mesh.order, PINS)]
     ref = PinnedSolver([assemble_k0(mesh, elem, rho)[o][:, o]],
                        mesh.torus_basis)
     f = assemble_loads(mesh, elem, rho)

@@ -13,9 +13,10 @@ import cellmat
 from cellmat.design import enforce_symmetry
 from cellmat.element import element_matrices
 from cellmat.errors import ConfigError, SolverError
-from cellmat.fem import PINS, PinnedSolver, assemble_k0, assemble_loads, pin
-from cellmat.mesh import CLASSES, STRESS_PARITY, build_mesh, class_basis, \
-    dissection, mirror_map, node_dofs, orbit_mean, orbit_sum, quarter_cell
+from cellmat.fem import PinnedSolver, assemble_k0, assemble_loads
+from cellmat.mesh import CLASSES, PINS, STRESS_PARITY, build_mesh, \
+    class_basis, dissection, mirror_map, node_dofs, orbit_mean, orbit_sum, \
+    quarter_cell
 
 NU = 1.0 / 3.0
 
@@ -74,9 +75,14 @@ def test_grid_orders_are_permutations(n):
                        np.repeat(m.node_order[:, None], 2, axis=1))
     for k in PATH_KS:
         # every column of the class basis belongs to one orbit, in one
-        # class, and every orbit in every class it lives in has one
-        col = class_basis(n, k).col
-        assert_array_equal(np.unique(col[col >= 0]), np.arange(m.ndof))
+        # class, and every orbit in every class it lives in has one, but
+        # that of reduced node 0 at k = 0: its two dofs are the pins
+        basis = class_basis(n, k)
+        size = m.ndof - 2 if k == (0.0, 0.0) else m.ndof
+        assert basis.q.shape == (m.ndof, size)
+        col = basis.col
+        assert_array_equal(np.unique(col[col >= 0]), np.arange(size))
+        assert np.all(col[:, PINS] < 0) == (k == (0.0, 0.0))
 
 
 def quarter_rep(n):
@@ -216,10 +222,12 @@ def test_orbit_mean_makes_a_field_exactly_symmetric():
 
 def test_the_basis_at_k0_is_unchanged():
     # digests of the class basis at k = 0 as homogenize has factored in
-    # it since it was introduced: generalizing it to every k of the path
-    # left it bitwise as it was
-    for n, split, digest in ((8, 60, "1e4383f5b0b32405"),
-                             (64, 4092, "a79b325ef80cd585")):
+    # it since it was introduced, less the two columns of the pins: each
+    # pin's own, which q drops, col renumbers past and coef zeroes.
+    # Generalizing it to every k of the path and leaving out the pins
+    # left every other column bitwise as it was
+    for n, split, digest in ((8, 60, "9ced065613debe28"),
+                             (64, 4092, "2ed4473ed3d37625")):
         basis = class_basis(n)
         h = hashlib.sha256()
         for a in (basis.q.data, basis.q.indices, basis.q.indptr, basis.col,
@@ -238,7 +246,7 @@ def test_torus_order_cuts_columns_0_and_half_last():
 def class_of_columns(mesh):
     """The class index of every column of mesh.classes.q."""
     col = mesh.classes.col
-    cls = np.empty(mesh.ndof, dtype=int)
+    cls = np.empty(mesh.classes.q.shape[1], dtype=int)
     for i in range(4):
         cls[col[i][col[i] >= 0]] = i
     return cls
@@ -250,7 +258,7 @@ def test_class_basis_is_orthogonal_and_splits_the_stiffness(n):
     q = mesh.classes.q
     assert np.diff(q.indptr).max() <= 4
     eye = (q.T @ q).tocoo()
-    assert np.abs(eye - sp.identity(mesh.ndof)).max() <= 1e-15
+    assert np.abs(eye - sp.identity(mesh.ndof - 2)).max() <= 1e-15
     # the columns come class by class
     cls = class_of_columns(mesh)
     assert np.all(np.diff(cls) >= 0)
@@ -267,12 +275,11 @@ def test_class_basis_is_orthogonal_and_splits_the_stiffness(n):
 def test_class_basis_keeps_the_pins_and_sorts_the_rigid_fields(mesh8):
     q = mesh8.classes.q
     cls = class_of_columns(mesh8)
-    # each pinned dof is itself a column of Q, in the class of its
-    # translation
+    # each pinned dof, its own orbit, has no column in any class; the
+    # translation of its component, less the pin, lies in the class the
+    # pin would take
     for dof, (sx, sy) in zip(PINS, [(-1, 1), (1, -1)]):
-        assert q[dof].nnz == 1 and q[dof].data[0] == 1.0
-        assert CLASSES[cls[q[dof].indices[0]]] == (sx, sy)
-        assert q[:, q[dof].indices[0]].nnz == 1
+        assert q[dof].nnz == 0
         translation = (np.arange(mesh8.ndof) % 2 == dof).astype(float)
         coords = q.T @ translation
         live = np.abs(coords) > 1e-12
@@ -332,8 +339,8 @@ class TestPinnedSolve:
         rho = rng.uniform(0.05, 1.0, mesh.ne)
         k = assemble_k0(mesh, elem, rho)
         f = assemble_loads(mesh, elem, rho)
-        o = mesh.order
-        s = PinnedSolver([k[o][:, o]], mesh.torus_basis)
+        p = mesh.torus_basis
+        s = PinnedSolver([p.T @ k @ p], p)
         u = np.column_stack([s.solve(f[:, j]) for j in range(3)])
 
         kd = k.toarray()
@@ -344,41 +351,6 @@ class TestPinnedSolve:
         # pinned solution still satisfies the full singular system
         assert_allclose(kd @ u - f, 0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("value", [1.0, 0.0])
-    def test_pin_zeroes_node0_and_stores_no_zeros(self, mesh8, elem8, rng,
-                                                  value):
-        k = assemble_k0(mesh8, elem8, rng.uniform(0.1, 1.0, mesh8.ne))
-        a = pin(k, value)
-        ref = k.toarray()
-        ref[PINS, :] = 0.0
-        ref[:, PINS] = 0.0
-        ref[PINS, PINS] = value
-        assert_array_equal(a.toarray(), ref)
-        assert np.all(a.data != 0.0)
-
-    def test_pin_takes_any_sparse_form_and_any_pin_order(self, rng):
-        # duplicates, a stored zero, unsorted rows, CSR, complex, and pins
-        # out of order: the pin of the summed matrix, canonical, no zeros
-        rows = np.array([0, 3, 3, 5, 1, 2, 4, 4, 2, 5, 0])
-        cols = np.array([0, 3, 3, 1, 5, 2, 4, 0, 4, 5, 3])
-        vals = rng.standard_normal(rows.size) + 1j * rng.standard_normal(
-            rows.size)
-        vals[2] = -vals[1]                     # sums to a zero at (3, 3)
-        a = sp.coo_matrix((vals, (rows, cols)), shape=(6, 6))
-        ref = a.toarray()
-        ref[[4, 2], :] = 0.0
-        ref[:, [4, 2]] = 0.0
-        ref[[4, 2], [4, 2]] = 1.0
-        by_col = np.argsort(cols, kind="stable")   # rows unsorted within
-        raw = sp.csc_matrix((vals[by_col], rows[by_col], np.searchsorted(
-            cols[by_col], np.arange(7))), shape=(6, 6))
-        assert not raw.has_canonical_format
-        for form in (a.tocsr(), a.tocsc(), raw):
-            got = pin(form, 1.0, [4, 2])
-            assert got.format == "csc" and got.has_canonical_format
-            assert_array_equal(got.toarray(), ref)
-            assert np.all(got.data != 0.0)
-
     def test_singular_operator_raises(self):
         with pytest.raises(SolverError):
             PinnedSolver([sp.csc_matrix((8, 8))],
@@ -388,12 +360,12 @@ class TestPinnedSolve:
         rho = np.ones(mesh8.ne)
         k = assemble_k0(mesh8, elem8, rho)
         f = assemble_loads(mesh8, elem8, rho)
-        o = mesh8.order
-        k = k[o][:, o]
-        s = PinnedSolver([k], mesh8.torus_basis)
+        p = mesh8.torus_basis
+        k = p.T @ k @ p
+        s = PinnedSolver([k], p)
         u = np.column_stack([s.solve(f[:, j]) for j in range(3)])
-        fresh = np.column_stack([PinnedSolver([k], mesh8.torus_basis).solve(
-            f[:, j]) for j in range(3)])
+        fresh = np.column_stack([PinnedSolver([k], p).solve(f[:, j])
+                                 for j in range(3)])
         assert_allclose(u, fresh, rtol=0, atol=0)
 
 
@@ -418,6 +390,28 @@ def test_every_sparse_factor_is_symmetric_lu():
                 names = {part for alias in node.names
                          for part in alias.name.split(".")}
             if names & SUPERLU and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_the_bases_at_k0_carry_the_pin():
+    # the class basis and the torus basis at k = 0 have no column for the
+    # two dofs of reduced node 0, so the stiffness in either is the pinned
+    # one; and the package spells no pin step: it defines or calls no
+    # function named pin
+    for n in (4, 8, 64):
+        mesh = build_mesh(n)
+        for q in (class_basis(n).q, mesh.torus_basis):
+            assert q.shape == (mesh.ndof, mesh.ndof - 2)
+            assert q[PINS].nnz == 0
+    found = []
+    for path in sorted(Path(cellmat.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            func = getattr(node, "func", None)
+            names = {getattr(node, "name", None), getattr(func, "id", None),
+                     getattr(func, "attr", None)}
+            if isinstance(node, (ast.FunctionDef, ast.Call, ast.alias)) \
+                    and "pin" in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
 

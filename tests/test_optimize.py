@@ -281,6 +281,17 @@ def test_seed_override_and_size_check():
         optimize(small_problem(max_iter=2), rho0=rho0[:10])
 
 
+@pytest.mark.parametrize("value", [1.5, -0.2, np.nan],
+                         ids=["above", "below", "nan"])
+def test_seed_must_be_densities(value):
+    # a seed of values outside [0, 1], or with one NaN, is refused before
+    # any analysis
+    rho0 = np.full(64, 0.5 if np.isnan(value) else value)
+    rho0[9] = value
+    with pytest.raises(ConfigError, match="seed: value .* at element [09]"):
+        optimize(small_problem(max_iter=2), rho0=rho0)
+
+
 def test_values_only_evaluation_repeats_the_full_one():
     # optimize closes with gradients=False: the same values and the same
     # aggregator calls, and no gradients
