@@ -56,16 +56,19 @@ def symmetric_lu(a):
 
     Every sparse factor of the package is made here: the periodic
     stiffness, the density filter, each Bloch pencil's K0(k) and the cut
-    screen of bloch, its one inertia test.  Each caller hands a already
-    in a nested-dissection order of the grid (cellmat.mesh).  The
-    periodic stiffness and the Bloch pencils come through a basis whose
-    columns carry the order: the torus permutation, or the class basis,
-    class by class in the dissection order of the quarter grid, which
-    hands over a block-diagonal matrix.  The filter numbers its nodes
-    in the torus order, the screen its interior by dissection and the
-    cell boundary last.  So SuperLU orders nothing (NATURAL) and runs in
-    its symmetric mode, with the small diagonal pivot threshold that mode
-    asks for.
+    screen of bloch, its one inertia test: one factor of the full-node
+    operator, or, for a cell mirror-symmetric about both axes, one of
+    each of its four class blocks.  Each caller hands a already in a
+    nested-dissection order of the grid (cellmat.mesh).  The periodic
+    stiffness and the Bloch pencils come through a basis whose columns
+    carry the order: the torus permutation, or the class basis, class by
+    class in the dissection order of the quarter grid, which hands over
+    a block-diagonal matrix.  The filter numbers its nodes in the torus
+    order, the screen its interior by dissection and the cell boundary
+    last, and a class block of the screen (mesh.cell_basis) the interior
+    of the quarter grid by dissection and its cut last.  So SuperLU
+    orders nothing (NATURAL) and runs in its symmetric mode, with the
+    small diagonal pivot threshold that mode asks for.
     Diagonal pivots are stable for a Hermitian positive definite matrix;
     the cut screen, whose matrices may be indefinite, checks the pivots it
     gets.  On the 64x64 blueprints the grid order factors the periodic

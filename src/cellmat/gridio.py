@@ -19,7 +19,8 @@ def check_density(rho, source):
     bad = ~((rho >= 0.0) & (rho <= 1.0))    # nan fails both comparisons
     if bad.any():
         i = int(np.argmax(bad))
-        raise ConfigError(f"{source}: value {rho[i]!r} at element {i} is "
+        value = float(rho[i])       # the plain number, not numpy's repr
+        raise ConfigError(f"{source}: value {value!r} at element {i} is "
                           "not a density in [0, 1]")
 
 

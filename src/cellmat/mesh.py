@@ -81,6 +81,26 @@ share one, and a product between them is real only between a dof on that
 mirror's line c = 0, where the phase of class_basis enters, and one off
 it.  At k = 0 the assembly gives the pinned periodic stiffness of
 homogenize.
+
+The Bloch cut of cellmat.bloch condenses an operator of the full node
+set, (n + 1)^2 nodes, onto the dofs of the cell boundary.  Its mirrors
+map the full-node coordinate c to n - c: only the line c = n/2 is fixed,
+and the edges c = 0 and c = n, which the torus identifies, are one
+another's images.  The same parity and orbit rules (_parities) give the
+class basis of the full node set (cell_basis), square and orthogonal,
+its representatives again on the quarter grid.  Each class takes its
+interior dofs first, in the dissection order of the interior of the
+quarter grid, and its 2n dofs on the cell boundary, the cut, last, so
+that each class block is factored with its cut last.  The four blocks
+of an operator are assembled from its quarter operator as the k = 0
+class pencil is, with no phase and one block per class
+(CellBasis.blocks; 2.8 MB of structure at n = 64).  The cut map of a
+wavevector (cut_map) takes the class basis of the reduced cut, the cut
+rows of class_basis(n, k), to the cut columns of cell_basis through
+T(k).  Each of its columns meets one column of each class of its block,
+with a coefficient in which k enters only through the Bloch phases, so
+its structure is built once per n and set of linear phases (CutMap,
+0.4 MB for the eight sets of the path at n = 64).
 """
 
 from dataclasses import dataclass, replace
@@ -238,6 +258,72 @@ class ClassBasis:
         return col.take(s.row), scale.real
 
 
+@dataclass(frozen=True)
+class CellBasis:
+    """The two-mirror class basis of the full node set (module doc):
+    square and orthogonal, class by class in the order of CLASSES, each
+    class its interior dofs first, in the dissection order of the
+    interior of the quarter grid, and its dofs on the cell boundary, the
+    cut, last.  The class blocks of an operator come from its quarter
+    operator (blocks).  Shared by every mesh of its n: its arrays are
+    read-only."""
+    q: sp.csr_matrix         # (ndof_full, ndof_full), <= 4 entries a row
+    col: np.ndarray          # (4, ndof_full) as ClassBasis.col, no pins
+    coef: np.ndarray         # (4, ndof_full) Q[dof, col], 0 where none
+    bounds: tuple            # class c spans columns bounds[c]:bounds[c + 1]
+    cut: tuple               # and its cut columns cut[c]:bounds[c + 1]
+    indptr: np.ndarray       # (ndof_full + 1,) int32: the blocks as one CSC
+    indices: np.ndarray      # (nnz,) int32, the row within its class
+    take: np.ndarray         # (nnz,) the entry of K_q of each entry
+    scale: np.ndarray        # (nnz,) its coef[c, i] coef[c, j]
+
+    def blocks(self, data):
+        """The four class blocks Q_c^T A Q_c, CSC, of the full-node
+        operator A of a cell mirror-symmetric about both axes, from the
+        data of its quarter operator K_q (Quarter.matrix): the entry of
+        the columns of quarter dofs i and j in class c is
+        K_q[i, j] coef[c, i] coef[c, j]."""
+        values = data.take(self.take) * self.scale
+        out = []
+        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+            a, b = self.indptr[lo], self.indptr[hi]
+            out.append(sp.csc_matrix(
+                (values[a:b], self.indices[a:b], self.indptr[lo:hi + 1] - a),
+                shape=(hi - lo, hi - lo)))
+        return out
+
+
+@dataclass(frozen=True)
+class CutMap:
+    """G(k) = Q_B^T T_B(k) Q(k) of the Bloch cut (module doc) for every k
+    of one set of linear phases: Q_B the cut columns of cell_basis, T_B(k)
+    the cut rows and columns of T(k), and Q(k) the columns and cut rows of
+    class_basis(n, k) that live on the cut.  G(k) takes each column of Q
+    to at most one column of each class of CellBasis, a slot, so that a
+    block of Q^H S(k) Q is the sum over the classes c of its slots of
+    Re(conj(g_i) g_j) H_c[rows_i, rows_j].  k enters only through the
+    coefficients g of the slots (coefficients).  Read-only arrays."""
+    blocks: tuple            # per block of Q(k): (c, start, stop) per class
+                             # c it meets, the slots of its columns in c
+    rows: np.ndarray         # (slots,) the cut row of H_c of each slot,
+                             # 0 for one that no term reaches (g = 0)
+    slot: np.ndarray         # (terms,) the slot each term adds to
+    base: np.ndarray         # (terms,) its coefficient less the phase of
+                             # the antiunitary mirror
+    axis: int | None         # the antiunitary mirror's, None at a corner
+    wrap: np.ndarray         # (terms,) that phase is exp(i k[axis] wrap)
+
+    def coefficients(self, k):
+        """g of every slot at k as the rows of its real part and, on an
+        edge, its imaginary part: Re(conj(g_i) g_j) is the sum over the
+        rows of g_i g_j."""
+        if self.axis is None:
+            return np.bincount(self.slot, self.base, self.rows.size)[None]
+        w = self.base * np.exp(1j * k[self.axis] * self.wrap)
+        return np.stack([np.bincount(self.slot, w.real, self.rows.size),
+                         np.bincount(self.slot, w.imag, self.rows.size)])
+
+
 @dataclass
 class Mesh:
     n: int
@@ -370,10 +456,7 @@ def class_basis(n, k=(0.0, 0.0)):
     factor i that the structure carries."""
     k = np.asarray(k, dtype=float)
     real = real_phase(k)
-    if not real.any():
-        raise ConfigError(f"no axis mirror acts linearly at k = {k}")
-    basis = _class_basis(n, *(int(np.rint(np.cos(c))) if r else None
-                              for c, r in zip(k, real)))
+    basis = _class_basis(n, *_linear_phases(k))
     if real.all():
         return basis
     axis = int(np.argmin(real))
@@ -383,21 +466,71 @@ def class_basis(n, k=(0.0, 0.0)):
                    coef=basis.coef * d)
 
 
-@cache
-def _class_basis(n, px, py):
-    """class_basis at the phases px and py, +-1, of the linear mirrors
-    about x and y, None for the antiunitary one, at phase 1 on its line
-    c = 0.
+def _linear_phases(k):
+    """(px, py): the phase +-1 of each component of k that is 0 or +-pi,
+    None for the other, or a ConfigError when neither is."""
+    k = np.asarray(k, dtype=float)
+    real = real_phase(k)
+    if not real.any():
+        raise ConfigError(f"no axis mirror acts linearly at k = {k}")
+    return tuple(int(np.rint(np.cos(c))) if r else None
+                 for c, r in zip(k, real))
+
+
+def _parities(fixed, moved, phase=(1, 1), free=True, anti=None):
+    """(live, coef), each (4, ndof), of the dofs of a node set in each of
+    CLASSES, from three per-node facts along each axis: is the node fixed
+    by the mirror about it (fixed), does that mirror take it towards its
+    orbit's representative in the quarter grid (moved), and the phase of
+    the mirror there (phase, +-1).  free drops dofs from every class;
+    anti names the antiunitary mirror, None for none.
 
     In class (sx, sy) a mirror acts on a dof by the factor t: the class
     sign of that mirror, negated when the mirror flips the dof's
-    component.  A dof has a column in the class when t times the phase is
-    +1 for every mirror that fixes its node (coordinate 0 or n/2 along the
-    axis; the phase is 1 except on the line c = 0).  Each dof reaches its
-    orbit's representative in the quarter grid by the mirrors g; its entry
-    in that column is the product of the t of the mirrors in g over
-    sqrt(orbit size), times i in a class of sign -1 under the
-    antiunitary mirror.  Each class of the linear mirrors takes its
+    component.  A dof has a column in the class (live) when t times the
+    phase is +1 for every mirror that fixes its node.  Its entry in that
+    column (coef) is the product of the t of the mirrors that move it
+    over sqrt(orbit size), times i in a class of sign -1 under the
+    antiunitary mirror."""
+    fx, fy = (np.repeat(f, 2) for f in fixed)
+    gx, gy = (np.repeat(g, 2) for g in moved)
+    phx, phy = (np.repeat(p, 2) if np.ndim(p) else p for p in phase)
+    size = np.where(fx, 1, 2) * np.where(fy, 1, 2)
+    comp = np.arange(fx.size) % 2
+    live = np.empty((4, fx.size), dtype=bool)
+    coef = np.zeros((4, fx.size), dtype=float if anti is None else complex)
+    for i, (sx, sy) in enumerate(CLASSES):
+        tx = np.where(comp == 0, -sx, sx)
+        ty = np.where(comp == 1, -sy, sy)
+        live[i] = free & (~fx | (tx * phx == 1)) & (~fy | (ty * phy == 1))
+        sign = np.where(gx, tx, 1) * np.where(gy, ty, 1)
+        unit = 1j if anti is not None and (sx, sy)[anti] == -1 else 1
+        coef[i] = np.where(live[i], sign / np.sqrt(size), 0.0) * unit
+    return live, coef
+
+
+def _antiunitary(px, py):
+    """The axis of the antiunitary mirror at the phases px and py, None
+    where both are linear."""
+    return (px, py).index(None) if None in (px, py) else None
+
+
+def _groups(anti):
+    """The block of each of CLASSES: itself where both mirrors are linear,
+    else its sign under the linear mirror, 0 for +1 and 1 for -1."""
+    return np.array([i if anti is None else (1 - c[1 - anti]) // 2
+                     for i, c in enumerate(CLASSES)])
+
+
+@cache
+def _class_columns(n, px, py):
+    """(col, coef, bounds) of class_basis at the phases px and py, +-1, of
+    the linear mirrors about x and y, None for the antiunitary one, at
+    phase 1 on its line c = 0: those fields of ClassBasis, read-only.
+
+    The classes follow the parity rules of _parities: a node is fixed by
+    a mirror at coordinate 0 or n/2 along its axis, and the phase is 1
+    except on the line c = 0.  Each class of the linear mirrors takes its
     columns in the order of the quarter grid, the two of a quarter-grid
     dof under the antiunitary mirror side by side."""
     h, ndof = n // 2, 2 * n * n
@@ -406,40 +539,39 @@ def _class_basis(n, px, py):
     rep = np.where(cx > h, image_x, np.arange(n * n))
     rep = np.where(cy > h, image_y[rep], rep)
     rep_dof = node_dofs(rep)
-    gx, gy = (cx > h).repeat(2), (cy > h).repeat(2)
-    fx, fy = (cx % h == 0).repeat(2), (cy % h == 0).repeat(2)
-    phx = np.where(cx == 0, px or 1, 1).repeat(2)
-    phy = np.where(cy == 0, py or 1, 1).repeat(2)
-    size = np.where(fx, 1, 2) * np.where(fy, 1, 2)
-    comp = np.arange(ndof) % 2
-    anti = (px, py).index(None) if None in (px, py) else None
+    anti = _antiunitary(px, py)
     # at k = 0 the two dofs of reduced node 0 get no column: the basis
     # carries the pin
     free = np.ones(ndof, dtype=bool)
     free[PINS] = (px, py) != (1, 1)
-
-    live = np.empty((4, ndof), dtype=bool)
-    coef = np.zeros((4, ndof), dtype=float if anti is None else complex)
-    for i, (sx, sy) in enumerate(CLASSES):
-        tx = np.where(comp == 0, -sx, sx)
-        ty = np.where(comp == 1, -sy, sy)
-        live[i] = free & (~fx | (tx * phx == 1)) & (~fy | (ty * phy == 1))
-        sign = np.where(gx, tx, 1) * np.where(gy, ty, 1)
-        unit = 1j if anti is not None and (sx, sy)[anti] == -1 else 1
-        coef[i] = np.where(live[i], sign / np.sqrt(size), 0.0) * unit
+    live, coef = _parities((cx % h == 0, cy % h == 0), (cx > h, cy > h),
+                           (np.where(cx == 0, px or 1, 1),
+                            np.where(cy == 0, py or 1, 1)), free, anti)
 
     # number the columns by (class of the linear mirrors, quarter-grid
     # position, class): each representative takes its own column
-    group = np.array([i if anti is None else (1 - c[1 - anti]) // 2
-                      for i, c in enumerate(CLASSES)])
-    quarter = quarter_cell(n)
-    cls, pos = np.nonzero(live[:, quarter.dofs])
+    group = _groups(anti)
+    dofs = quarter_cell(n).dofs
+    cls, pos = np.nonzero(live[:, dofs])
     order = np.lexsort((cls, pos, group[cls]))
     ids = np.full((4, ndof), -1, dtype=np.int32)
-    ids[cls[order], quarter.dofs[pos[order]]] = np.arange(cls.size)
+    ids[cls[order], dofs[pos[order]]] = np.arange(cls.size)
     col = ids[:, rep_dof]               # a dof lives where its rep does
+    for x in (col, coef):
+        x.flags.writeable = False
+    return col, coef, (0, *np.cumsum(np.bincount(group[cls])).tolist())
+
+
+@cache
+def _class_basis(n, px, py):
+    """class_basis at the phases of _class_columns."""
+    col, coef, bounds = _class_columns(n, px, py)
+    live, size = col >= 0, bounds[-1]
     q = sp.csr_matrix((coef[live], (np.nonzero(live)[1], col[live])),
-                      shape=(ndof, cls.size))
+                      shape=(col.shape[1], size))
+    anti = _antiunitary(px, py)
+    group = _groups(anti)
+    quarter = quarter_cell(n)
 
     # the class assembly: each entry of K_q whose dofs i and j have
     # columns in two classes a and b of one block gives an entry, unless
@@ -447,7 +579,7 @@ def _class_basis(n, px, py):
     # factor i, and stays so under the phase of class_basis: unless
     # exactly one of i and j lies on the line c = 0 of the antiunitary
     # mirror
-    line = ((cx, cy)[anti or 0] == 0).repeat(2) & (anti is not None)
+    line = (mirror_map(n, anti or 0)[1] == 0).repeat(2) & (anti is not None)
     a, b = (x[:, None] for x in np.nonzero(group[:, None] == group))
     i, j = quarter.dofs[quarter.row], quarter.dofs[quarter.col]
     rows, cols = col[a, i], col[b, j]           # [class pair, entry]
@@ -457,20 +589,137 @@ def _class_basis(n, px, py):
     assembly = ClassAssembly(
         quarter=quarter,
         indptr=np.concatenate([[0], np.cumsum(np.bincount(
-            cols[keep], minlength=cls.size))]).astype(np.int32),
+            cols[keep], minlength=size))]).astype(np.int32),
         take=(np.flatnonzero(keep) % i.size)[order].astype(
             np.min_scalar_type(i.size)),
         row=(a * quarter.dofs.size + quarter.row)[keep][order].astype(
             np.min_scalar_type(4 * quarter.dofs.size)))
-    basis = ClassBasis(q=q, col=col, coef=coef, bounds=(0, *np.cumsum(
-        np.bincount(group[cls])).tolist()), assembly=assembly)
+    basis = ClassBasis(q=q, col=col, coef=coef, bounds=bounds,
+                       assembly=assembly)
     if (px, py) == (1, 1):
         basis = replace(basis, assembly=replace(assembly,
                                                 fixed=basis.pattern()))
-    for x in (q.data, q.indices, q.indptr, col, coef, assembly.indptr,
-              assembly.take, assembly.row, *(basis.assembly.fixed or ())):
+    for x in (q.data, q.indices, q.indptr, assembly.indptr, assembly.take,
+              assembly.row, *(basis.assembly.fixed or ())):
         x.flags.writeable = False
     return basis
+
+
+@cache
+def cell_basis(n):
+    """The CellBasis of the full node set of the n x n cell, built once
+    per n.
+
+    The mirror about an axis maps the full-node coordinate c to n - c, so
+    only the line c = n/2 is fixed, at phase 1, and the cell's edges
+    c = 0 and c = n are one another's images (_parities).  The
+    representatives are the nodes of the quarter grid 0 <= c <= n/2, as
+    in class_basis; each class takes those off the cell boundary, the
+    interior of the quarter grid, in the dissection order of that
+    (n/2) x (n/2) grid, and then those on it, row 0 and column 0."""
+    h, side, ndof = n // 2, n + 1, 2 * (n + 1) ** 2
+    node = np.arange(side * side)
+    cx, cy = node % side, node // side
+    rep = np.where(cx > h, node + n - 2 * cx, node)
+    rep = np.where(cy > h, rep + (n - 2 * cy) * side, rep)
+    live, coef = _parities((cx == h, cy == h), (cx > h, cy > h))
+    grid = np.arange(h + 1)[:, None] * side + np.arange(h + 1)
+    dofs = node_dofs(np.concatenate([dissection(grid[1:, 1:]), grid[0],
+                                     grid[1:, 0]]))
+    ids = np.full((4, ndof), -1, dtype=np.int32)
+    bounds, cut = [0], []
+    for c in range(4):
+        mine = dofs[live[c, dofs]]
+        ids[c, mine] = bounds[-1] + np.arange(mine.size)
+        cut.append(bounds[-1] + int(live[c, dofs[:2 * h * h]].sum()))
+        bounds.append(bounds[-1] + mine.size)
+    col = ids[:, node_dofs(rep)]        # a dof lives where its rep does
+    q = sp.csr_matrix((coef[live], (np.nonzero(live)[1], col[live])),
+                      shape=(ndof, ndof))
+
+    # the class blocks: each entry of K_q whose dofs i and j both have a
+    # column in class c gives an entry of that class's block, as in the
+    # class assembly at k = 0 but with one block per class
+    quarter = quarter_cell(n)
+    reduced = quarter.dofs // 2
+    full = 2 * ((reduced // n) * side + reduced % n) + quarter.dofs % 2
+    i, j = full[quarter.row], full[quarter.col]
+    c = np.arange(4)[:, None]
+    rows, cols = col[c, i], col[c, j]               # [class, entry]
+    keep = (rows >= 0) & (cols >= 0)
+    order = np.lexsort((rows[keep], cols[keep]))    # CSC: column, then row
+    out = CellBasis(
+        q=q, col=col, coef=coef, bounds=tuple(bounds), cut=tuple(cut),
+        indptr=np.concatenate([[0], np.cumsum(np.bincount(
+            cols[keep], minlength=ndof))]).astype(np.int32),
+        indices=(rows - np.array(bounds[:4])[:, None])[keep][order].astype(
+            np.int32),
+        take=(np.flatnonzero(keep) % i.size)[order].astype(
+            np.min_scalar_type(i.size)),
+        scale=(coef[c, i] * coef[c, j])[keep][order])
+    for x in (q.data, q.indices, q.indptr, col, coef, out.indptr,
+              out.indices, out.take, out.scale):
+        x.flags.writeable = False
+    return out
+
+
+def cut_map(n, k):
+    """The CutMap of the n x n cell at a wavevector k with a component 0 or
+    +-pi, built once per n and set of linear phases."""
+    return _cut_map(n, *_linear_phases(k))
+
+
+@cache
+def _cut_map(n, px, py):
+    """cut_map at the phases of _class_basis.  A term of a slot is a full
+    cut dof f of the cell_basis column of that slot, with master r in the
+    class_basis column: CellBasis.coef[c, f] ClassBasis.coef[a, r] times
+    the phase of f in T(k), exp(i k.w) over the wraps w of its node, and,
+    where the mirror about axis a is antiunitary and r lies on its line
+    c = 0, the factor exp(-i k[a] / 2) of class_basis.  The phases of the
+    linear mirrors are +-1 and go into base."""
+    (col, coef, bounds), cell = _class_columns(n, px, py), cell_basis(n)
+    anti = _antiunitary(px, py)
+    group = _groups(anti)
+    side = n + 1
+    node = np.arange(side * side)
+    cx, cy = node % side, node // side
+    f = np.flatnonzero(np.repeat((cx % n == 0) | (cy % n == 0), 2))
+    at = f // 2
+    r = 2 * ((cy[at] % n) * n + cx[at] % n) + f % 2     # the masters
+    phase = np.where(cx[at] == n, px or 1, 1) * np.where(cy[at] == n,
+                                                         py or 1, 1)
+    wrap = np.zeros(f.size)
+    if anti is not None:
+        c = (cx, cy)[anti][at]
+        wrap = (c == n) - 0.5 * (c % n == 0)
+
+    blocks, rows, terms = [], [], []
+    for g in range(len(bounds) - 1):
+        mine = np.flatnonzero(group == g)
+        cols = col[mine][:, r]
+        cols = np.unique(cols[cols >= 0])     # the block's cut columns
+        block = []
+        for c in mine:
+            start = sum(x.size for x in rows)
+            row = np.zeros(cols.size, dtype=np.intp)
+            for a in mine:
+                alpha, p = col[a, r], cell.col[c, f]
+                keep = (alpha >= 0) & (p >= 0)
+                slot = np.searchsorted(cols, alpha[keep])
+                row[slot] = p[keep] - cell.cut[c]
+                terms.append((start + slot, cell.coef[c, f[keep]]
+                              * coef[a, r[keep]] * phase[keep],
+                              wrap[keep]))
+            block.append((int(c), start, start + cols.size))
+            rows.append(row)
+        blocks.append(tuple(block))
+    slot, base, wraps = (np.concatenate(x) for x in zip(*terms))
+    out = CutMap(blocks=tuple(blocks), rows=np.concatenate(rows), slot=slot,
+                 base=base, axis=anti, wrap=wraps)
+    for x in (out.rows, out.slot, out.base, out.wrap):
+        x.flags.writeable = False
+    return out
 
 
 def build_mesh(n):

@@ -33,6 +33,7 @@ from cellmat.bloch import (
     quarter_operators,
     solve_band,
     stress_stiffness,
+    sweep_operators,
 )
 from cellmat.design import interpolate
 from cellmat.element import element_matrices
@@ -41,8 +42,8 @@ from cellmat.fem import assemble, assemble_k0, symmetric_lu
 from cellmat.gridio import read_grid, write_grid
 from cellmat.homogenize import class_stiffness, homogenize
 from cellmat.materials import get_material
-from cellmat.mesh import MIRROR_TOL, PINS, build_mesh, class_basis, \
-    mirror_axes
+from cellmat.mesh import MIRROR_TOL, PINS, build_mesh, cell_basis, \
+    class_basis, mirror_axes
 from cellmat.pipeline import analyze_cell, evaluate_design
 from cellmat.sensitivity import stability_grad
 from cellmat.stress import element_stresses
@@ -477,6 +478,31 @@ class TestScreen:
         assert len(calls) == 1
         assert_allclose(report.tau_max, committed["tau_max"], rtol=1e-12)
 
+    def test_split_cut_matches_the_unsplit_on_a_blueprint(self):
+        # the class-by-class screen of the c2 report decides every sample
+        # of its n_seg = 10 sweep and both limits as the unsplit cut does,
+        # just below and above the committed tau_max and at TAU_TINY
+        out = RUNS / "c2_stiff_f020_n64"
+        tau = json.loads((out / "report.json").read_text())["tau_max"]
+        rho, n = read_grid(out / "design_int.grid")
+        mesh = build_mesh(n)
+        elem = element_matrices(NU, mesh.h)
+        cell = analyze_cell(mesh, elem, rho)
+        k0_full, ks_full, quarter = sweep_operators(mesh, elem, cell.e_k,
+                                                    cell.stress_weights)
+        assert quarter is not None
+        pts, _ = ibz_path(10)
+        jobs = ([(np.zeros(2), d) for d in LIMIT_DIRECTIONS]
+                + [(k, None) for k in pts])
+        split = _CutScreen(mesh, k0_full, ks_full, quarter)
+        unsplit = _CutScreen(mesh, k0_full, ks_full)
+        for floor in (0.99 * tau, 1.01 * tau, TAU_TINY):
+            got = [split.below(k, floor, d) for k, d in jobs]
+            assert got == [unsplit.below(k, floor, d) for k, d in jobs], floor
+            # 1.01 tau_max proves every sample, and a floor below it not
+            # the critical x limit
+            assert all(got) == got[0] == (floor > tau)
+
     @pytest.mark.parametrize("ratio", [1.0 + 1e-4, 1.0 - 1e-3])
     def test_floor_is_sharp(self, cross8, ratio):
         floor = 10.0
@@ -542,6 +568,15 @@ def clamped_bands(mesh, k0_full, ks_full):
 
 
 CUT_KS = [(np.pi, 0.0), (np.pi, np.pi), (1.1, -2.0), (0.4, 2.7)]
+MIRROR_EDGES = [(np.pi / 2, 0.0), (np.pi, np.pi / 2), (np.pi / 2, np.pi),
+                (0.0, np.pi / 2)]
+# the corners of the quarter zone, the pinned zone center first
+CORNERS = [(0.0, 0.0), (np.pi, 0.0), (np.pi, np.pi), (0.0, np.pi)]
+# the samples of a split screen: the corners, a point of each edge and
+# two with negative components, and both zone-center limits
+SPLIT_SAMPLES = ([(k, None) for k in CORNERS + MIRROR_EDGES
+                  + [(-1.1, 0.0), (np.pi, -0.7)]]
+                 + [((0.0, 0.0), d) for d in LIMIT_DIRECTIONS])
 
 
 class TestCutScreen:
@@ -634,22 +669,39 @@ class TestCutScreen:
         assert_array_equal(np.sort(inner),
                            np.flatnonzero(np.repeat(interior, 2)))
 
-    @pytest.mark.parametrize("disorder", ["minimum_degree", "cut", "rows"])
+    @pytest.mark.parametrize("disorder", [
+        "minimum_degree", "cut", "rows",
+        "class_minimum_degree", "class_cut", "class_rows"])
     def test_disordered_factor_screens_nothing(self, cross8, monkeypatch,
                                                disorder):
         # the cut-last factor as SuperLU might hand it back: ordered by
         # minimum degree after all, with the last two cut columns swapped,
-        # or with off-diagonal row pivots
-        mesh, elem, rho = cross8
+        # or with off-diagonal row pivots.  class_*: each class factor of
+        # the split screen of a two-mirror cell, one at a time (the
+        # classes after it are not factored), then all four
+        split = disorder.startswith("class_")
+        disorder = disorder.removeprefix("class_")
+        mesh, elem, rho = mirrored_cell(8, (0, 1)) if split else cross8
         e_k, weights, _, _ = loaded_state(mesh, elem, rho)
         full = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=3)
-        k0_full, ks_full = loaded_operators(mesh, elem, rho,
-                                            LOADS["compression"])
+        if split:
+            k0_full, ks_full, quarter = sweep_operators(mesh, elem, e_k,
+                                                        weights)
+            sizes = set(np.diff(cell_basis(mesh.n).bounds).tolist())
+        else:
+            k0_full, ks_full = loaded_operators(mesh, elem, rho,
+                                                LOADS["compression"])
+            quarter, sizes = None, {mesh.ndof_full}
         floor = 2.0 * full.tau_max
-        assert _CutScreen(mesh, k0_full, ks_full).below(RESCALE_K, floor)
+        assert _CutScreen(mesh, k0_full, ks_full, quarter).below(RESCALE_K,
+                                                                 floor)
+        factored = []
 
-        def disordered_lu(a):
-            if a.shape[0] != mesh.ndof_full:     # not the cut-last factor
+        def disordered_lu(a, which=None):
+            if a.shape[0] not in sizes:         # not a cut-last factor
+                return symmetric_lu(a)
+            factored.append(a.shape[0])
+            if which is not None and len(factored) != which + 1:
                 return symmetric_lu(a)
             if disorder == "minimum_degree":
                 return minimum_degree_lu(a)
@@ -661,15 +713,123 @@ class TestCutScreen:
             return SimpleNamespace(perm_r=perm_r, perm_c=perm_c,
                                    L=lu.L, U=lu.U)
 
+        for which in range(4) if split else ():
+            factored.clear()
+            monkeypatch.setattr(bloch, "symmetric_lu",
+                                lambda a, w=which: disordered_lu(a, w))
+            screen = _CutScreen(mesh, k0_full, ks_full, quarter)
+            assert screen.condense(floor) is None
+            assert len(factored) == which + 1
         monkeypatch.setattr(bloch, "symmetric_lu", disordered_lu)
-        screen = _CutScreen(mesh, k0_full, ks_full)
+        screen = _CutScreen(mesh, k0_full, ks_full, quarter)
         assert screen.condense(floor) is None
         assert not screen.below(RESCALE_K, floor)
+        factored.clear()
         out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=3,
                                 critical_only=True)
+        assert factored
         assert [s.tau.size for s in out.samples] == [3] * len(full.samples)
         for key in ("tau_max", "critical_sample", "critical_band"):
             assert getattr(out, key) == getattr(full, key), key
+
+    @pytest.mark.parametrize("load", sorted(LOADS))
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_split_decision_matches_dense_spectrum(self, n, load):
+        # the corners, the pinned k = 0, edge samples and both limits of a
+        # two-mirror cell, proven class by class, and a k off the mirror
+        # lines, proven on H merged from the H_c.  Shear breaks both
+        # mirrors of the D4 cell (its normal stresses are odd), so its
+        # screen is the unsplit one
+        mesh, elem, rho = mirrored_cell(n, (0, 1))
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho, LOADS[load])
+        k0_full, ks_full, quarter = sweep_operators(mesh, elem, e_k, weights)
+        assert (quarter is None) == (load == "shear")
+        screen = _CutScreen(mesh, k0_full, ks_full, quarter)
+        for k, d in SPLIT_SAMPLES + [((0.4, 2.7), None)]:
+            tau = dense_bands(mesh, k0_full, ks_full, k, direction=d)
+            for floor in (tau[0] + 1e-5 * abs(tau[0]),
+                          tau[0] - 1e-5 * abs(tau[0]),
+                          0.5 * (tau[1] + tau[2])):
+                proven = screen.below(np.array(k), floor, d)
+                assert proven == (floor > tau[0]), (k, d, floor, tau[:3])
+
+    @pytest.mark.parametrize("load", ["compression", "tension"])
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_class_condensations_are_the_rotated_one(self, n, load):
+        # each H_c is Q_B^T H Q_B of the unsplit condensation, Q_B the cut
+        # columns of class c of the cell basis, 2n of them
+        mesh, elem, rho = mirrored_cell(n, (0, 1))
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho, LOADS[load])
+        k0_full, ks_full, quarter = sweep_operators(mesh, elem, e_k, weights)
+        floor = 1.5 * max(clamped_bands(mesh, k0_full, ks_full)[0], 1.0)
+        h = _CutScreen(mesh, k0_full, ks_full).condense(floor)
+        split = _CutScreen(mesh, k0_full, ks_full, quarter)
+        hs = split.condense(floor)
+        assert [hc.shape for hc in hs] == [(2 * n, 2 * n)] * 4
+        for q, hc in zip(split.cut_basis, hs):
+            assert_array_equal(hc, hc.T)
+            ref = (q.T @ (q.T @ h).T).T
+            assert_allclose(hc, ref, rtol=0, atol=1e-13 * np.abs(h).max())
+
+    def test_class_blocks_are_the_full_node_operator(self):
+        # the four class blocks from the quarter operators are the diagonal
+        # blocks of Q^T A Q for the full-node A, and Q^T A Q has no entry
+        # outside them
+        mesh, elem, rho = mirrored_cell(12, (0, 1))
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho)
+        basis = cell_basis(12)
+        q = basis.q.toarray()
+        k0_full, ks_full, quarter = sweep_operators(mesh, elem, e_k, weights)
+        for data, a in zip(quarter, (k0_full, ks_full)):
+            ref = q.T @ a.toarray() @ q
+            got = sp.block_diag(basis.blocks(data)).toarray()
+            assert_allclose(got, ref, rtol=0, atol=1e-15 * np.abs(ref).max())
+
+    @pytest.mark.parametrize("k", [k for k, d in SPLIT_SAMPLES if d is None])
+    def test_cut_matrix_splits_by_class(self, k):
+        # in the class basis of the reduced cut, the cut rows of
+        # class_basis(n, k), S(k) is real and block diagonal, and its
+        # blocks are those the split screen gathers from the H_c
+        mesh, elem, rho = mirrored_cell(12, (0, 1))
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho)
+        k0_full, ks_full, quarter = sweep_operators(mesh, elem, e_k, weights)
+        floor = 20.0
+        unsplit = _CutScreen(mesh, k0_full, ks_full)
+        h = unsplit.condense(floor)
+        k = np.array(k)
+        s = unsplit.schur(k, h, unsplit.expand(h))
+        q = class_basis(12, k).q[unsplit.cut_red]
+        q = q[:, np.flatnonzero(abs(q).sum(axis=0))].toarray()
+        ref = q.conj().T @ s @ q
+        split = _CutScreen(mesh, k0_full, ks_full, quarter)
+        got = sla.block_diag(*split.class_schur(k, split.condense(floor)))
+        assert got.dtype == np.float64
+        assert_allclose(got, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+
+    def test_limit_rows_are_built_once(self, monkeypatch):
+        # the cut rows of T_d come once per direction and screen; the
+        # unsplit S_d is bitwise the one from T_d itself, the split one its
+        # rotation
+        calls = []
+        monkeypatch.setattr(bloch, "limit_transform", lambda *args: (
+            calls.append(args[1]) or limit_transform(*args)))
+        mesh, elem, rho = mirrored_cell(12, (0, 1))
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho)
+        k0_full, ks_full, quarter = sweep_operators(mesh, elem, e_k, weights)
+        floor = 20.0
+        screen = _CutScreen(mesh, k0_full, ks_full)
+        split = _CutScreen(mesh, k0_full, ks_full, quarter)
+        h, hs = screen.condense(floor), split.condense(floor)
+        for d in LIMIT_DIRECTIONS:
+            tb = limit_transform(mesh, d).tocsr()[screen.cut]
+            tb = tb[:, screen.cut_red]
+            ref = tb.T @ (tb.T @ h).T
+            ref = 0.5 * (ref + ref.T)
+            for _ in range(2):
+                assert_array_equal(screen.schur(np.zeros(2), h, None, d), ref)
+                [s] = split.class_schur(np.zeros(2), hs, d)
+                assert_allclose(s, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        assert len(calls) == 4
 
 
 # ==========================================================================
@@ -768,12 +928,6 @@ def complex_sweep(monkeypatch, cell, pts):
     with monkeypatch.context() as mp:
         mp.setattr(bloch, "mirror_axes", lambda *args: ())
         return sweep(cell, pts)
-
-
-MIRROR_EDGES = [(np.pi / 2, 0.0), (np.pi, np.pi / 2), (np.pi / 2, np.pi),
-                (0.0, np.pi / 2)]
-# the corners of the quarter zone, the pinned zone center first
-CORNERS = [(0.0, 0.0), (np.pi, 0.0), (np.pi, np.pi), (0.0, np.pi)]
 
 
 def assert_two_stage_fold(n, k):
@@ -906,6 +1060,32 @@ class TestMirrorBasis:
             real = kx in (0.0, np.pi) and ky in (0.0, np.pi)
             assert (s.modes.dtype == np.float64) == real, s.k
             assert_array_equal(s.tau, r.tau)
+
+    @pytest.mark.parametrize("axes", [(0, 1), (0,), ()],
+                             ids=["two", "one", "none"])
+    def test_only_a_two_mirror_cell_splits_the_cut(self, monkeypatch, axes):
+        # the report sweep's screen is split by class exactly when the
+        # cell keeps both mirrors; a one-mirror and an asymmetric cell keep
+        # the unsplit cut, and every sweep reports the full sweep's result
+        cell = gray_cell(8) if axes == () else mirrored_cell(8, axes)
+        assert cell_axes(cell) == axes
+        built = []
+        init = _CutScreen.__init__
+
+        def recorded(screen, mesh, k0_full, ks_full, quarter=None):
+            built.append(quarter is not None)
+            init(screen, mesh, k0_full, ks_full, quarter)
+
+        monkeypatch.setattr(_CutScreen, "__init__", recorded)
+        mesh, elem, rho = cell
+        e_k, weights, _, _ = loaded_state(mesh, elem, rho)
+        full = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=3)
+        out = buckling_strength(mesh, elem, e_k, weights, n_seg=2, m=3,
+                                critical_only=True)
+        assert built == [axes == (0, 1)]
+        assert 0 in [s.tau.size for s in out.samples]
+        for key in ("tau_max", "critical_sample", "critical_band"):
+            assert getattr(out, key) == getattr(full, key), key
 
     def test_negative_wavevectors_through_the_cli(self, tmp_path, capsys,
                                                   monkeypatch):

@@ -15,8 +15,8 @@ from cellmat.element import element_matrices
 from cellmat.errors import ConfigError, SolverError
 from cellmat.fem import PinnedSolver, assemble_k0, assemble_loads
 from cellmat.mesh import CLASSES, PINS, STRESS_PARITY, build_mesh, \
-    class_basis, dissection, mirror_map, node_dofs, orbit_mean, orbit_sum, \
-    quarter_cell
+    cell_basis, class_basis, cut_map, dissection, mirror_map, node_dofs, \
+    orbit_mean, orbit_sum, quarter_cell
 
 NU = 1.0 / 3.0
 
@@ -196,6 +196,58 @@ def test_class_assembly_is_cached_small_and_read_only():
         assert not a.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_cell_basis_splits_the_full_node_set_by_class(n):
+    # square and orthogonal; each class of columns is its own parity class
+    # of the full-node mirrors (column c -> n - c, that displacement
+    # component negated); interior dofs first, then the 2n on the cut
+    basis = cell_basis(n)
+    q = basis.q.toarray()
+    assert_allclose(q.T @ q, np.eye(q.shape[0]), atol=1e-15)
+    side = n + 1
+    dof = np.arange(2 * side * side)
+    cx, cy = dof // 2 % side, dof // 2 // side
+    on_cut = (cx % n == 0) | (cy % n == 0)
+    for c, (sx, sy) in enumerate(CLASSES):
+        lo, cut, hi = basis.bounds[c], basis.cut[c], basis.bounds[c + 1]
+        cols = q[:, lo:hi]
+        for image, sign in (((cy * side + n - cx), np.where(dof % 2 == 0,
+                                                             -1, 1) * sx),
+                            (((n - cy) * side + cx), np.where(dof % 2 == 1,
+                                                               -1, 1) * sy)):
+            # (M Q)[i] = sign_i Q[image_i]: M Q_c = s Q_c
+            assert_array_equal(sign[:, None] * cols[2 * image + dof % 2],
+                               cols)
+        rows = np.abs(cols) > 0
+        assert not rows[on_cut, :cut - lo].any()
+        assert not rows[~on_cut, cut - lo:].any()
+        assert hi - cut == 2 * n
+
+
+def test_cell_basis_and_cut_maps_are_cached_small_and_read_only():
+    # the full-node basis is built once per n, each cut map once per n and
+    # set of linear phases: at n = 64 the basis and the eight maps of the
+    # path stay below 4 MiB
+    basis = cell_basis(64)
+    assert cell_basis(64) is basis and cell_basis(8) is not basis
+    assert cut_map(64, (0.3, 0.0)) is cut_map(64, (1.1, 0.0))
+    assert cut_map(64, (np.pi, 0.7)) is not cut_map(64, (-0.7, np.pi))
+    arrays = [basis.q.data, basis.q.indices, basis.q.indptr, basis.col,
+              basis.coef, basis.indptr, basis.indices, basis.take,
+              basis.scale]
+    for k in ((0.0, 0.0), (np.pi, 0.0), (np.pi, np.pi), (0.0, np.pi),
+              (1.1, 0.0), (np.pi, 0.7), (1.1, np.pi), (0.0, 0.7)):
+        m = cut_map(64, k)
+        arrays += [m.rows, m.slot, m.base, m.wrap]
+    assert sum(a.nbytes for a in arrays) <= 4 * 2 ** 20
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    with pytest.raises(ConfigError, match="no axis mirror"):
+        cut_map(64, (1.1, 0.7))
 
 
 def test_orbit_mean_makes_a_field_exactly_symmetric():
@@ -417,7 +469,7 @@ def test_the_bases_at_k0_carry_the_pin():
 
 
 # the names that spell the mirrors of the node set and the basis they make
-SYMMETRY = {"mirror_map", "ClassBasis"}
+SYMMETRY = {"mirror_map", "ClassBasis", "CellBasis", "CutMap"}
 
 
 def symmetry_names(path):
@@ -439,7 +491,8 @@ def symmetry_names(path):
 def test_symmetry_lives_in_mesh():
     # the mirrors of the node set and every symmetry basis are spelled in
     # cellmat.mesh alone: no other module calls or imports mirror_map,
-    # makes a ClassBasis or defines a basis builder of its own
+    # makes a ClassBasis, a CellBasis or a CutMap, or defines a basis
+    # builder of its own
     home = Path(cellmat.__file__).parent
     assert symmetry_names(home / "mesh.py")
     assert [f for path in sorted(home.glob("*.py")) if path.name != "mesh.py"

@@ -288,8 +288,11 @@ def test_seed_must_be_densities(value):
     # any analysis
     rho0 = np.full(64, 0.5 if np.isnan(value) else value)
     rho0[9] = value
-    with pytest.raises(ConfigError, match="seed: value .* at element [09]"):
+    with pytest.raises(ConfigError,
+                       match="seed: value .* at element [09]") as err:
         optimize(small_problem(max_iter=2), rho0=rho0)
+    # the value reads as the number alone, not numpy's np.float64(...)
+    assert f"seed: value {float(value)!r} at element" in str(err.value)
 
 
 def test_values_only_evaluation_repeats_the_full_one():
