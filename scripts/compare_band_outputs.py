@@ -23,8 +23,8 @@ k = (0, 0), and a sweep printed before the limits existed, with neither
 column, sampled the zone-center offsets there instead, which shows as
 "sample differs" on those rows.  The evaluate reports must be
 byte-identical, and every .err file must be empty: a warning there names
-a sample where the eigensolver did not converge.  Prints one line per difference and exits 1
-if there is any, 0 otherwise.
+a sample where the eigensolver did not converge.  Prints one line per
+difference and exits 1 if there is any, 0 otherwise.
 """
 
 import argparse

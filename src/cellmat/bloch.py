@@ -92,35 +92,37 @@ and its 8n boundary dofs last, gives both: its interior pivots prove
 A_II positive definite, and its trailing blocks give the dense
 H = L_BB U_BB (substructuring).  Every sample is then settled by a
 dense Cholesky factor of the (4n - 2)-square S(k), or of each of its
-class blocks, without building its pencil.  T_B(k) is sum_w exp(i k.w) P_w over the wraps w of
-the boundary nodes, so S(k) is a phase-weighted sum of real blocks
-P_v^T H P_w, which are taken once per floor.  The pinned pencil at
-k = 0 condenses to S(0) without the two rows and columns of reduced node
-0, a corner on the cut.  The sweeps that print or differentiate every
-band (cellmat sweep and band, the optimizer's KS aggregate and its
-gradient, the gradient check) solve every sample not certified stable.
+class blocks, without building its pencil.  T_B(k) is
+sum_w exp(i k.w) P_w over the wraps w of the boundary nodes, so S(k) is
+a phase-weighted sum of real blocks P_v^T H P_w, which are taken once
+per floor.  The pinned pencil at k = 0 condenses to S(0) without the two
+rows and columns of reduced node 0, a corner on the cut.  The sweeps
+that print or differentiate every band (cellmat sweep and band, the
+optimizer's KS aggregate and its gradient, the gradient check) solve
+every sample not certified stable.
 
 The cut of a cell mirror-symmetric about both axes is split by class
 (Healey 1988).  A commutes with the two mirrors of the full node set,
 which map I and B each to themselves, so in the class basis of the full
 node set (mesh.cell_basis) it is four class blocks, assembled from the
-quarter operators as the class pencils are, each factored by itself with
-its cut last: four H_c, 2n square, and H = Q_B blockdiag(H_c) Q_B^T, Q_B
-the cut columns of that basis.  T_B(k) meets the mirrors as T(k) does,
-so at a k with a component 0 or +-pi S(k) is real and block diagonal in
-the class basis of the reduced cut, the cut rows of mesh.class_basis(n,
-k), less the pins at k = 0: four blocks at the corners and at the pinned
-k = 0, two on the edges of the quarter zone.  G(k) = Q_B^T T_B(k) Q(k)
-takes each of its columns to one column of each class of a block, so a
-block is a gather of rows and columns of the H_c, scaled by the
-coefficients of G(k), in which k enters only through its phases
-(mesh.cut_map), and is proven by a real Cholesky factor.  A limit takes
-S_d = M_d^T blockdiag(H_c) M_d, with M_d the cut rows of T_d in the class
-basis, and any other k the S(k) of H reassembled from the H_c.  On the
-64 x 64 c2 at its report floor, single-threaded on a shared 2-core Xeon
-(best of 7, three runs), the split condensation takes 30 to 52 ms
-against 110 to 151 ms unsplit, and the 42 samples of its sweep 20 to
-37 ms against 80 to 107 ms.
+quarter operators as the class pencils are and split apart by
+mesh.diagonal_blocks.  Each is factored by itself with its cut, the last
+2n columns of its class, last: four H_c, 2n square, and
+H = Q_B blockdiag(H_c) Q_B^T, Q_B the cut columns of that basis.  T_B(k)
+meets the mirrors as T(k) does, so at a k with a component 0 or +-pi
+S(k) is real and block diagonal in the class basis of the reduced cut,
+the cut rows of mesh.class_basis(n, k), less the pins at k = 0: four
+blocks at the corners and at the pinned k = 0, two on the edges of the
+quarter zone.  G(k) = Q_B^T T_B(k) Q(k) takes each of its columns to one
+column of each class of a block, so a block is a gather of rows and
+columns of the H_c, scaled by the coefficients of G(k), in which k
+enters only through its phases (mesh.cut_map), and is proven by a real
+Cholesky factor.  A limit takes S_d = M_d^T blockdiag(H_c) M_d, with M_d
+the cut rows of T_d in the class basis, and any other k the S(k) of H
+reassembled from the H_c.  On the 64 x 64 c2 at its report floor,
+single-threaded on a shared 2-core Xeon (best of 7, three runs), the
+split condensation takes 30 to 52 ms against 110 to 151 ms unsplit, and
+the 42 samples of its sweep 20 to 37 ms against 80 to 107 ms.
 """
 
 import warnings
@@ -133,9 +135,9 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import AnalysisError, ConfigError
 from .fem import assemble, assemble_k0, symmetric_lu
-from .mesh import CLASSES, PINS, STRESS_PARITY, cell_basis, class_basis, \
-    cut_map, dissection, mirror_axes, node_dofs, orbit_mean, orbit_sum, \
-    quarter_cell, real_phase
+from .mesh import CLASSES, PINS, STRESS_PARITY, cell_basis, cell_cut, \
+    class_basis, cut_map, diagonal_blocks, dissection, mirror_axes, \
+    node_dofs, orbit_mean, orbit_sum, quarter_cell, real_phase
 
 # the directions of the zone-center limit samples of every sweep
 LIMIT_DIRECTIONS = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -297,44 +299,42 @@ class _CutScreen:
     """No band at k above a floor, proven on the Bloch cut (module doc).
 
     The cut B is every dof of a node on the cell boundary of the full node
-    set (8n dofs), the interior I every other one, inner in the
-    nested-dissection order of the (n - 1) x (n - 1) interior nodes.  T(k)
-    maps I to its reduced dofs with phase 1 and B to its masters, cut_red:
-    the reduced dofs of the nodes on the left and bottom edges (4n - 2
-    dofs).  So does the limit transform T_d, whose cut rows also carry the
-    ramps into the columns of reduced node 0, itself on the cut; they are
-    built once per direction (limit).  H is formed for one floor at a
-    time, when a sample is first screened against it, and its expansion
-    (expand) when a sample first needs it, both only when A_II is proven
-    positive definite: otherwise no A(k) is positive definite and nothing
-    is screened at that floor.
+    set (8n dofs, mesh.cell_cut), the interior I every other one, inner in
+    the nested-dissection order of the (n - 1) x (n - 1) interior nodes.
+    T(k) maps I to its reduced dofs with phase 1 and B to its masters
+    (mesh.cell_cut), which make up cut_red: the reduced dofs of the nodes
+    on the left and bottom edges (4n - 2 dofs).  So does the limit
+    transform T_d, whose cut rows also carry the ramps into the columns of
+    reduced node 0, itself on the cut; they are built once per direction
+    (limit).  H is formed for one floor at a time, when a sample is first
+    screened against it, and its expansion (expand) when a sample first
+    needs it, both only when A_II is proven positive definite: otherwise
+    no A(k) is positive definite and nothing is screened at that floor.
 
     quarter holds the quarter_operators of a cell mirror-symmetric about
     both axes, None for any other cell.  With them the screen is split by
     class (module doc): A comes as its four class blocks in
-    mesh.cell_basis, each condensed to its own H_c, and a sample whose k
-    has a component 0 or +-pi is proven by the real blocks of S(k) in the
-    class basis of the reduced cut (class_schur), a limit by its S_d from
-    the H_c.  Any other k takes H reassembled from the H_c (merge).
+    mesh.cell_basis, the class assembly of its quarter operators split by
+    mesh.diagonal_blocks, each condensed onto its cut, its last 2n
+    columns, to its own H_c; a sample whose k has a component 0 or +-pi
+    is proven by the real blocks of S(k) in the class basis of the
+    reduced cut (class_schur), a limit by its S_d from the H_c.  Any other
+    k takes H reassembled from the H_c (merge).
     """
 
     def __init__(self, mesh, k0_full, ks_full, quarter=None):
         n = mesh.n
-        node = np.arange(mesh.nn_full)
-        red = np.arange(mesh.nn)
         self.mesh = mesh
         self.k0_full, self.ks_full = k0_full, ks_full
         self.quarter = quarter
-        self.cut = np.flatnonzero(np.repeat((node % (n + 1) % n == 0)
-                                            | (node // (n + 1) % n == 0), 2))
-        self.cut_red = np.flatnonzero(np.repeat((red % n == 0)
-                                                | (red // n == 0), 2))
+        self.cut, master = cell_cut(n)
+        self.cut_red = np.unique(master)
         if quarter is not None:
-            # the cut rows of each class's cut columns of the cell basis
+            # the cut rows of each class's cut columns of the cell basis,
+            # its last 2n
             basis = cell_basis(n)
             q = basis.q[self.cut]
-            self.cut_basis = [q[:, lo:hi] for lo, hi in
-                              zip(basis.cut, basis.bounds[1:])]
+            self.cut_basis = [q[:, hi - 2 * n:hi] for hi in basis.bounds[1:]]
         self.limit_rows = {}
         self.floor, self.h, self.full = None, None, None
 
@@ -352,8 +352,7 @@ class _CutScreen:
         the cut nodes, with P_w the 0/1 map of the cut dofs of class w to
         their masters."""
         cut_node = self.cut // 2
-        master = np.searchsorted(
-            self.cut_red, 2 * self.mesh.master[cut_node] + self.cut % 2)
+        master = np.searchsorted(self.cut_red, cell_cut(self.mesh.n)[1])
         wraps = _wraps(self.mesh, cut_node)
         out = []
         for w in ((0, 0), (1, 0), (0, 1), (1, 1)):
@@ -384,11 +383,12 @@ class _CutScreen:
         basis = cell_basis(self.mesh.n)
         k0q, ksq = self.quarter
         out = []
-        for c, a in enumerate(basis.blocks(floor * k0q + ksq)):
+        for c, a in enumerate(diagonal_blocks(
+                basis.assemble(floor * k0q + ksq)[0], basis.bounds)):
             lo = basis.bounds[c]
             dof = {(-1, 1): 0, (1, -1): 1}.get(CLASSES[c])
             springs = [] if dof is None else [basis.col[c, dof] - lo]
-            h = _condensed(a, basis.cut[c] - lo, springs)
+            h = _condensed(a, a.shape[0] - 2 * self.mesh.n, springs)
             if h is None:
                 return None
             out.append(h)

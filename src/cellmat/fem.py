@@ -64,11 +64,13 @@ def symmetric_lu(a):
     carry the order: the torus permutation, or the class basis, class by
     class in the dissection order of the quarter grid, which hands over
     a block-diagonal matrix.  The filter numbers its nodes in the torus
-    order, the screen its interior by dissection and the cell boundary
-    last, and a class block of the screen (mesh.cell_basis) the interior
-    of the quarter grid by dissection and its cut last.  So SuperLU
-    orders nothing (NATURAL) and runs in its symmetric mode, with the
-    small diagonal pivot threshold that mode asks for.
+    order, and the screen its interior by dissection and the cell
+    boundary last.  A class block of the screen comes through the class
+    basis of the full node set (mesh.cell_basis), split off by
+    mesh.diagonal_blocks: the interior of the quarter grid by dissection,
+    then its cut, the last 2n columns of its class.  So SuperLU orders
+    nothing (NATURAL) and runs in its symmetric mode, with the small
+    diagonal pivot threshold that mode asks for.
     Diagonal pivots are stable for a Hermitian positive definite matrix;
     the cut screen, whose matrices may be indefinite, checks the pivots it
     gets.  On the 64x64 blueprints the grid order factors the periodic

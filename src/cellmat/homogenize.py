@@ -32,10 +32,10 @@ permuted into that order.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .fem import PinnedSolver, assemble_k0, assemble_loads
-from .mesh import CLASSES, mirror_axes, orbit_sum, quarter_cell
+from .mesh import CLASSES, diagonal_blocks, mirror_axes, orbit_sum, \
+    quarter_cell
 
 # the class of the load of each unit macro strain (module doc of
 # cellmat.mesh): the normal strains are even under both mirrors, the
@@ -67,14 +67,10 @@ def class_stiffness(mesh, elem, moduli):
     quarter-cell element (mesh.orbit_sum, ClassBasis.assemble).  A sparse
     Q^T K Q costs several times as much.
     """
-    n, split = mesh.n, mesh.classes.split
-    k = mesh.classes.assemble(quarter_cell(n).matrix(
-        np.multiply.outer(orbit_sum(n, moduli), elem.k0)))[0]
-    # the columns of either pair hold its rows alone, the diagonal too
-    a = k.indptr[split]
-    return [sp.csc_matrix((k.data[:a], k.indices[:a], k.indptr[:split + 1])),
-            sp.csc_matrix((k.data[a:], k.indices[a:] - split,
-                           k.indptr[split:] - a))]
+    n = mesh.n
+    [k] = mesh.classes.assemble(quarter_cell(n).matrix(
+        np.multiply.outer(orbit_sum(n, moduli), elem.k0)))
+    return diagonal_blocks(k, (0, mesh.classes.split, k.shape[0]))
 
 
 def class_loads(mesh, elem, moduli):

@@ -83,24 +83,27 @@ it.  At k = 0 the assembly gives the pinned periodic stiffness of
 homogenize.
 
 The Bloch cut of cellmat.bloch condenses an operator of the full node
-set, (n + 1)^2 nodes, onto the dofs of the cell boundary.  Its mirrors
-map the full-node coordinate c to n - c: only the line c = n/2 is fixed,
-and the edges c = 0 and c = n, which the torus identifies, are one
-another's images.  The same parity and orbit rules (_parities) give the
-class basis of the full node set (cell_basis), square and orthogonal,
-its representatives again on the quarter grid.  Each class takes its
-interior dofs first, in the dissection order of the interior of the
-quarter grid, and its 2n dofs on the cell boundary, the cut, last, so
-that each class block is factored with its cut last.  The four blocks
-of an operator are assembled from its quarter operator as the k = 0
-class pencil is, with no phase and one block per class
-(CellBasis.blocks; 2.8 MB of structure at n = 64).  The cut map of a
-wavevector (cut_map) takes the class basis of the reduced cut, the cut
-rows of class_basis(n, k), to the cut columns of cell_basis through
-T(k).  Each of its columns meets one column of each class of its block,
-with a coefficient in which k enters only through the Bloch phases, so
-its structure is built once per n and set of linear phases (CutMap,
-0.4 MB for the eight sets of the path at n = 64).
+set, (n + 1)^2 nodes, onto the dofs of the cell boundary, the cut
+(cell_cut, with the master of each).  Its mirrors map the full-node
+coordinate c to n - c: only the line c = n/2 is fixed, and the edges
+c = 0 and c = n, which the torus identifies, are one another's images.
+The same parity and orbit rules (_parities) and the same column
+numbering (_columns) give the class basis of the full node set
+(cell_basis), a ClassBasis, square and orthogonal, its representatives
+again on the quarter grid.  Each class takes its interior dofs first, in
+the dissection order of the interior of the quarter grid, and its 2n
+dofs on the cut, its last 2n columns, so that each class block is
+factored with its cut last.  Both mirrors are linear and there is no
+phase, so the class assembly of an operator from its quarter operator
+(ClassBasis.assemble), its pattern kept whole as at k = 0, has one block
+per class, which diagonal_blocks splits apart (3.2 MB of basis and
+structure at n = 64).  The cut map of a wavevector (cut_map) takes the
+class basis of the reduced cut, the cut rows of class_basis(n, k), to
+the cut columns of cell_basis through T(k).  Each of its columns meets
+one column of each class of its block, with a coefficient in which k
+enters only through the Bloch phases, so its structure is built once
+per n and set of linear phases (CutMap, 0.4 MB for the eight sets of the
+path at n = 64).
 """
 
 from dataclasses import dataclass, replace
@@ -200,27 +203,38 @@ class Quarter:
 
 @dataclass(frozen=True)
 class ClassAssembly:
-    """Q(k)^H K Q(k), real, from a quarter operator K_q (module doc) for
-    every k of one set of linear phases: its CSC pattern, and per entry
-    the entry of K_q it takes and its row (a, i), class a and quarter dof
-    i, as a * nq + i, each in the smallest unsigned type that holds it.
-    Read-only arrays."""
+    """Q^H K Q, real, from a quarter operator K_q (module doc) for every k
+    of one set of linear phases, or for the full node set: its CSC
+    pattern, and per entry the entry of K_q it takes and its row (a, i),
+    class a and quarter dof i, as a * nq + i, each in the smallest
+    unsigned type that holds it.  Read-only arrays."""
     quarter: Quarter
+    dofs: np.ndarray         # (nq,) the dof of the node set of each quarter
+                             # dof: Quarter.dofs for the reduced dofs
     indptr: np.ndarray       # (size + 1,) int32, size columns of Q
     take: np.ndarray         # (nnz,) into the data of K_q, uint16 to n = 84
     row: np.ndarray          # (nnz,) uint16 up to n = 178
-    # (indices, scale) of ClassBasis.pattern, kept at k = 0 alone, where
-    # homogenize assembles the stiffness every design iteration
+    # (indices, scale) of ClassBasis.pattern, kept at k = 0, where
+    # homogenize assembles the stiffness every design iteration, and for
+    # the full node set, which the cut screen assembles at every floor
     fixed: tuple = None
 
 
 @dataclass(frozen=True)
 class ClassBasis:
-    """The class basis Q(k) of the reduced dofs (module doc), its
-    orthonormal columns class by class and each class in the dissection
-    order of the quarter grid: unitary, or at k = 0 real and less the
-    columns of the pins.  Shared by every mesh of its n: its arrays are
-    read-only."""
+    """The class basis Q of a node set (module doc), its orthonormal
+    columns class by class and each class in the order of its
+    representatives: Q(k) of the reduced dofs (class_basis), unitary, or
+    at k = 0 real and less the columns of the pins, each class in the
+    dissection order of the quarter grid; or the square, orthogonal basis
+    of the full node set (cell_basis), each class its cut last.
+
+    col, bounds and assembly are built once per n, and for the reduced
+    dofs once per set of linear phases, and shared by every mesh of that
+    n and every k of those phases: read-only.  So are q and coef where
+    both mirrors are linear, and for the full node set.  Where a mirror
+    is antiunitary, class_basis builds q and coef anew for each call,
+    their rows on its line c = 0 times the phase of k: writeable."""
     q: sp.csr_matrix         # (ndof, size) orthonormal columns, <= 4
                              # entries a row; size is ndof - 2 at k = 0
     col: np.ndarray          # (4, ndof) the column of each dof's orbit in
@@ -251,46 +265,11 @@ class ClassBasis:
         of the quarter dofs, the coefficient of a column is that of its
         own (b, j)."""
         s = self.assembly
-        col, coef = self.col[:, s.quarter.dofs], self.coef[:, s.quarter.dofs]
+        col, coef = self.col[:, s.dofs], self.coef[:, s.dofs]
         column = np.zeros(self.q.shape[1], dtype=coef.dtype)
         column[col[col >= 0]] = coef[col >= 0]
         scale = coef.take(s.row).conj() * np.repeat(column, np.diff(s.indptr))
         return col.take(s.row), scale.real
-
-
-@dataclass(frozen=True)
-class CellBasis:
-    """The two-mirror class basis of the full node set (module doc):
-    square and orthogonal, class by class in the order of CLASSES, each
-    class its interior dofs first, in the dissection order of the
-    interior of the quarter grid, and its dofs on the cell boundary, the
-    cut, last.  The class blocks of an operator come from its quarter
-    operator (blocks).  Shared by every mesh of its n: its arrays are
-    read-only."""
-    q: sp.csr_matrix         # (ndof_full, ndof_full), <= 4 entries a row
-    col: np.ndarray          # (4, ndof_full) as ClassBasis.col, no pins
-    coef: np.ndarray         # (4, ndof_full) Q[dof, col], 0 where none
-    bounds: tuple            # class c spans columns bounds[c]:bounds[c + 1]
-    cut: tuple               # and its cut columns cut[c]:bounds[c + 1]
-    indptr: np.ndarray       # (ndof_full + 1,) int32: the blocks as one CSC
-    indices: np.ndarray      # (nnz,) int32, the row within its class
-    take: np.ndarray         # (nnz,) the entry of K_q of each entry
-    scale: np.ndarray        # (nnz,) its coef[c, i] coef[c, j]
-
-    def blocks(self, data):
-        """The four class blocks Q_c^T A Q_c, CSC, of the full-node
-        operator A of a cell mirror-symmetric about both axes, from the
-        data of its quarter operator K_q (Quarter.matrix): the entry of
-        the columns of quarter dofs i and j in class c is
-        K_q[i, j] coef[c, i] coef[c, j]."""
-        values = data.take(self.take) * self.scale
-        out = []
-        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
-            a, b = self.indptr[lo], self.indptr[hi]
-            out.append(sp.csc_matrix(
-                (values[a:b], self.indices[a:b], self.indptr[lo:hi + 1] - a),
-                shape=(hi - lo, hi - lo)))
-        return out
 
 
 @dataclass(frozen=True)
@@ -299,7 +278,7 @@ class CutMap:
     of one set of linear phases: Q_B the cut columns of cell_basis, T_B(k)
     the cut rows and columns of T(k), and Q(k) the columns and cut rows of
     class_basis(n, k) that live on the cut.  G(k) takes each column of Q
-    to at most one column of each class of CellBasis, a slot, so that a
+    to at most one column of each class of cell_basis, a slot, so that a
     block of Q^H S(k) Q is the sum over the classes c of its slots of
     Re(conj(g_i) g_j) H_c[rows_i, rows_j].  k enters only through the
     coefficients g of the slots (coefficients).  Read-only arrays."""
@@ -446,6 +425,19 @@ def order_basis(order, ndof):
                          shape=(ndof, size))
 
 
+def diagonal_blocks(a, bounds):
+    """The diagonal blocks a[lo:hi, lo:hi], CSC, of the CSC a between each
+    two consecutive bounds, for an a with no entry outside them, as a
+    class assembly (ClassBasis.assemble) has none outside its blocks."""
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        x, y = a.indptr[lo], a.indptr[hi]
+        out.append(sp.csc_matrix(
+            (a.data[x:y], a.indices[x:y] - lo, a.indptr[lo:hi + 1] - x),
+            shape=(hi - lo, hi - lo)))
+    return out
+
+
 def class_basis(n, k=(0.0, 0.0)):
     """The class basis Q(k) of the reduced dofs of the n x n grid at a
     wavevector k with a component 0 or +-pi (module doc).  Its structure
@@ -522,11 +514,29 @@ def _groups(anti):
                      for i, c in enumerate(CLASSES)])
 
 
+def _columns(live, coef, reps, rep_dof, group):
+    """(col, coef, bounds) of ClassBasis, read-only, for the classes live
+    and coefficients coef (4, ndof) of the dofs of a node set
+    (_parities), the dofs reps of its representatives, in their order,
+    the representative's dof rep_dof of every dof, and the block group of
+    each of CLASSES (_groups).  The columns are numbered by (block,
+    position in reps, class), so each representative takes its own
+    column, and a dof lives where its representative does."""
+    cls, pos = np.nonzero(live[:, reps])
+    order = np.lexsort((cls, pos, group[cls]))
+    ids = np.full(live.shape, -1, dtype=np.int32)
+    ids[cls[order], reps[pos[order]]] = np.arange(cls.size)
+    col = ids[:, rep_dof]
+    for x in (col, coef):
+        x.flags.writeable = False
+    return col, coef, (0, *np.cumsum(np.bincount(group[cls])).tolist())
+
+
 @cache
 def _class_columns(n, px, py):
     """(col, coef, bounds) of class_basis at the phases px and py, +-1, of
     the linear mirrors about x and y, None for the antiunitary one, at
-    phase 1 on its line c = 0: those fields of ClassBasis, read-only.
+    phase 1 on its line c = 0.
 
     The classes follow the parity rules of _parities: a node is fixed by
     a mirror at coordinate 0 or n/2 along its axis, and the phase is 1
@@ -538,7 +548,6 @@ def _class_columns(n, px, py):
     image_y, cy = mirror_map(n, 1)
     rep = np.where(cx > h, image_x, np.arange(n * n))
     rep = np.where(cy > h, image_y[rep], rep)
-    rep_dof = node_dofs(rep)
     anti = _antiunitary(px, py)
     # at k = 0 the two dofs of reduced node 0 get no column: the basis
     # carries the pin
@@ -547,68 +556,69 @@ def _class_columns(n, px, py):
     live, coef = _parities((cx % h == 0, cy % h == 0), (cx > h, cy > h),
                            (np.where(cx == 0, px or 1, 1),
                             np.where(cy == 0, py or 1, 1)), free, anti)
-
-    # number the columns by (class of the linear mirrors, quarter-grid
-    # position, class): each representative takes its own column
-    group = _groups(anti)
-    dofs = quarter_cell(n).dofs
-    cls, pos = np.nonzero(live[:, dofs])
-    order = np.lexsort((cls, pos, group[cls]))
-    ids = np.full((4, ndof), -1, dtype=np.int32)
-    ids[cls[order], dofs[pos[order]]] = np.arange(cls.size)
-    col = ids[:, rep_dof]               # a dof lives where its rep does
-    for x in (col, coef):
-        x.flags.writeable = False
-    return col, coef, (0, *np.cumsum(np.bincount(group[cls])).tolist())
+    return _columns(live, coef, quarter_cell(n).dofs, node_dofs(rep),
+                    _groups(anti))
 
 
 @cache
 def _class_basis(n, px, py):
     """class_basis at the phases of _class_columns."""
-    col, coef, bounds = _class_columns(n, px, py)
+    return _assembled(n, _class_columns(n, px, py), quarter_cell(n).dofs,
+                      _antiunitary(px, py), (px, py) == (1, 1))
+
+
+def _assembled(n, columns, dofs, anti, fixed):
+    """The read-only ClassBasis of the columns (col, coef, bounds) of a
+    node set of the n x n cell (_columns), with the class assembly from
+    its quarter operators, quarter dof i being dof dofs[i] of the node
+    set.  anti names the antiunitary mirror, None for none; fixed keeps
+    the pattern (ClassAssembly.fixed)."""
+    col, coef, bounds = columns
     live, size = col >= 0, bounds[-1]
     q = sp.csr_matrix((coef[live], (np.nonzero(live)[1], col[live])),
                       shape=(col.shape[1], size))
-    anti = _antiunitary(px, py)
     group = _groups(anti)
     quarter = quarter_cell(n)
 
-    # the class assembly: each entry of K_q whose dofs i and j have
-    # columns in two classes a and b of one block gives an entry, unless
-    # conj(coef[a, i]) coef[b, j] is imaginary, one of the two holding the
-    # factor i, and stays so under the phase of class_basis: unless
-    # exactly one of i and j lies on the line c = 0 of the antiunitary
-    # mirror
-    line = (mirror_map(n, anti or 0)[1] == 0).repeat(2) & (anti is not None)
+    # each entry of K_q whose dofs i and j have columns in two classes a
+    # and b of one block gives an entry, unless conj(coef[a, i])
+    # coef[b, j] is imaginary, one of the two holding the factor i, and
+    # stays so under the phase of class_basis: unless exactly one of i and
+    # j lies on the line c = 0 of the antiunitary mirror
+    line = np.zeros(col.shape[1], dtype=bool)
+    if anti is not None:
+        line = (mirror_map(n, anti)[1] == 0).repeat(2)
     a, b = (x[:, None] for x in np.nonzero(group[:, None] == group))
-    i, j = quarter.dofs[quarter.row], quarter.dofs[quarter.col]
+    i, j = dofs[quarter.row], dofs[quarter.col]
     rows, cols = col[a, i], col[b, j]           # [class pair, entry]
     keep = (rows >= 0) & (cols >= 0) & (
         ((coef[a, i].conj() * coef[b, j]).real != 0) | (line[i] != line[j]))
     order = np.lexsort((rows[keep], cols[keep]))    # CSC: column, then row
     assembly = ClassAssembly(
-        quarter=quarter,
+        quarter=quarter, dofs=dofs,
         indptr=np.concatenate([[0], np.cumsum(np.bincount(
             cols[keep], minlength=size))]).astype(np.int32),
         take=(np.flatnonzero(keep) % i.size)[order].astype(
             np.min_scalar_type(i.size)),
-        row=(a * quarter.dofs.size + quarter.row)[keep][order].astype(
-            np.min_scalar_type(4 * quarter.dofs.size)))
+        row=(a * dofs.size + quarter.row)[keep][order].astype(
+            np.min_scalar_type(4 * dofs.size)))
     basis = ClassBasis(q=q, col=col, coef=coef, bounds=bounds,
                        assembly=assembly)
-    if (px, py) == (1, 1):
+    if fixed:
         basis = replace(basis, assembly=replace(assembly,
                                                 fixed=basis.pattern()))
-    for x in (q.data, q.indices, q.indptr, assembly.indptr, assembly.take,
-              assembly.row, *(basis.assembly.fixed or ())):
+    for x in (q.data, q.indices, q.indptr, dofs, assembly.indptr,
+              assembly.take, assembly.row, *(basis.assembly.fixed or ())):
         x.flags.writeable = False
     return basis
 
 
 @cache
 def cell_basis(n):
-    """The CellBasis of the full node set of the n x n cell, built once
-    per n.
+    """The ClassBasis of the full node set of the n x n cell, built once
+    per n: square and orthogonal, class by class in the order of CLASSES,
+    each class its interior dofs first and its 2n dofs on the cell
+    boundary, the cut, last.
 
     The mirror about an axis maps the full-node coordinate c to n - c, so
     only the line c = n/2 is fixed, at phase 1, and the cell's edges
@@ -616,51 +626,37 @@ def cell_basis(n):
     representatives are the nodes of the quarter grid 0 <= c <= n/2, as
     in class_basis; each class takes those off the cell boundary, the
     interior of the quarter grid, in the dissection order of that
-    (n/2) x (n/2) grid, and then those on it, row 0 and column 0."""
-    h, side, ndof = n // 2, n + 1, 2 * (n + 1) ** 2
+    (n/2) x (n/2) grid, and then those on it, row 0 and column 0.  Both
+    mirrors are linear, so each class is a block of its own."""
+    h, side = n // 2, n + 1
     node = np.arange(side * side)
     cx, cy = node % side, node // side
     rep = np.where(cx > h, node + n - 2 * cx, node)
     rep = np.where(cy > h, rep + (n - 2 * cy) * side, rep)
     live, coef = _parities((cx == h, cy == h), (cx > h, cy > h))
     grid = np.arange(h + 1)[:, None] * side + np.arange(h + 1)
-    dofs = node_dofs(np.concatenate([dissection(grid[1:, 1:]), grid[0],
+    reps = node_dofs(np.concatenate([dissection(grid[1:, 1:]), grid[0],
                                      grid[1:, 0]]))
-    ids = np.full((4, ndof), -1, dtype=np.int32)
-    bounds, cut = [0], []
-    for c in range(4):
-        mine = dofs[live[c, dofs]]
-        ids[c, mine] = bounds[-1] + np.arange(mine.size)
-        cut.append(bounds[-1] + int(live[c, dofs[:2 * h * h]].sum()))
-        bounds.append(bounds[-1] + mine.size)
-    col = ids[:, node_dofs(rep)]        # a dof lives where its rep does
-    q = sp.csr_matrix((coef[live], (np.nonzero(live)[1], col[live])),
-                      shape=(ndof, ndof))
+    reduced = quarter_cell(n).dofs
+    dofs = 2 * (reduced // 2 // n * side + reduced // 2 % n) + reduced % 2
+    return _assembled(n, _columns(live, coef, reps, node_dofs(rep),
+                                  _groups(None)), dofs, None, True)
 
-    # the class blocks: each entry of K_q whose dofs i and j both have a
-    # column in class c gives an entry of that class's block, as in the
-    # class assembly at k = 0 but with one block per class
-    quarter = quarter_cell(n)
-    reduced = quarter.dofs // 2
-    full = 2 * ((reduced // n) * side + reduced % n) + quarter.dofs % 2
-    i, j = full[quarter.row], full[quarter.col]
-    c = np.arange(4)[:, None]
-    rows, cols = col[c, i], col[c, j]               # [class, entry]
-    keep = (rows >= 0) & (cols >= 0)
-    order = np.lexsort((rows[keep], cols[keep]))    # CSC: column, then row
-    out = CellBasis(
-        q=q, col=col, coef=coef, bounds=tuple(bounds), cut=tuple(cut),
-        indptr=np.concatenate([[0], np.cumsum(np.bincount(
-            cols[keep], minlength=ndof))]).astype(np.int32),
-        indices=(rows - np.array(bounds[:4])[:, None])[keep][order].astype(
-            np.int32),
-        take=(np.flatnonzero(keep) % i.size)[order].astype(
-            np.min_scalar_type(i.size)),
-        scale=(coef[c, i] * coef[c, j])[keep][order])
-    for x in (q.data, q.indices, q.indptr, col, coef, out.indptr,
-              out.indices, out.take, out.scale):
+
+@cache
+def cell_cut(n):
+    """(cut, master) of the full node set of the n x n cell: its 8n dofs
+    on the cell boundary, the Bloch cut, ascending, and the reduced dof,
+    the master, of each.  Built once per n, read-only."""
+    side = n + 1
+    node = np.arange(side * side)
+    cut = np.flatnonzero(np.repeat((node % side % n == 0)
+                                   | (node // side % n == 0), 2))
+    at = cut // 2
+    master = 2 * ((at // side % n) * n + at % side % n) + cut % 2
+    for x in (cut, master):
         x.flags.writeable = False
-    return out
+    return cut, master
 
 
 def cut_map(n, k):
@@ -672,26 +668,22 @@ def cut_map(n, k):
 @cache
 def _cut_map(n, px, py):
     """cut_map at the phases of _class_basis.  A term of a slot is a full
-    cut dof f of the cell_basis column of that slot, with master r in the
-    class_basis column: CellBasis.coef[c, f] ClassBasis.coef[a, r] times
-    the phase of f in T(k), exp(i k.w) over the wraps w of its node, and,
-    where the mirror about axis a is antiunitary and r lies on its line
-    c = 0, the factor exp(-i k[a] / 2) of class_basis.  The phases of the
-    linear mirrors are +-1 and go into base."""
+    cut dof f (cell_cut) of the cell_basis column of that slot, with
+    master r in the class_basis column: coef[c, f] of cell_basis times
+    coef[a, r] of class_basis times the phase of f in T(k), exp(i k.w)
+    over the wraps w of its node, and, where the mirror about axis a is
+    antiunitary and r lies on its line c = 0, the factor exp(-i k[a] / 2)
+    of class_basis.  The phases of the linear mirrors are +-1 and go into
+    base."""
     (col, coef, bounds), cell = _class_columns(n, px, py), cell_basis(n)
     anti = _antiunitary(px, py)
     group = _groups(anti)
-    side = n + 1
-    node = np.arange(side * side)
-    cx, cy = node % side, node // side
-    f = np.flatnonzero(np.repeat((cx % n == 0) | (cy % n == 0), 2))
-    at = f // 2
-    r = 2 * ((cy[at] % n) * n + cx[at] % n) + f % 2     # the masters
-    phase = np.where(cx[at] == n, px or 1, 1) * np.where(cy[at] == n,
-                                                         py or 1, 1)
+    f, r = cell_cut(n)
+    cx, cy = f // 2 % (n + 1), f // 2 // (n + 1)    # the coordinates of f
+    phase = np.where(cx == n, px or 1, 1) * np.where(cy == n, py or 1, 1)
     wrap = np.zeros(f.size)
     if anti is not None:
-        c = (cx, cy)[anti][at]
+        c = (cx, cy)[anti]
         wrap = (c == n) - 0.5 * (c % n == 0)
 
     blocks, rows, terms = [], [], []
@@ -707,7 +699,7 @@ def _cut_map(n, px, py):
                 alpha, p = col[a, r], cell.col[c, f]
                 keep = (alpha >= 0) & (p >= 0)
                 slot = np.searchsorted(cols, alpha[keep])
-                row[slot] = p[keep] - cell.cut[c]
+                row[slot] = p[keep] - (cell.bounds[c + 1] - 2 * n)
                 terms.append((start + slot, cell.coef[c, f[keep]]
                               * coef[a, r[keep]] * phase[keep],
                               wrap[keep]))

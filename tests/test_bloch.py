@@ -5,6 +5,7 @@ compression: at wavevector (k, 0) its critical load must approach the
 classical sinusoidal-column value P = E I k^2 with I = w^3 / 12.
 """
 
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -43,7 +44,7 @@ from cellmat.gridio import read_grid, write_grid
 from cellmat.homogenize import class_stiffness, homogenize
 from cellmat.materials import get_material
 from cellmat.mesh import MIRROR_TOL, PINS, build_mesh, cell_basis, \
-    class_basis, mirror_axes
+    class_basis, diagonal_blocks, mirror_axes, quarter_cell
 from cellmat.pipeline import analyze_cell, evaluate_design
 from cellmat.sensitivity import stability_grad
 from cellmat.stress import element_stresses
@@ -782,8 +783,33 @@ class TestCutScreen:
         k0_full, ks_full, quarter = sweep_operators(mesh, elem, e_k, weights)
         for data, a in zip(quarter, (k0_full, ks_full)):
             ref = q.T @ a.toarray() @ q
-            got = sp.block_diag(basis.blocks(data)).toarray()
+            got = sp.block_diag(diagonal_blocks(basis.assemble(data)[0],
+                                                basis.bounds)).toarray()
             assert_allclose(got, ref, rtol=0, atol=1e-15 * np.abs(ref).max())
+
+    def test_the_cell_basis_and_its_blocks_are_unchanged(self, monkeypatch):
+        # digests of the cell basis and of the four class blocks, with the
+        # interior size and the springs, that the split screen factors for
+        # a fixed random quarter operator, as at the split's introduction
+        factored = []
+        monkeypatch.setattr(bloch, "_condensed", lambda *args: (
+            factored.append(args) or np.zeros((1, 1))))
+        for n, digest in ((8, "eda7928c7ad21b1f"), (64, "b0a05fdf172aee8a")):
+            basis = cell_basis(n)
+            rng = np.random.default_rng(n)
+            quarter = rng.standard_normal((2, quarter_cell(n).row.size))
+            factored.clear()
+            assert _CutScreen(build_mesh(n), None, None, quarter).condense(
+                1.0) is not None
+            h = hashlib.sha256()
+            for a in (basis.q.data, basis.q.indices, basis.q.indptr,
+                      basis.col, basis.coef, np.array(basis.bounds)):
+                h.update(np.ascontiguousarray(a).tobytes())
+            for a, ni, springs in factored:
+                h.update(np.array([*a.shape, ni, *springs]).tobytes())
+                for x in (a.data, a.indices, a.indptr):
+                    h.update(np.ascontiguousarray(x).tobytes())
+            assert (len(factored), h.hexdigest()[:16]) == (4, digest)
 
     @pytest.mark.parametrize("k", [k for k, d in SPLIT_SAMPLES if d is None])
     def test_cut_matrix_splits_by_class(self, k):

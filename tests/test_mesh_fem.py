@@ -211,7 +211,8 @@ def test_cell_basis_splits_the_full_node_set_by_class(n):
     cx, cy = dof // 2 % side, dof // 2 // side
     on_cut = (cx % n == 0) | (cy % n == 0)
     for c, (sx, sy) in enumerate(CLASSES):
-        lo, cut, hi = basis.bounds[c], basis.cut[c], basis.bounds[c + 1]
+        lo, hi = basis.bounds[c], basis.bounds[c + 1]
+        cut = hi - 2 * n
         cols = q[:, lo:hi]
         for image, sign in (((cy * side + n - cx), np.where(dof % 2 == 0,
                                                              -1, 1) * sx),
@@ -223,7 +224,6 @@ def test_cell_basis_splits_the_full_node_set_by_class(n):
         rows = np.abs(cols) > 0
         assert not rows[on_cut, :cut - lo].any()
         assert not rows[~on_cut, cut - lo:].any()
-        assert hi - cut == 2 * n
 
 
 def test_cell_basis_and_cut_maps_are_cached_small_and_read_only():
@@ -234,9 +234,9 @@ def test_cell_basis_and_cut_maps_are_cached_small_and_read_only():
     assert cell_basis(64) is basis and cell_basis(8) is not basis
     assert cut_map(64, (0.3, 0.0)) is cut_map(64, (1.1, 0.0))
     assert cut_map(64, (np.pi, 0.7)) is not cut_map(64, (-0.7, np.pi))
+    s = basis.assembly
     arrays = [basis.q.data, basis.q.indices, basis.q.indptr, basis.col,
-              basis.coef, basis.indptr, basis.indices, basis.take,
-              basis.scale]
+              basis.coef, s.dofs, s.indptr, s.take, s.row, *s.fixed]
     for k in ((0.0, 0.0), (np.pi, 0.0), (np.pi, np.pi), (0.0, np.pi),
               (1.1, 0.0), (np.pi, 0.7), (1.1, np.pi), (0.0, 0.7)):
         m = cut_map(64, k)
@@ -469,7 +469,7 @@ def test_the_bases_at_k0_carry_the_pin():
 
 
 # the names that spell the mirrors of the node set and the basis they make
-SYMMETRY = {"mirror_map", "ClassBasis", "CellBasis", "CutMap"}
+SYMMETRY = {"mirror_map", "ClassBasis", "CutMap"}
 
 
 def symmetry_names(path):
@@ -491,8 +491,8 @@ def symmetry_names(path):
 def test_symmetry_lives_in_mesh():
     # the mirrors of the node set and every symmetry basis are spelled in
     # cellmat.mesh alone: no other module calls or imports mirror_map,
-    # makes a ClassBasis, a CellBasis or a CutMap, or defines a basis
-    # builder of its own
+    # makes a ClassBasis or a CutMap, or defines a basis builder of its
+    # own
     home = Path(cellmat.__file__).parent
     assert symmetry_names(home / "mesh.py")
     assert [f for path in sorted(home.glob("*.py")) if path.name != "mesh.py"
