@@ -37,15 +37,35 @@ with none of the eps^2 cancellation that leaves roundoff in a sample at
 small eps.  A limit sample reports k = (0, 0) and names its direction;
 it is solved, screened and differentiated like any other sample.
 
-band_pencil builds the pencil at one k, pinned exactly when k = 0, or in
-the limit along d, and solve_band solves it; every solved sample of every
-sweep, at every mesh size, takes this one path.  solve_band factors K0(k)
-itself, by fem.symmetric_lu, in the order band_pencil hands it over:
-the pencil comes in one basis of the reduced dofs, whose columns carry
-one of the mesh's nested-dissection orders (cellmat.mesh), and its modes
-map to the full node set through the transform composed with that
-basis.  Every eigenvalue is then the same, within the solver tolerance,
-whatever the factor order.
+On a cell mirror-symmetric about both axes (below) the limit is solved
+in the basis [T(0) Q0, r] instead: Q0 = class_basis(n).q at k = 0, which
+has no column for the pins, and r the two ramp columns of T_d.  T(0) Q0
+spans what the other columns of T_d span, so the eigenvalues are the
+same.  In that basis
+
+    K0 = [[P, b], [b^T, c]],
+
+where P is the pinned class stiffness, the matrix whose diagonal blocks
+the analysis's fem.PinnedSolver has factored, b = Q0^T T(0)^T K0 r its
+two border columns, which only the strip of elements under the ramps
+reaches, and c = r^T K0 r, 2 x 2; K_sigma is bordered alike around the
+pinned class pencil.  So K0^-1 x is one solve on P's factors and one of
+the 2 x 2 Schur complement c - b^T P^-1 b (PinnedSolver.bordered), and
+the pinned pencil's K0 is P itself: the zone center of a two-mirror cell
+makes no sparse factor of its own.
+
+SweepOperators.pencil builds the pencil of every sample: band_pencil's
+at one k, pinned exactly when k = 0, or in the limit along d, and
+SweepOperators.limit's for the limit of a two-mirror cell.  solve_band
+solves it; every solved sample of every sweep, at every mesh size, takes
+this one path.  The pencil comes in one basis of the reduced dofs, whose
+columns carry one of the mesh's nested-dissection orders (cellmat.mesh),
+and its modes map to the full node set through the transform composed
+with that basis.  At the zone center of a two-mirror cell it comes with
+the solve on the PinnedSolver's factors; at any other sample solve_band
+factors K0(k) itself, by fem.symmetric_lu, in the order of that basis.
+Every eigenvalue is then the same, within the solver tolerance, whatever
+the factor order.
 
 The basis is the class basis Q(k) of the mesh when the cell's element
 fields, its moduli and stress weights, are mirror-symmetric about both
@@ -61,11 +81,12 @@ no fold and no T(k) (mesh.ClassBasis.assemble); T(k) Q(k) is formed
 only for a sample whose modes are kept.  The sweep of such a cell takes
 its fields as the means over each element's orbit (mesh.orbit_mean), so
 that every operator it builds, the class pencils, the limits and the
-cut, is of one cell, exactly mirror-symmetric.  Every other sample and
-cell takes the torus-order permutation T(k), and each operator is
-folded with it, T(k)^H K_full T(k): its pencil is real where every
-component of k is 0 or +-pi, the phases then exactly +-1, and complex
-elsewhere.
+cut, is of one cell, exactly mirror-symmetric; it assembles the
+full-node operators only for a sample with no component of k 0 or
++-pi.  Every other sample and cell takes the torus-order permutation
+T(k), or T_d, and each operator is folded with it, T(k)^H K_full T(k):
+its pencil is real where every component of k is 0 or +-pi, the phases
+then exactly +-1, and complex elsewhere.
 
 Only the largest tau matters for sigma_c.  K0(k) is positive definite
 (pinned at k = 0), so the number of bands above a floor tau0 equals the
@@ -134,7 +155,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .errors import AnalysisError, ConfigError
-from .fem import assemble, assemble_k0, symmetric_lu
+from .fem import PinnedSolver, assemble, assemble_k0, symmetric_lu
 from .mesh import CLASSES, PINS, STRESS_PARITY, cell_basis, cell_cut, \
     class_basis, cut_map, diagonal_blocks, dissection, mirror_axes, \
     node_dofs, orbit_mean, orbit_sum, quarter_cell, real_phase
@@ -207,6 +228,17 @@ def _wraps(mesh, nodes):
                             nodes // (n + 1) == n]).astype(float)
 
 
+def _ramp(mesh, direction):
+    """d.w on every full node, w = (wrap_x, wrap_y): the ramp of the
+    zone-center limit along direction d, or a ConfigError unless d is
+    finite, nonzero and of two components."""
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (2,) or not np.all(np.isfinite(d)) or not np.any(d):
+        raise ConfigError("a zone-center limit needs a finite nonzero "
+                          f"direction of two components, got {direction!r}")
+    return _wraps(mesh, np.arange(mesh.nn_full)) @ d
+
+
 def limit_transform(mesh, direction):
     """Sparse real T_d of the zone-center limit along direction d (module
     doc): T(0) with the two columns of reduced node 0 (mesh.PINS) replaced
@@ -215,14 +247,9 @@ def limit_transform(mesh, direction):
     to node 0 are dropped.  Scaling d scales the ramp columns only, which
     leaves the limit's eigenvalues as they are.
     """
-    d = np.asarray(direction, dtype=float)
-    if d.shape != (2,) or not np.all(np.isfinite(d)) or not np.any(d):
-        raise ConfigError("a zone-center limit needs a finite nonzero "
-                          f"direction of two components, got {direction!r}")
+    ramp = np.repeat(_ramp(mesh, direction), 2)
     t = bloch_transform(mesh, np.zeros(2)).tocoo()
     keep = ~np.isin(t.col, PINS)
-    nodes = np.arange(mesh.nn_full)
-    ramp = np.repeat(_wraps(mesh, nodes) @ d, 2)
     rows = np.flatnonzero(ramp)
     return sp.coo_matrix(
         (np.concatenate([t.data[keep], ramp[rows]]),
@@ -249,40 +276,139 @@ def quarter_operators(mesh, elem, moduli, stress_weights):
             quarter.matrix(weights @ elem.g_stress.reshape(3, -1)))
 
 
-def sweep_operators(mesh, elem, moduli_k, stress_weights):
-    """(K0, K_sigma, quarter) of a sweep: the full-node operators, and the
-    quarter_operators of a cell mirror-symmetric about both axes
-    (mesh.mirror_axes), None for any other cell.  The fields of such a
-    cell are taken as their orbit means (mesh.orbit_mean), so that every
-    operator of its sweep is of one cell, exactly symmetric: the class
-    pencils and the split cut see only the orbit sums of its fields."""
-    quarter = None
-    if mirror_axes(mesh, moduli_k, stress_weights) == (0, 1):
-        moduli_k = orbit_mean(mesh.n, moduli_k)
-        stress_weights = orbit_mean(mesh.n, stress_weights, STRESS_PARITY)
-        quarter = quarter_operators(mesh, elem, moduli_k, stress_weights)
-    return (assemble_k0(mesh, elem, moduli_k, reduced=False),
-            stress_stiffness(mesh, elem, stress_weights), quarter)
+class SweepOperators:
+    """The operators of one band sweep (buckling_strength).
+
+    For a cell mirror-symmetric about both axes (mesh.mirror_axes) the
+    fields are taken as their orbit means (mesh.orbit_mean), so that every
+    operator of the sweep is of one cell, exactly symmetric: the class
+    pencils, the limits and the split cut see only the orbit sums of its
+    fields.  quarter then holds their quarter_operators, and solver the
+    PinnedSolver of the pinned class stiffness P: the one given when it
+    is factored in the class basis, as the analysis's HomogResult.solver
+    of the same moduli is, or else one built from the class blocks of the
+    sweep on first use.  The zone center is solved on its factors
+    (pencil).  For any other cell quarter is None.
+    The full-node operators k0_full and ks_full are assembled on first
+    use: by every pencil and the cut of a cell off the two-mirror path,
+    and on it only by a sample with no component of k 0 or +-pi.
+    """
+
+    def __init__(self, mesh, elem, moduli_k, stress_weights, solver=None):
+        self.mesh, self.elem = mesh, elem
+        self.quarter = None
+        if mirror_axes(mesh, moduli_k, stress_weights) == (0, 1):
+            moduli_k = orbit_mean(mesh.n, moduli_k)
+            stress_weights = orbit_mean(mesh.n, stress_weights, STRESS_PARITY)
+            self.quarter = quarter_operators(mesh, elem, moduli_k,
+                                             stress_weights)
+            if solver is not None and solver.basis is mesh.classes.q:
+                self.solver = solver
+        self.moduli, self.stress_weights = moduli_k, stress_weights
+
+    @cached_property
+    def k0_full(self):
+        return assemble_k0(self.mesh, self.elem, self.moduli, reduced=False)
+
+    @cached_property
+    def ks_full(self):
+        return stress_stiffness(self.mesh, self.elem, self.stress_weights)
+
+    @cached_property
+    def solver(self):
+        """The PinnedSolver of the class blocks of the pinned K0."""
+        classes = self.mesh.classes
+        [k0] = classes.assemble(self.quarter[0])
+        return PinnedSolver(diagonal_blocks(k0, (0, classes.split,
+                                                 k0.shape[0])), classes.q)
+
+    def pencil(self, k, direction=None):
+        """(transform, K0, K_sigma, solve) of the sample at k, or of the
+        zone-center limit along direction (k = 0).  The pencil is
+        band_pencil's, but for the limit of a two-mirror cell, which is
+        limit's.  solve is x -> K0^-1 x on the solver's factors at the
+        zone center of a two-mirror cell, and None elsewhere: solve_band
+        then factors K0 itself."""
+        if self.quarter is not None and direction is not None:
+            return None, *self.limit(direction)
+        if self.quarter is not None and real_phase(k).any():
+            t, k0k, ksk = band_pencil(self.mesh, None, None, k, self.quarter)
+            return t, k0k, ksk, (None if np.any(k)
+                                 else self.solver.solve_blocks)
+        return *band_pencil(self.mesh, self.k0_full, self.ks_full, k,
+                            direction=direction), None
+
+    def limit(self, direction):
+        """(K0, K_sigma, solve) of the zone-center limit along direction
+        of a two-mirror cell in the basis [T(0) Q0, r] (module doc): the
+        pinned class pencil (P, S) of the sweep, bordered by the two ramp
+        columns r of T_d,
+
+            K0 = [[P, b0], [b0^T, c0]],   K_sigma = [[S, bs], [bs^T, cs]],
+
+        b = Q0^T T(0)^T K_full r and c = r^T K_full r.  K_full r is
+        nonzero only on the strip of elements that the ramps reach, so
+        the border is summed over the element matrices of that strip
+        alone.  solve is the solver's bordered solve."""
+        mesh, classes = self.mesh, self.mesh.classes
+        ramp = _ramp(mesh, direction)[mesh.conn]              # (ne, 4)
+        strip = np.flatnonzero(ramp.any(axis=1))
+        r = np.zeros((strip.size, 8, 2))
+        r[:, 0::2, 0] = r[:, 1::2, 1] = ramp[strip]
+        ke = (np.multiply.outer(self.moduli[strip], self.elem.k0),
+              np.einsum("ec,cij->eij", self.stress_weights[strip],
+                        self.elem.g_stress))
+        out = []
+        for a, k in zip(classes.assemble(*self.quarter), ke):
+            kr = k @ r                                         # (s, 8, 2)
+            b = np.zeros((mesh.ndof, 2))
+            np.add.at(b, mesh.edofs[strip], kr)
+            b = classes.q.T @ b
+            c = np.einsum("eia,eib->ab", r, kr)
+            c = 0.5 * (c + c.T)
+            out.append((sp.bmat([[a, b], [b.T, c]], format="csc"), b, c))
+        (k0, b0, c0), (ks, _, _) = out
+        return k0, ks, self.solver.bordered(b0, c0)
+
+    def transform(self, k, direction=None):
+        """The transform that takes the modes of a class-basis pencil at
+        k, or of a two-mirror limit along direction, to the full node set:
+        T(k) Q(k), or [T(0) Q0, r]."""
+        t = bloch_transform(self.mesh, k) @ class_basis(self.mesh.n, k).q
+        if direction is None:
+            return t
+        return sp.hstack([t, limit_transform(self.mesh, direction)[:, PINS]],
+                         format="csc")
+
+    def screen(self):
+        """A _CutScreen of the sweep, split by class on a two-mirror cell,
+        where it reads no full-node operator."""
+        if self.quarter is not None:
+            return _CutScreen(self.mesh, None, None, self.quarter)
+        return _CutScreen(self.mesh, self.k0_full, self.ks_full)
 
 
 def band_pencil(mesh, k0_full, ks_full, k, quarter=None, direction=None):
     """(transform, K0(k), K_sigma(k)), pinned exactly at k = 0, the only k
     with a singular K0(k), unless direction names the zone-center limit
-    along it (k = 0, module doc).
+    along it (k = 0, module doc), folded with T_d.
 
     quarter holds the quarter_operators of a cell mirror-symmetric about
     both axes (mesh.mirror_axes), None for any other cell.  With them, and
     a component of k 0 or +-pi, the pencil is Q(k)^H K(k) Q(k) in the
     class basis Q(k) = mesh.class_basis(n, k), real symmetric and block
     diagonal by class, with real modes, assembled from the quarter cell
-    without a fold (ClassBasis.assemble); the transform, T(k) Q(k), is
-    then not formed and comes back None.  Otherwise the transform is T(k),
-    or T_d = limit_transform(mesh, direction), in the torus order of the
-    mesh, and each operator is folded with it once.  Either way the
+    without a fold (ClassBasis.assemble) and without k0_full and ks_full,
+    which may then be None; the transform, T(k) Q(k), is not formed and
+    comes back None.  Otherwise the transform is T(k), or T_d =
+    limit_transform(mesh, direction), in the torus order of the mesh, and
+    each full-node operator is folded with it once.  Either way the
     pencil's columns come in the mesh's order for the factor of K0(k)
     (cellmat.mesh).  At k = 0 both bases leave out the columns of reduced
     node 0, so the pencil is the pinned one as assembled or folded, the
     torus transform then T(0) Mesh.torus_basis: nothing is pinned here.
+    The sweep takes the limit of a two-mirror cell from
+    SweepOperators.limit instead.
     """
     if quarter is not None and direction is None and real_phase(k).any():
         return None, *class_basis(mesh.n, k).assemble(*quarter)
@@ -522,7 +648,7 @@ def _condensed(a, ni, springs):
     return 0.5 * (h + h.T)
 
 
-def solve_band(k0k, ksk, m):
+def solve_band(k0k, ksk, m, solve=None):
     """Largest m eigenvalues of -K_sigma(k) phi = tau K0(k) phi.
 
     Returns (tau, phi) for the pencil band_pencil builds, with tau sorted
@@ -536,11 +662,13 @@ def solve_band(k0k, ksk, m):
     relative convergence test cannot terminate; the shift is subtracted
     again and changes nothing else.
 
-    K0(k) is factored here, once, by fem.symmetric_lu (stable because
-    K0(k), pinned at k = 0, is Hermitian positive definite; block
-    diagonal in the class basis, and so is its factor), and the factor
-    is passed to eigsh as Minv.  ARPACK's tolerance is 1e-9 at
-    every sample.
+    solve is x -> K0(k)^-1 x, passed to eigsh as Minv: the solve on the
+    PinnedSolver's factors that comes with a zone-center pencil of a
+    two-mirror cell (SweepOperators.pencil).  Without one, K0(k) is
+    factored here, once, by fem.symmetric_lu (stable because K0(k),
+    pinned at k = 0, is Hermitian positive definite; block diagonal in
+    the class basis, and so is its factor).  ARPACK's tolerance is 1e-9
+    at every sample.
 
     When ARPACK fails, the bands it did converge are returned: fewer than
     m, and none after a failure other than non-convergence.
@@ -553,8 +681,9 @@ def solve_band(k0k, ksk, m):
     shift = 1.0
     a_sh = (-ksk + shift * k0k).tocsc()
     b = k0k.tocsc()
-    lu = symmetric_lu(b)
-    minv = LinearOperator(b.shape, matvec=lu.solve, dtype=b.dtype)
+    if solve is None:
+        solve = symmetric_lu(b).solve
+    minv = LinearOperator(b.shape, matvec=solve, dtype=b.dtype)
     v0 = np.full(ndof, 1.0 / np.sqrt(ndof), dtype=b.dtype)
     try:
         w, v = eigsh(a_sh, k=m_eff, M=b, Minv=minv, which="LA", v0=v0,
@@ -619,7 +748,8 @@ class BucklingResult:
 
 
 def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
-                      store_modes=False, k_points=None, critical_only=False):
+                      store_modes=False, k_points=None, critical_only=False,
+                      solver=None):
     """Band sweep along the quarter-zone boundary and the critical load.
 
     moduli_k scales the elastic operator, stress_weights the geometric one.
@@ -634,10 +764,15 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     symmetric pencil, when moduli_k and stress_weights are
     mirror-symmetric about both axes (mesh.mirror_axes, module doc) and
     a component of its k is 0 or +-pi; both fields are then taken as
-    their orbit means throughout.  store_modes keeps each sample's modes
-    with the transform that takes them to the full node set: T(k) or
-    T_d, or T(k) Q(k) in the class basis, its columns in the order of the
-    pencil (band_pencil), formed then and only then.
+    their orbit means throughout, and the limits are solved in the basis
+    [T(0) Q0, r].  All three zone-center samples of such a cell are then
+    solved on the factors of solver, the analysis's PinnedSolver of the
+    same moduli (HomogResult.solver), or, without one, of a solver built
+    from the class blocks of the sweep (SweepOperators).  store_modes
+    keeps each sample's modes with the transform that takes them to the
+    full node set: T(k) or T_d, or T(k) Q(k) in the class basis, or
+    [T(0) Q0, r], its columns in the order of the pencil, formed then and
+    only then.
 
     critical_only is for callers that need only tau_max, sigma_c and the
     critical sample, not every band.  Samples are taken in path order, and
@@ -665,8 +800,7 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
     converged bands stand with a RuntimeWarning, and a sample with none
     raises AnalysisError.
     """
-    k0_full, ks_full, quarter = sweep_operators(mesh, elem, moduli_k,
-                                                stress_weights)
+    ops = SweepOperators(mesh, elem, moduli_k, stress_weights, solver)
 
     pts, arc = ibz_path(n_seg) if k_points is None else k_points
     jobs = []           # (k, limit direction or None, arclength)
@@ -677,8 +811,7 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
         else:
             jobs.append((wavevector(kvec), None, a))
 
-    screen = (_CutScreen(mesh, k0_full, ks_full, quarter) if critical_only
-              else None)
+    screen = ops.screen() if critical_only else None
     certify_first = False   # set once the cut has proven a sample stable
     samples = []
     tau_max = -np.inf
@@ -696,12 +829,14 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
         stable = (certify_first and not screening
                   and screen.below(kvec, TAU_TINY, d))
         if not stable:
-            t, k0k, ksk = band_pencil(mesh, k0_full, ks_full, kvec, quarter,
-                                      d)
-            tau, phi = solve_band(k0k, ksk, m)
+            t, k0k, ksk, solve = ops.pencil(kvec, d)
+            tau, phi = solve_band(k0k, ksk, m, solve)
+            # the next sample's screen may condense before its pencil
+            # replaces this one
+            del k0k, ksk, solve
             if tau.size < m_eff:
                 if screen is None:
-                    screen = _CutScreen(mesh, k0_full, ks_full, quarter)
+                    screen = ops.screen()
                 stable = screen.below(kvec, TAU_TINY, d)
                 if stable:
                     certify_first = True
@@ -718,7 +853,7 @@ def buckling_strength(mesh, elem, moduli_k, stress_weights, m, n_seg=10,
             tau, phi = np.zeros(m_eff), np.zeros((mesh.ndof, m_eff))
             t = sp.csc_matrix((mesh.ndof_full, mesh.ndof))
         elif store_modes and t is None:
-            t = bloch_transform(mesh, kvec) @ class_basis(mesh.n, kvec).q
+            t = ops.transform(kvec, d)
         samples.append(BandSample(
             k=kvec, arclength=a, pinned=pinned, tau=tau, direction=d,
             modes=phi if store_modes else None,

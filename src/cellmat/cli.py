@@ -80,7 +80,8 @@ def _band_setup(args):
 
     def run(**kw):
         return buckling_strength(mesh, elem, cell.e_k, cell.stress_weights,
-                                 m=args.m_bands, **kw)
+                                 m=args.m_bands, solver=cell.homog.solver,
+                                 **kw)
     return run
 
 

@@ -8,7 +8,9 @@ back: the torus order, factored whole, or, for a cell mirror-symmetric
 about both axes, the two-mirror class basis, in which the stiffness
 comes as its two diagonal blocks, the two pairs of classes, each with a
 factor of its own, the translation pair's made only when a load reaches
-it (cellmat.homogenize picks the basis and builds the blocks).
+it (cellmat.homogenize picks the basis and builds the blocks).  The band
+sweep of such a cell solves its zone center on the same factors
+(PinnedSolver.solve_blocks and bordered).
 """
 
 import numpy as np
@@ -55,15 +57,16 @@ def symmetric_lu(a):
     a's own order.
 
     Every sparse factor of the package is made here: the periodic
-    stiffness, the density filter, each Bloch pencil's K0(k) and the cut
-    screen of bloch, its one inertia test: one factor of the full-node
-    operator, or, for a cell mirror-symmetric about both axes, one of
-    each of its four class blocks.  Each caller hands a already in a
-    nested-dissection order of the grid (cellmat.mesh).  The periodic
-    stiffness and the Bloch pencils come through a basis whose columns
-    carry the order: the torus permutation, or the class basis, class by
-    class in the dissection order of the quarter grid, which hands over
-    a block-diagonal matrix.  The filter numbers its nodes in the torus
+    stiffness, the density filter, each Bloch pencil's K0(k) but those of
+    the zone center of a cell mirror-symmetric about both axes, which are
+    solved on the periodic stiffness's factors, and the cut screen of
+    bloch, its one inertia test: one factor of the full-node operator,
+    or, for a two-mirror cell, one of each of its four class blocks.
+    Each caller hands a already in a nested-dissection order of the grid
+    (cellmat.mesh).  The periodic stiffness and the Bloch pencils come
+    through a basis whose columns carry the order: the torus permutation,
+    or the class basis, class by class in the dissection order of the
+    quarter grid, which hands over a block-diagonal matrix.  The filter numbers its nodes in the torus
     order, and the screen its interior by dissection and the cell
     boundary last.  A class block of the screen comes through the class
     basis of the full node set (mesh.cell_basis), split off by
@@ -94,9 +97,9 @@ class PinnedSolver:
 
     The stiffness is factored in a basis Q that the mesh owns
     (cellmat.mesh), with orthonormal columns and none for the pins
-    (mesh.PINS), so Q^T K Q is the pinned stiffness, nonsingular.  It
+    (mesh.PINS), so P = Q^T K Q is the pinned stiffness, nonsingular.  It
     comes as its diagonal blocks in the order of Q's columns, which are
-    factored as handed over; Q^T K Q has no entry outside them.  Q is the
+    factored as handed over; P has no entry outside them.  Q is the
     torus order less the pins (Mesh.torus_basis), with one block, or the
     class basis at k = 0 (Mesh.classes) of a cell mirror-symmetric about
     both axes, with the corrector pair of classes and then the
@@ -104,12 +107,18 @@ class PinnedSolver:
     factored on the first solve whose right-hand side, in the basis, has
     a nonzero entry in it.  The corrector loads are exactly zero in the
     translation pair, so a stiffness-only design iteration never factors
-    it, while the adjoint loads of the stress and stability gradients
-    factor it once per analysis.
+    it, while the zone center of a band sweep and the adjoint loads of
+    the stress and stability gradients factor it once per analysis.
+
+    P is also the K0 of the pinned Bloch pencil of a two-mirror cell, and
+    the leading block of the K0 of each of its zone-center limits
+    (cellmat.bloch), so the sweep solves them on these factors:
+    solve_blocks for the pinned pencil, bordered for a limit.
 
     solve takes and returns vectors in the reduced numbering and maps them
     through Q, which drops a load's entries at the pins and returns zero
-    there; solve_basis takes and returns them in the basis.
+    there; solve_basis takes and returns them in the basis, and checks
+    the residual of each solve.
     """
 
     def __init__(self, blocks, basis):
@@ -133,10 +142,10 @@ class PinnedSolver:
         return self.basis @ self.solve_basis(
             self.basis.T @ np.asarray(f, dtype=float))
 
-    def solve_basis(self, b):
-        """The pinned solution for a load b, both in the basis."""
+    def solve_blocks(self, b):
+        """P^-1 b for b in the basis, (size,) or (size, r), block by block
+        on the factors and with no residual check."""
         y = np.zeros_like(b)
-        r = np.zeros_like(b)
         for i, lu in enumerate(self._lus):
             block = slice(*self._bounds[i:i + 2])
             if i and not b[block].any():
@@ -144,10 +153,35 @@ class PinnedSolver:
             if lu is None:
                 lu = self._factor(i)
             y[block] = lu.solve(b[block])
-            r[block] = self._blocks[i] @ y[block] - b[block]
+        return y
+
+    def solve_basis(self, b):
+        """The pinned solution for a load b, both in the basis."""
+        y = self.solve_blocks(b)
+        # the residual of the blocks solved: every other one is zero
+        r = np.linalg.norm(np.concatenate([
+            a @ y[lo:hi] - b[lo:hi] for a, lo, hi in
+            zip(self._blocks, self._bounds[:-1], self._bounds[1:])
+            if lo == 0 or b[lo:hi].any()]))
         scale = max(np.linalg.norm(b), 1.0)
-        if np.linalg.norm(r) > RESIDUAL_TOL * scale:
+        if r > RESIDUAL_TOL * scale:
             raise SolverError(
-                f"periodic solve residual {np.linalg.norm(r) / scale:.3e} "
+                f"periodic solve residual {r / scale:.3e} "
                 f"exceeds {RESIDUAL_TOL:.1e}")
         return y
+
+    def bordered(self, border, corner):
+        """The solve x -> K^-1 x of the bordered K = [[P, border],
+        [border^T, corner]], border (size, r) and corner (r, r) dense, by
+        block elimination: W = P^-1 border once, and then per solve one
+        solve_blocks and the r-square Schur complement corner - border^T W.
+        """
+        size = self._bounds[-1]
+        w = self.solve_blocks(border)
+        schur = corner - border.T @ w
+
+        def solve(x):
+            y = self.solve_blocks(x[:size])
+            z = np.linalg.solve(schur, x[size:] - border.T @ y)
+            return np.concatenate([y - w @ z, z])
+        return solve

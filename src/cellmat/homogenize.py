@@ -13,7 +13,8 @@ around pays off twice: the density gradient of Dbar is exactly E'_e Q_e
 Dbar can be cross-checked against the global energy identity.
 
 The periodic stiffness is factored per call (fem.PinnedSolver) and kept
-for the adjoint solves of the gradients.  A cell whose modulus field is
+for the zone center of the band sweep (cellmat.bloch) and the adjoint
+solves of the gradients.  A cell whose modulus field is
 mirror-symmetric about both axes (mesh.mirror_axes) has it factored in
 the two-mirror class basis of the mesh (cellmat.mesh), where it splits
 into four blocks on the quarter grid with about half the fill of the
@@ -21,10 +22,11 @@ torus order.  class_stiffness and class_loads assemble the stiffness, as
 its two diagonal blocks, and the loads there directly from the quarter
 cell (mesh.quarter_cell), from the moduli summed over each element's
 orbit: the stiffness is the class assembly of cellmat.mesh at k = 0,
-the K0 that the pinned Bloch pencil takes too (bloch.band_pencil).  The
-loads lie in the corrector pair of classes, exactly, so the correctors
-never make the solver factor the translation pair; only an adjoint load
-does.  Any other cell is factored whole in the torus order less the
+the K0 that the pinned Bloch pencil takes too (bloch.band_pencil), and
+the sweep solves its zone center on these factors.  The loads lie in the
+corrector pair of classes, exactly, so the correctors never make the
+solver factor the translation pair; only the zone center of a band
+sweep or an adjoint load does.  Any other cell is factored whole in the torus order less the
 pins (Mesh.torus_basis), its stiffness assembled on the reduced dofs and
 permuted into that order.
 """
@@ -50,7 +52,8 @@ class HomogResult:
     cbar: np.ndarray       # (3, 3) effective compliance
     ebar: float            # effective Young's modulus along x
     q_tensors: np.ndarray  # (ne, 3, 3) unit-modulus element energy tensors
-    solver: PinnedSolver   # factorized stiffness, reused by adjoint solves
+    solver: PinnedSolver   # factorized stiffness, reused by the zone
+                           # center of the band sweep and adjoint solves
 
 
 def class_stiffness(mesh, elem, moduli):

@@ -113,13 +113,12 @@ def evaluate_design(rho_phys, n, sigma1_rel, material=None, with_bands=True,
         ebar=cell.homog.ebar, kappa_bar=area_bulk_modulus(cell.homog.cbar),
         sigma_y=sigma_y)
     if with_bands:
-        e_k, weights = cell.e_k, cell.stress_weights
-        # the sweep needs nothing else; dropping the analysis frees its
-        # periodic stiffness factor (about 25 MB at n = 64), which would
-        # otherwise sit under every band factor of the sweep
-        del cell
-        band = buckling_strength(mesh, elem, e_k, weights, n_seg=n_seg,
-                                 m=m_bands, critical_only=True)
+        # the sweep solves its zone center on the analysis's periodic
+        # factor: on c2 at n = 64, 0.30M entries in L+U and 3 to 5 MB per
+        # pair of classes
+        band = buckling_strength(mesh, elem, cell.e_k, cell.stress_weights,
+                                 n_seg=n_seg, m=m_bands, critical_only=True,
+                                 solver=cell.homog.solver)
         report.sigma_c = band.sigma_c
         report.tau_max = band.tau_max
         kc = band.critical_k
@@ -173,7 +172,8 @@ def gradient_check(n, elements, seed):
 
     def sweep(cell):
         return buckling_strength(mesh, elem, cell.e_k, cell.stress_weights,
-                                 m=w_tau.size, k_points=kpt, store_modes=True)
+                                 m=w_tau.size, k_points=kpt, store_modes=True,
+                                 solver=cell.homog.solver)
 
     def f_ebar(r):
         return analyze_cell(mesh, elem, r).homog.ebar

@@ -20,10 +20,11 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence, eigsh,
                                  norm, splu)
 
 from conftest import cross_density
-from cellmat import bloch, cli
+from cellmat import bloch, cli, fem
 from cellmat.bloch import (
     LIMIT_DIRECTIONS,
     TAU_TINY,
+    SweepOperators,
     _CutScreen,
     band_pencil,
     bloch_transform,
@@ -34,12 +35,11 @@ from cellmat.bloch import (
     quarter_operators,
     solve_band,
     stress_stiffness,
-    sweep_operators,
 )
 from cellmat.design import interpolate
 from cellmat.element import element_matrices
 from cellmat.errors import AnalysisError, ConfigError
-from cellmat.fem import assemble, assemble_k0, symmetric_lu
+from cellmat.fem import RESIDUAL_TOL, assemble, assemble_k0, symmetric_lu
 from cellmat.gridio import read_grid, write_grid
 from cellmat.homogenize import class_stiffness, homogenize
 from cellmat.materials import get_material
@@ -114,6 +114,13 @@ def cross8_pencil(cross8, k, sigma0=(-1.0, 0.0, 0.0)):
     mesh, elem, rho = cross8
     e_k, weights, _, _ = loaded_state(mesh, elem, rho, sigma0)
     return pencil(mesh, elem, e_k, weights, k)
+
+
+def sweep_operators(mesh, elem, e_k, weights):
+    """(K0, K_sigma, quarter) of a sweep: its full-node operators and its
+    quarter_operators, None off the two-mirror path."""
+    ops = SweepOperators(mesh, elem, e_k, weights)
+    return ops.k0_full, ops.ks_full, ops.quarter
 
 
 def minimum_degree_lu(a):
@@ -1436,3 +1443,88 @@ class TestZoneCenterLimit:
         for s, r in zip(grid.samples, mmd.samples):
             assert_allclose(s.tau, r.tau, rtol=0,
                             atol=1e-10 * np.abs(r.tau).max())
+
+    @pytest.mark.parametrize("name", ["c2_stiff_f020_n64",
+                                      "b1_buckling_f020_n64",
+                                      "b2_buckling_f020_n96",
+                                      "c4_codesign_f020_n64", "d4_n16"])
+    def test_bordered_limits_match_the_torus_fold(self, name):
+        # a two-mirror limit is solved in the basis [T(0) Q0, r] on the
+        # analysis's factors; each of its bands lies within 1e-9 tau_max
+        # of the same limit folded with T_d in the torus order
+        if name == "d4_n16":
+            rho, n = mirrored_cell(16, (0, 1))[2], 16
+        else:
+            rho, n = read_grid(RUNS / name / "design_int.grid")
+        mesh = build_mesh(n)
+        elem = element_matrices(NU, mesh.h)
+        cell = analyze_cell(mesh, elem, rho)
+        ops = SweepOperators(mesh, elem, cell.e_k, cell.stress_weights,
+                             cell.homog.solver)
+        assert ops.quarter is not None
+        assert ops.solver is cell.homog.solver
+        got, ref = [], []
+        for d in LIMIT_DIRECTIONS:
+            t, k0k, ksk, solve = ops.pencil(np.zeros(2), d)
+            assert t is None and solve is not None
+            assert k0k.shape == (mesh.ndof, mesh.ndof)
+            got.append(solve_band(k0k, ksk, 6, solve)[0])
+            ref.append(solve_band(*band_pencil(
+                mesh, ops.k0_full, ops.ks_full, np.zeros(2),
+                direction=d)[1:], 6)[0])
+        tau_max = np.abs(ref).max()
+        assert_allclose(got, ref, rtol=0, atol=1e-9 * tau_max)
+
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_bordered_solve_residual(self, n):
+        # the solve of a limit's K0 from the pinned factors and a 2 x 2
+        # Schur complement is as accurate as the periodic solve
+        mesh, elem, rho = mirrored_cell(n, (0, 1))
+        cell = analyze_cell(mesh, elem, rho)
+        ops = SweepOperators(mesh, elem, cell.e_k, cell.stress_weights,
+                             cell.homog.solver)
+        rng = np.random.default_rng(n)
+        for d in LIMIT_DIRECTIONS:
+            _, k0k, _, solve = ops.pencil(np.zeros(2), d)
+            f = rng.standard_normal((k0k.shape[0], 3))
+            for j in range(3):
+                r = k0k @ solve(f[:, j]) - f[:, j]
+                assert (np.linalg.norm(r) <= RESIDUAL_TOL
+                        * max(np.linalg.norm(f[:, j]), 1.0))
+
+    def test_zone_center_makes_no_factor_of_its_own(self, monkeypatch):
+        # given the analysis's solver, the three zone-center samples of a
+        # two-mirror sweep are solved on its factors: the only factor
+        # they ask for is its translation pair, once, which the adjoint
+        # solves of the gradients would make anyway.  Without a solver
+        # the sweep builds the same one from its class blocks
+        mesh, elem, rho = mirrored_cell(8, (0, 1))
+        cell = analyze_cell(mesh, elem, rho)
+        factored = []
+
+        def counted(a):
+            factored.append(a.shape[0])
+            return symmetric_lu(a)
+
+        monkeypatch.setattr(bloch, "symmetric_lu", counted)
+        monkeypatch.setattr(fem, "symmetric_lu", counted)
+        center = (np.zeros((1, 2)), np.zeros(1))
+
+        def sweep(solver):
+            factored.clear()
+            out = buckling_strength(mesh, elem, cell.e_k,
+                                    cell.stress_weights, m=4,
+                                    k_points=center, solver=solver)
+            assert [s.tau.size for s in out.samples] == [4, 4, 4]
+            return out, list(factored)
+
+        pairs = mesh.classes.split, mesh.ndof - 2 - mesh.classes.split
+        out, calls = sweep(cell.homog.solver)
+        assert calls == [pairs[1]]
+        again, calls = sweep(cell.homog.solver)
+        assert calls == []
+        own, calls = sweep(None)
+        assert calls == list(pairs)
+        for a, b, c in zip(out.samples, again.samples, own.samples):
+            assert_array_equal(a.tau, b.tau)
+            assert_allclose(a.tau, c.tau, rtol=1e-10)

@@ -10,10 +10,10 @@ import pytest
 from conftest import fd_gradient
 from numpy.testing import assert_allclose, assert_array_equal
 
-from cellmat.bloch import buckling_strength
+from cellmat.bloch import buckling_strength, limit_transform
 from cellmat.design import PDEFilter, enforce_symmetry, project
 from cellmat.element import element_matrices
-from cellmat.mesh import build_mesh
+from cellmat.mesh import PINS, build_mesh
 from cellmat.pipeline import analyze_cell
 from cellmat.sensitivity import (
     chain_to_design,
@@ -195,6 +195,48 @@ def test_gradients_through_the_class_basis(response):
     fd = fd_gradient(f, rho[idx])
     # 2.4e-8 (ebar), 2.2e-8 (stress) and 7.4e-8 (stability) measured
     assert np.abs(grad[idx] - fd).max() <= 5e-7 * np.abs(fd).max()
+
+
+@pytest.mark.parametrize("direction", [0, 1], ids=["x", "y"])
+def test_stability_grad_on_the_bordered_limit(direction):
+    # a limit of a D4 cell is solved in the basis [T(0) Q0, r] on the
+    # analysis's factors, and its modes come back through that basis; the
+    # perturbed fields of the difference quotients are asymmetric and
+    # take the torus fold with T_d
+    n = 8
+    mesh = build_mesh(n)
+    elem = element_matrices(NU, mesh.h)
+    rng = np.random.default_rng(8)
+    rho = enforce_symmetry(rng.uniform(0.35, 0.85, mesh.ne), n)
+    idx = rng.choice(mesh.ne, size=8, replace=False)
+    w = np.array([1.0, 0.0])
+    k_points = (np.zeros((1, 2)), np.zeros(1))
+
+    def sweep(r):
+        cell = analyze_cell(mesh, elem, r)
+        return cell, buckling_strength(
+            mesh, elem, cell.e_k, cell.stress_weights, m=w.size,
+            k_points=k_points, store_modes=True, solver=cell.homog.solver)
+
+    def f(x):
+        r = rho.copy()
+        r[idx] = x
+        return float(w @ sweep(r)[1].samples[direction].tau)
+
+    cell, band = sweep(rho)
+    smp = band.samples[direction]
+    assert smp.direction[direction] == 1.0
+    ramps = limit_transform(mesh, smp.direction)[:, PINS]
+    assert smp.transform.shape == (mesh.ndof_full, mesh.ndof)
+    assert_array_equal(smp.transform[:, -2:].toarray(), ramps.toarray())
+    wlist = [np.zeros(s.tau.size) for s in band.samples]
+    wlist[direction] = w
+    grad = stability_grad(mesh, elem, cell, band, wlist)[idx]
+    # the quotients' roundoff, not the gradient, sets the error: 3.1e-7
+    # at the step 1e-6 and 1.9e-8 at 1e-5 (x), where the gradient itself
+    # matches the torus fold's to 8e-14
+    fd = fd_gradient(f, rho[idx], h=1e-5)
+    assert np.abs(grad - fd).max() <= 5e-7 * np.abs(fd).max()
 
 
 def test_chain_to_design_fd():
